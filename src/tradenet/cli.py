@@ -31,9 +31,8 @@ from .distributions import (COLLAPSE_BINS_PER_DECADE, collapse_transform,
                             scaling_regression)
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
-from .graph import (build_network, load_snapshot, network_to_pairs,
-                    save_snapshot, summarize)
-from .ingest import pair_flows, parse_records, records_from_pairs, write_records
+from .graph import build_network, load_snapshot, save_snapshot, summarize
+from .ingest import pair_columns, read_columns, write_network_records
 from .metrics import LogBinSpec, all_node_metrics, disparity_curve
 from .percolation import fit_exponential_approach, percolate
 from .richclub import rich_club_curve, rich_club_size
@@ -164,7 +163,7 @@ def _load_networks(input_path: str, years: list[int] | None, input_format: str,
         raise EmptyInputError(f"input path {input_path!r} does not exist")
     available: dict[int, object] = {}
     if path.is_dir():
-        for snap in sorted(path.glob("*.json")):
+        for snap in sorted(path.glob("*_network.json")):
             net = load_snapshot(snap)
             if net.year in available:
                 raise ValidationError(f"duplicate snapshot for year {net.year}")
@@ -175,15 +174,12 @@ def _load_networks(input_path: str, years: list[int] | None, input_format: str,
         available[net.year] = net
         builder = None
     else:
-        records = parse_records(path, input_format)
-        by_year: dict[int, list] = {}
-        for rec in records:
-            by_year.setdefault(rec.year, []).append(rec)
-        available = by_year
+        cols = read_columns(path, input_format)
+        paired = pair_columns(cols, on_duplicate)
+        available = dict.fromkeys(cols.years)
 
         def builder(year):
-            return build_network(pair_flows(by_year[year], year, on_duplicate),
-                                 year, missing)
+            return build_network(paired, year, missing)
 
     requested = years if years is not None else sorted(available)
     if not requested:
@@ -434,12 +430,9 @@ def _cmd_synth(args) -> int:
     else:
         nets = [generate_network(params, args.year)]
     if args.dyadic:
-        records = []
-        for net in nets:
-            records.extend(records_from_pairs(network_to_pairs(net)))
         Path(args.dyadic).parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(args.dyadic).with_name(Path(args.dyadic).name + ".tmp")
-        write_records(records, tmp)
+        write_network_records(nets, tmp)
         os.replace(tmp, args.dyadic)
     if args.snapshot_dir:
         snap_dir = Path(args.snapshot_dir)

@@ -12,9 +12,11 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import (DomainError, EmptyNetworkError, NodeNotFoundError,
                      ParseError, ValidationError)
-from .ingest import PairedFlows
+from .ingest import FLOW_SLOTS, PairedColumns, PairedFlows
 
 MISSING_FLOW_POLICIES = ("zero", "copy")
 
@@ -53,24 +55,40 @@ def symmetrize(pf: PairedFlows, missing: str = "zero") -> EdgeWeights | None:
     ``copy`` the present report stands in for the missing one.  Returns
     None when both weights come out zero (no edge).
     """
+    w_exp, w_imp = _symmetrized(_flow_matrix([pf]), missing)
+    w = w_exp + w_imp
+    if w[0] == 0.0:
+        return None
+    return EdgeWeights(float(w_exp[0]), float(w_imp[0]), float(w[0]))
+
+
+def _symmetrized(flows: np.ndarray, missing: str) -> tuple[np.ndarray, np.ndarray]:
+    """Export and import weights of pairs from their flow slots.
+
+    ``flows`` has one row per pair and one column per FLOW_SLOTS entry; a
+    value that is not > 0 (NaN, zero) counts as not reported.
+    """
     if missing not in MISSING_FLOW_POLICIES:
         raise DomainError(
             f"unknown missing-flow policy {missing!r}; expected one of {MISSING_FLOW_POLICIES}")
-    w_exp = _average_flow(pf.exp_ab, pf.imp_ba, missing)
-    w_imp = _average_flow(pf.exp_ba, pf.imp_ab, missing)
-    w = w_exp + w_imp
-    if w == 0.0:
-        return None
-    return EdgeWeights(w_exp, w_imp, w)
+    present = flows > 0
+    exp_ab, imp_ab, exp_ba, imp_ba = np.where(present, flows, 0.0).T
+    has_exp_ab, has_imp_ab, has_exp_ba, has_imp_ba = present.T
+    return (_average(exp_ab, imp_ba, has_exp_ab & has_imp_ba, missing),
+            _average(exp_ba, imp_ab, has_exp_ba & has_imp_ab, missing))
 
 
-def _average_flow(reported, mirrored, policy) -> float:
-    if policy == "zero":
-        return ((reported or 0.0) + (mirrored or 0.0)) / 2.0
-    present = [v for v in (reported, mirrored) if v]
-    if not present:
-        return 0.0
-    return sum(present) / len(present)
+def _flow_matrix(pairs: list[PairedFlows]) -> np.ndarray:
+    """The pairs' flows in FLOW_SLOTS order, NaN for None."""
+    return np.array([[pf.exp_ab, pf.imp_ab, pf.exp_ba, pf.imp_ba] for pf in pairs],
+                    dtype=np.float64).reshape(len(pairs), len(FLOW_SLOTS))
+
+
+def _average(reported, mirrored, both, missing):
+    total = reported + mirrored  # an absent report is 0 here
+    if missing == "zero":
+        return total / 2.0
+    return np.where(both, total / 2.0, total)
 
 
 class AnnualTradeNetwork:
@@ -103,6 +121,31 @@ class AnnualTradeNetwork:
         self.nodes = tuple(sorted(adj))
         self._adj = {c: dict(sorted(neigh.items())) for c, neigh in adj.items()}
 
+    @classmethod
+    def _from_canonical(cls, year: int, codes, a, b, w_exp, w_imp,
+                        w) -> AnnualTradeNetwork:
+        """Network from edge arrays that need no check and no sort.
+
+        ``a`` and ``b`` index the sorted ``codes`` with ``a < b``, the
+        edges are sorted by (a, b) and every ``w`` is > 0.
+        """
+        if not len(a):
+            raise EmptyNetworkError(f"no edges for year {year}")
+        net = cls.__new__(cls)
+        net.year = year
+        keys = zip([codes[i] for i in a.tolist()], [codes[i] for i in b.tolist()])
+        net.edges = dict(zip(keys, map(EdgeWeights, w_exp.tolist(), w_imp.tolist(),
+                                       w.tolist())))
+        net.nodes = tuple(codes[i] for i in np.unique(np.concatenate([a, b])).tolist())
+        # Edges in (a, b) order reach each node first from its smaller
+        # neighbours in ascending order, then from its larger ones.
+        adj: dict[str, dict[str, EdgeWeights]] = {c: {} for c in net.nodes}
+        for (ca, cb), ew in net.edges.items():
+            adj[ca][cb] = ew
+            adj[cb][ca] = ew
+        net._adj = adj
+        return net
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -123,21 +166,22 @@ class AnnualTradeNetwork:
             return NotImplemented
         return self.year == other.year and self.edges == other.edges
 
-    def __hash__(self):
-        return hash((self.year, tuple(self.edges.items())))
-
     def __repr__(self):
         return f"AnnualTradeNetwork(year={self.year}, N={self.n_nodes}, L={self.n_links})"
 
 
-def build_network(pairs: Iterable[PairedFlows], year: int,
+def build_network(pairs: Iterable[PairedFlows] | PairedColumns, year: int,
                   missing: str = "zero") -> AnnualTradeNetwork:
-    """Build the annual network from one PairedFlows per unordered pair.
+    """Build the annual network for ``year``.
 
+    ``pairs`` is either one PairedFlows of that year per unordered pair, or
+    the output of ingest.pair_columns, whose rows of that year are used.
     Pairs whose symmetrized weight is zero contribute no edge; a country
     left with no edges is absent from the node set.
     """
-    edges: dict[tuple[str, str], EdgeWeights] = {}
+    if isinstance(pairs, PairedColumns):
+        return _network_from_columns(pairs, year, missing)
+    pairs = list(pairs)
     seen: set[tuple[str, str]] = set()
     for pf in pairs:
         if pf.year != year:
@@ -146,10 +190,26 @@ def build_network(pairs: Iterable[PairedFlows], year: int,
         if key in seen:
             raise ValidationError(f"duplicate pair {key} for year {year}")
         seen.add(key)
-        ew = symmetrize(pf, missing)
-        if ew is not None:
-            edges[key] = ew
+    w_exp, w_imp = _symmetrized(_flow_matrix(pairs), missing)
+    w = w_exp + w_imp
+    edges = {(pf.country_a, pf.country_b): EdgeWeights(e, i, t)
+             for pf, e, i, t in zip(pairs, w_exp.tolist(), w_imp.tolist(), w.tolist())
+             if t != 0.0}
     return AnnualTradeNetwork(year, edges)
+
+
+def _network_from_columns(paired: PairedColumns, year: int,
+                          missing: str) -> AnnualTradeNetwork:
+    lo = hi = 0
+    if year in paired.years:
+        k = paired.years.index(year)
+        lo, hi = np.searchsorted(paired.year, [k, k + 1])
+    w_exp, w_imp = _symmetrized(paired.flows[lo:hi], missing)
+    w = w_exp + w_imp
+    keep = w != 0.0
+    return AnnualTradeNetwork._from_canonical(
+        year, paired.codes, paired.a[lo:hi][keep], paired.b[lo:hi][keep],
+        w_exp[keep], w_imp[keep], w[keep])
 
 
 def summarize(net: AnnualTradeNetwork) -> NetworkSummary:

@@ -55,6 +55,22 @@ class TestSynthCommand:
             assert net.n_links == max(1, round(0.5 * n_t * (n_t - 1) / 2))
 
 
+def test_cli_builds_no_per_record_objects(tmp_path, monkeypatch):
+    import tradenet.graph
+    import tradenet.ingest
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-record object built on a CLI path")
+
+    for module in (tradenet.ingest, tradenet.graph):
+        for name in ("DyadicRecord", "PairedFlows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    data = synth_csv(tmp_path, years="1990:1991")
+    assert main(["summary", "--input", str(data), "--outdir", str(tmp_path / "s")]) == 0
+    assert main(["panel", "--input", str(data), "--outdir", str(tmp_path / "p")]) == 0
+
+
 class TestAnalysisCommands:
     def test_summary_from_csv(self, tmp_path):
         data = synth_csv(tmp_path)
@@ -219,6 +235,14 @@ class TestPanel:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "error" in manifest["years"]["1999"]
         assert "files" in manifest["years"]["1990"]
+
+    def test_snapshot_dir_as_its_own_outdir(self, tmp_path):
+        snaps = tmp_path / "snaps"
+        assert main(["synth", "--countries", "12", "--years", "1990:1991",
+                     "--snapshot-dir", str(snaps)]) == 0
+        # the second run reads a directory holding the first run's outputs
+        for _ in range(2):
+            assert main(["panel", "--input", str(snaps), "--outdir", str(snaps)]) == 0
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         data = synth_csv(tmp_path, years="1990:1990")

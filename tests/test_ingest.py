@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_network, random_network
+from ingest_oracle import oracle_networks
+from tradenet.cli import _load_networks
 from tradenet.errors import DomainError, ParseError, ValidationError
+from tradenet.graph import AnnualTradeNetwork, EdgeWeights, network_to_pairs
 from tradenet.ingest import (DyadicRecord, PairedFlows, pair_flows, parse_records,
-                             records_from_pairs, write_records)
+                             records_from_pairs, write_network_records, write_records)
 
 
 def parse(text, fmt="csv"):
@@ -79,6 +83,17 @@ class TestParseRecords:
         recs = parse(HEADER + "\n1950,USA,CAN,1.0,2.0\n\n")
         assert len(recs) == 1
 
+    def test_error_line_beyond_first_chunk(self):
+        rows = "".join(f"1950,A{i},B{i},1.0,2.0\n" for i in range(3000))
+        with pytest.raises(ValidationError) as exc:
+            parse(HEADER + rows + "\n1950,USA,USA,1,1\n")
+        assert exc.value.line == 3003
+
+    def test_padded_cells_are_stripped(self):
+        recs = parse(HEADER + " 1950 , USA ,CAN, 1.5 ,  \n1950,CAN,USA,2,\n")
+        assert recs == [DyadicRecord(1950, "USA", "CAN", 1.5, None),
+                        DyadicRecord(1950, "CAN", "USA", 2.0, None)]
+
     def test_byte_stream(self):
         data = (HEADER + "1950,USA,CAN,1.5,\n").encode("utf-8")
         recs = parse_records(io.BytesIO(data))
@@ -125,6 +140,15 @@ class TestPairFlows:
                 DyadicRecord(1950, "A", "B", 12.0, None)]
         (pf,) = pair_flows(recs, 1950, on_duplicate="mean")
         assert pf.exp_ab == 12.0
+
+    def test_duplicate_mean_independent_of_report_order(self):
+        def mean_of(values):
+            recs = [DyadicRecord(1950, "A", "B", v, None) for v in values]
+            (pf,) = pair_flows(recs, 1950, on_duplicate="mean")
+            return pf.exp_ab
+
+        # summed in ascending order whatever the input order
+        assert mean_of([0.1, 0.2, 0.3]) == mean_of([0.3, 0.2, 0.1]) == (0.1 + 0.2 + 0.3) / 3
 
     def test_year_mismatch(self):
         with pytest.raises(ValidationError):
@@ -201,3 +225,57 @@ def test_write_records_tsv_round_trip(tmp_path):
     path = tmp_path / "records.tsv"
     write_records(recs, path, fmt="tsv")
     assert parse_records(path, fmt="tsv") == recs
+
+
+def test_write_network_records_matches_record_round_trip(rng):
+    nets = [random_network(rng, 8, year=1990), random_network(rng, 5, year=1991),
+            make_network(1992, [("A", "B", 4.0, 0.0), ("B", "C", 0.0, 2.5)])]
+    direct, via_records = io.StringIO(), io.StringIO()
+    write_network_records(nets, direct)
+    write_records([rec for net in nets for rec in records_from_pairs(network_to_pairs(net))],
+                  via_records)
+    assert direct.getvalue() == via_records.getvalue()
+
+
+ORACLE_YEARS = [1990, 1991, 1992]
+oracle_flows = st.one_of(st.none(), st.just(0.0), st.sampled_from([0.1, 0.2, 0.3]),
+                         st.floats(0.0, 1e6, allow_nan=False))
+
+
+@st.composite
+def report_sets(draw):
+    """Shuffled reports over several years: one-sided and zero flows, and
+    up to four reports of one directed pair; plus a year selection."""
+    codes = ["AA", "BB", "CC", "DD"]
+    recs = []
+    for _ in range(draw(st.integers(1, 10))):
+        year = draw(st.sampled_from(ORACLE_YEARS))
+        i = draw(st.integers(0, 3))
+        j = draw(st.integers(0, 3).filter(lambda x: x != i))
+        for _ in range(draw(st.integers(1, 4))):
+            recs.append(DyadicRecord(year, codes[i], codes[j],
+                                     draw(oracle_flows), draw(oracle_flows)))
+    selection = st.lists(st.sampled_from(ORACLE_YEARS + [1999]), min_size=1, unique=True)
+    return draw(st.permutations(recs)), draw(st.one_of(st.none(), selection.map(sorted)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_sets(), st.sampled_from(["mean", "first", "max"]),
+       st.sampled_from(["zero", "copy"]))
+def test_columnar_core_matches_oracle(tmp_path_factory, reports, on_duplicate, missing):
+    recs, years = reports
+    path = tmp_path_factory.mktemp("oracle") / "reports.csv"
+    write_records(recs, path)
+    nets, errors = _load_networks(str(path), years, "csv", on_duplicate, missing)
+    want = oracle_networks(recs, years or sorted({r.year for r in recs}), on_duplicate, missing)
+    got = {year: str(message) for year, message in errors.items()}
+    got.update((year, {key: (ew.w_exp, ew.w_imp, ew.w) for key, ew in net.edges.items()})
+               for year, net in nets.items())
+    assert got == want
+    for year, net in nets.items():
+        reference = AnnualTradeNetwork(year, {key: EdgeWeights(*w)
+                                              for key, w in want[year].items()})
+        assert list(net.edges) == list(reference.edges)
+        assert net.nodes == reference.nodes
+        assert ([list(net.neighbors(c).items()) for c in net.nodes]
+                == [list(reference.neighbors(c).items()) for c in net.nodes])
