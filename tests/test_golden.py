@@ -3,16 +3,19 @@
 Each case runs one CLI command in a scratch directory with relative paths
 (the manifest records the input path) and compares every file it writes,
 its exit code and its stderr with ``tests/golden/<case>/``.  The cases
-cover the synth writer, ``panel`` in CSV and JSON on a small seeded synth
-panel, and ``summary`` under every ``--on-duplicate`` x ``--missing``
-combination on a hand-built file with duplicates, one-sided reports, zeros,
-shuffled rows and one year whose flows are all zero.
+cover the synth writers (dyadic CSV and snapshots), ``panel`` in CSV and
+JSON on a small seeded synth panel and on its snapshot directory with every
+percolation point, ``metrics`` for export and import flows, ``percolate``
+with its exponential fits, ``richclub`` at a non-default threshold, and
+``summary`` under every ``--on-duplicate`` x ``--missing`` combination on a
+hand-built file with duplicates, one-sided reports, zeros, shuffled rows and
+one year whose flows are all zero.
 
 A change that alters outputs on purpose regenerates the goldens with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 
-and says why in CHANGES.md.
+(all cases when none is named) and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -35,13 +38,25 @@ MESSY = GOLDEN / "inputs" / "messy.csv"
 SYNTH_ARGS = ["synth", "--countries", "30", "--years", "2001:2003", "--n-final", "40",
               "--gdp-scale-final", "2", "--noise-logsd", "1.5", "--seed", "7"]
 
-# case name -> (argv, whether the case reads the synth panel, else the messy file)
+# case name -> (argv, input: "synth" panel CSV, "snapshots" directory,
+# "messy" file or None)
 CASES = {
     "synth": (SYNTH_ARGS + ["--dyadic", "out/panel.csv"], None),
+    "synth_snapshots": (SYNTH_ARGS + ["--snapshot-dir", "out"], None),
     "panel_csv": (["panel", "--input", "panel.csv", "--outdir", "out",
                    "--emit-every", "4"], "synth"),
     "panel_json": (["panel", "--input", "panel.csv", "--outdir", "out",
                     "--emit-every", "4", "--output-format", "json"], "synth"),
+    "panel_snapshots": (["panel", "--input", "snaps", "--outdir", "out",
+                         "--emit-every", "1"], "snapshots"),
+    "metrics_export": (["metrics", "--input", "panel.csv", "--outdir", "out",
+                        "--flow", "export"], "synth"),
+    "metrics_import": (["metrics", "--input", "messy.csv", "--outdir", "out",
+                        "--flow", "import"], "messy"),
+    "percolate_fit": (["percolate", "--input", "panel.csv", "--outdir", "out",
+                       "--order", "both", "--fit", "0.05:0.9"], "synth"),
+    "richclub_threshold": (["richclub", "--input", "panel.csv", "--outdir", "out",
+                            "--threshold", "0.3"], "synth"),
 }
 for _dup in ("mean", "first", "max"):
     for _missing in ("zero", "copy"):
@@ -56,6 +71,8 @@ def run_case(name: str, workdir: Path) -> tuple[dict, dict[str, bytes]]:
     workdir.mkdir(parents=True, exist_ok=True)
     if source == "synth":
         shutil.copyfile(GOLDEN / "synth" / "out" / "panel.csv", workdir / "panel.csv")
+    elif source == "snapshots":
+        shutil.copytree(GOLDEN / "synth_snapshots" / "out", workdir / "snaps")
     elif source == "messy":
         shutil.copyfile(MESSY, workdir / "messy.csv")
     err = io.StringIO()
@@ -84,10 +101,10 @@ def test_golden_bytes(name, tmp_path):
     assert not changed, f"outputs differ from the golden bytes: {changed}"
 
 
-def regenerate() -> None:
+def regenerate(names) -> None:
     import tempfile
 
-    for name in CASES:  # synth first: the panel cases read its output
+    for name in names:  # synth cases first: the cases after them read their output
         with tempfile.TemporaryDirectory() as tmp:
             result, files = run_case(name, Path(tmp))
         target = GOLDEN / name
@@ -101,4 +118,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or list(CASES))
