@@ -23,8 +23,9 @@ from .graph import (AnnualTradeNetwork, EdgeWeights, NetworkSummary, build_netwo
                     snapshot_loads, summarize, symmetrize)
 from .ingest import (DyadicRecord, PairedFlows, pair_flows, parse_records,
                      records_from_pairs, write_records)
-from .metrics import (DisparityCurve, LogBinSpec, NodeMetrics, all_node_metrics,
-                      disparity_curve, disparity_samples, node_metrics)
+from .metrics import (DisparityCurve, LogBinSpec, NodeMetricColumns, NodeMetrics,
+                      all_node_metrics, disparity_curve, disparity_samples,
+                      node_metric_columns, node_metrics)
 from .percolation import (ExponentialFit, PercolationCurve, UnionFind,
                           fit_exponential_approach, percolate)
 from .richclub import (RichClubCurve, RichClubSeries, rich_club_curve,

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,8 +32,8 @@ from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
 from .graph import build_network, load_snapshot, save_snapshot, summarize
 from .ingest import pair_columns, read_columns, write_network_records
-from .metrics import LogBinSpec, all_node_metrics, disparity_curve
-from .percolation import fit_exponential_approach, percolate
+from .metrics import LogBinSpec, disparity_curve, node_metric_columns
+from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import rich_club_curve, rich_club_size
 from .synth import (GravityParams, GrowthSchedule, generate_network,
                     generate_panel, multiplier_for)
@@ -65,7 +64,6 @@ class RunConfig:
     emit_every: int = 1
     threshold: float = 0.5
     degree_fit_range: tuple[float, float] | None = None
-    workers: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -81,32 +79,39 @@ def _plain(value):
     return value
 
 
-def _cell(value) -> str:
-    value = _plain(value)
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def _table_text(header, rows, output_format: str) -> str:
+def _table_text(header, columns, output_format: str) -> str:
+    """A table given as columns, as CSV or JSON text.
+
+    A column is a numpy array or a sequence of Python ints, floats, strs and
+    Nones.  CSV writes a float as its repr and None as an empty cell; JSON
+    writes a float as its repr and None as null.
+    """
     if output_format == "json":
-        return _json_text([{h: _plain(v) for h, v in zip(header, row)} for row in rows])
-    return _csv_text(header, rows)
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        return _json_text([dict(zip(header, row)) for row in zip(*columns)])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(_csv_cells, columns)))
+    return buf.getvalue()
+
+
+def _csv_cells(column):
+    """A column as values csv.writer formats the same way."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind != "f":
+        return column.tolist()
+    # Percolation columns repeat few values (S_g/N takes at most N), so each
+    # distinct value is formatted once; keyed by bits to keep -0.0 apart.
+    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -116,28 +121,31 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _emit_table(outdir: Path, name: str, header, rows, output_format: str) -> str:
+def _emit_table(outdir: Path, name: str, header, columns, output_format: str) -> str:
     ext = "json" if output_format == "json" else "csv"
     filename = f"{name}.{ext}"
-    _write_atomic(outdir / filename, _table_text(header, rows, output_format))
+    _write_atomic(outdir / filename, _table_text(header, columns, output_format))
     return filename
 
 
 # ---------------------------------------------------------------------------
-# Input loading
+# Argument values, checked before any input is read or file is written
 
 
 def _parse_years(spec: str | None) -> list[int] | None:
     if spec in (None, "", "all"):
         return None
     years: set[int] = set()
-    for part in spec.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            years.update(range(int(lo), int(hi) + 1))
-        else:
-            years.add(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if ":" in part:
+                lo, hi = part.split(":", 1)
+                years.update(range(int(lo), int(hi) + 1))
+            else:
+                years.add(int(part))
+    except ValueError:
+        raise DomainError(f"invalid year selection {spec!r}") from None
     if not years:
         raise DomainError(f"empty year selection {spec!r}")
     return sorted(years)
@@ -146,8 +154,25 @@ def _parse_years(spec: str | None) -> list[int] | None:
 def _parse_float_range(spec: str | None) -> tuple[float, float] | None:
     if spec in (None, ""):
         return None
-    lo, hi = spec.split(":", 1)
-    return float(lo), float(hi)
+    try:
+        lo, hi = spec.split(":", 1)
+        return float(lo), float(hi)
+    except ValueError:
+        raise DomainError(f"invalid range {spec!r}; expected LO:HI") from None
+
+
+def _check_emit_every(emit_every: int) -> None:
+    if emit_every < 1:
+        raise DomainError(f"--emit-every must be at least 1, got {emit_every}")
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise DomainError(f"--threshold must lie strictly between 0 and 1, got {threshold}")
+
+
+# ---------------------------------------------------------------------------
+# Input loading
 
 
 def _load_networks(input_path: str, years: list[int] | None, input_format: str,
@@ -214,33 +239,44 @@ def _summary_header_row(net):
     return header, row
 
 
-def _metrics_rows(net, flow: str):
+def _metrics_columns(net, flow: str):
     header = ["country", "k", "k_exp", "k_imp", "s", "Y"]
-    rows = []
-    for country, nm in all_node_metrics(net, flow).items():
-        rows.append([country, nm.k, nm.k_exp, nm.k_imp, nm.s, nm.Y])
-    return header, rows
+    return header, [net.nodes, *node_metric_columns(net, flow).lists()]
 
 
-def _percolation_rows(net, emit_every: int):
+def _percolation_columns(net, orders, emit_every: int):
+    """Every ``emit_every``-th point of each order's curve, and the last."""
     header = ["order", "f", "giant_fraction", "gap"]
-    rows = []
+    order_col, f, giant = [], [], []
     curves = {}
-    for order in ("descending", "ascending"):
+    for order in orders:
         curve = percolate(net, order)
         curves[order] = curve
-        n_points = len(curve.points)
-        for i, (f, giant) in enumerate(curve.points):
-            if (i + 1) % emit_every == 0 or i == n_points - 1:
-                rows.append([order, f, giant, 1.0 - giant])
-    return header, rows, curves
+        emit = np.arange(1, len(curve.f) + 1) % emit_every == 0
+        emit[-1] = True
+        order_col += [order] * int(emit.sum())
+        f.append(curve.f[emit])
+        giant.append(curve.giant[emit])
+    giant = np.concatenate(giant)
+    return header, [order_col, np.concatenate(f), giant, 1.0 - giant], curves
 
 
-def _richclub_rows(net):
+def _percolation_fits(curves, fit_range) -> dict:
+    fits = {}
+    for order, curve in curves.items():
+        try:
+            ef = fit_exponential_approach(curve, fit_range)
+            fits[order] = {"rate": ef.rate, "fit_range": list(ef.fit_range),
+                           "r_squared": ef.r_squared}
+        except TradeNetError as exc:
+            fits[order] = {"error": str(exc)}
+    return fits
+
+
+def _richclub_columns(net):
     curve = rich_club_curve(net)
     header = ["s_over_smax", "f_w", "club_size"]
-    rows = [[s, f_w, size] for s, f_w, size in curve.points]
-    return header, rows, curve
+    return header, list(zip(*curve.points)), curve
 
 
 def _weight_fits(weights, config: RunConfig):
@@ -278,7 +314,7 @@ def _cmd_summary(args) -> int:
     outdir = _ensure_outdir(args.outdir)
     for year, net in sorted(nets.items()):
         header, row = _summary_header_row(net)
-        _emit_table(outdir, f"{year}_summary", header, [row], args.output_format)
+        _emit_table(outdir, f"{year}_summary", header, zip(row), args.output_format)
     _report_year_errors(errors)
     return 1 if errors else 0
 
@@ -288,14 +324,14 @@ def _cmd_metrics(args) -> int:
                                   args.format, args.on_duplicate, args.missing)
     outdir = _ensure_outdir(args.outdir)
     for year, net in sorted(nets.items()):
-        header, rows = _metrics_rows(net, args.flow)
-        _emit_table(outdir, f"{year}_metrics", header, rows, args.output_format)
+        header, columns = _metrics_columns(net, args.flow)
+        _emit_table(outdir, f"{year}_metrics", header, columns, args.output_format)
     if nets:
         binning = LogBinSpec(args.disparity_bins_per_decade, args.disparity_min_count)
         try:
             curve = disparity_curve([nets[y] for y in sorted(nets)], args.flow, binning)
             _emit_table(outdir, "disparity_curve", ["k_center", "mean_kY", "count"],
-                        curve.points, args.output_format)
+                        zip(*curve.points), args.output_format)
             _write_atomic(outdir / "disparity_fit.json", _json_text({
                 "flow": curve.flow,
                 "exponent": curve.exponent,
@@ -319,8 +355,7 @@ def _cmd_fit(args) -> int:
     nets, errors = _load_networks(args.input, _parse_years(args.years),
                                   args.format, args.on_duplicate, args.missing)
     for year, net in sorted(nets.items()):
-        weights = [ew.w for ew in net.edges.values()]
-        _emit_fit_files(outdir, str(year), weights, config, args.output_format)
+        _emit_fit_files(outdir, str(year), net.w, config, args.output_format)
     _report_year_errors(errors)
     return 1 if errors else 0
 
@@ -331,11 +366,10 @@ def _emit_fit_files(outdir: Path, prefix: str, weights, config: RunConfig,
     files = []
     files.append(_emit_table(
         outdir, f"{prefix}_weight_hist", ["bin_lo", "bin_hi", "count", "density"],
-        [[lo, hi, c, d] for lo, hi, c, d in zip(hist.bin_edges[:-1], hist.bin_edges[1:],
-                                                hist.counts, hist.densities)],
+        [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities],
         output_format))
     files.append(_emit_table(outdir, f"{prefix}_collapse", ["x", "y"],
-                             collapse, output_format))
+                             zip(*collapse), output_format))
     name = f"{prefix}_fits.json"
     _write_atomic(outdir / name, _json_text(fits))
     files.append(name)
@@ -357,49 +391,37 @@ def _read_weight_list(path: str) -> list[float]:
 
 
 def _cmd_percolate(args) -> int:
+    fit_range = _parse_float_range(args.fit)
+    _check_emit_every(args.emit_every)
     nets, errors = _load_networks(args.input, _parse_years(args.years),
                                   args.format, args.on_duplicate, args.missing)
     outdir = _ensure_outdir(args.outdir)
     orders = {"desc": ("descending",), "asc": ("ascending",),
               "both": ("descending", "ascending")}[args.order]
-    fit_range = _parse_float_range(args.fit)
     for year, net in sorted(nets.items()):
-        rows = []
-        fits = {}
-        for order in orders:
-            curve = percolate(net, order)
-            n_points = len(curve.points)
-            for i, (f, giant) in enumerate(curve.points):
-                if (i + 1) % args.emit_every == 0 or i == n_points - 1:
-                    rows.append([order, f, giant, 1.0 - giant])
-            if fit_range is not None:
-                try:
-                    ef = fit_exponential_approach(curve, fit_range)
-                    fits[order] = {"rate": ef.rate, "fit_range": list(ef.fit_range),
-                                   "r_squared": ef.r_squared}
-                except TradeNetError as exc:
-                    fits[order] = {"error": str(exc)}
-        _emit_table(outdir, f"{year}_percolation",
-                    ["order", "f", "giant_fraction", "gap"], rows, args.output_format)
+        header, columns, curves = _percolation_columns(net, orders, args.emit_every)
+        _emit_table(outdir, f"{year}_percolation", header, columns, args.output_format)
         if fit_range is not None:
-            _write_atomic(outdir / f"{year}_percolation_fit.json", _json_text(fits))
+            _write_atomic(outdir / f"{year}_percolation_fit.json",
+                          _json_text(_percolation_fits(curves, fit_range)))
     _report_year_errors(errors)
     return 1 if errors else 0
 
 
 def _cmd_richclub(args) -> int:
+    _check_threshold(args.threshold)
     nets, errors = _load_networks(args.input, _parse_years(args.years),
                                   args.format, args.on_duplicate, args.missing)
     outdir = _ensure_outdir(args.outdir)
     series_rows = []
     for year, net in sorted(nets.items()):
-        header, rows, curve = _richclub_rows(net)
-        _emit_table(outdir, f"{year}_richclub", header, rows, args.output_format)
+        header, columns, curve = _richclub_columns(net)
+        _emit_table(outdir, f"{year}_richclub", header, columns, args.output_format)
         club_size, s_rc = rich_club_size(curve, net, args.threshold)
         series_rows.append([year, s_rc, club_size, net.n_nodes])
     if series_rows:
         _emit_table(outdir, "richclub_series", ["year", "S_RC", "club_size", "N"],
-                    series_rows, args.output_format)
+                    zip(*series_rows), args.output_format)
     _report_year_errors(errors)
     return 1 if errors else 0
 
@@ -456,6 +478,8 @@ def run_analyze(config: RunConfig) -> int:
     year is analyzed, and a manifest listing every artifact and every
     parameter.  Returns the process exit code.
     """
+    _check_emit_every(config.emit_every)
+    _check_threshold(config.threshold)
     nets, errors = _load_networks(config.input_path, config.years,
                                   config.input_format, config.on_duplicate,
                                   config.missing)
@@ -465,19 +489,11 @@ def run_analyze(config: RunConfig) -> int:
         str(year): {"error": message} for year, message in errors.items()}
 
     ordered_years = sorted(nets)
-    workers = config.workers or min(8, max(1, len(ordered_years)))
-    results = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {year: pool.submit(_analyze_year, nets[year], config, outdir)
-                   for year in ordered_years}
-        for year in ordered_years:
-            results[year] = futures[year].result()
-
     summary_rows = []
     richclub_rows = []
     scaling_points = []
     for year in ordered_years:
-        files, summary_row, rc_row, degree_stats = results[year]
+        files, summary_row, rc_row, degree_stats = _analyze_year(nets[year], config, outdir)
         year_entries[str(year)] = {"files": files}
         summary_rows.append(summary_row)
         richclub_rows.append(rc_row)
@@ -488,10 +504,10 @@ def run_analyze(config: RunConfig) -> int:
         panel_files.append(_emit_table(
             outdir, "panel_summary",
             ["year", "N", "L", "rho", "W", "mean_w", "w_max", "w_max_over_W"],
-            summary_rows, config.output_format))
+            zip(*summary_rows), config.output_format))
         panel_files.append(_emit_table(
             outdir, "panel_richclub", ["year", "S_RC", "club_size", "N"],
-            richclub_rows, config.output_format))
+            zip(*richclub_rows), config.output_format))
         panel_files.extend(_emit_panel_fits(
             outdir, [nets[y] for y in ordered_years], scaling_points, config, warnings))
 
@@ -514,39 +530,29 @@ def _analyze_year(net, config: RunConfig, outdir: Path):
     files = []
 
     header, row = _summary_header_row(net)
-    files.append(_emit_table(outdir, f"{year}_summary", header, [row],
+    files.append(_emit_table(outdir, f"{year}_summary", header, zip(row),
                              config.output_format))
     summary_row = row
 
-    header, rows = _metrics_rows(net, config.flow)
-    files.append(_emit_table(outdir, f"{year}_metrics", header, rows,
+    header, columns = _metrics_columns(net, config.flow)
+    files.append(_emit_table(outdir, f"{year}_metrics", header, columns,
                              config.output_format))
-    degrees = [len(net.neighbors(c)) for c in net.nodes]
-    degree_stats = (net.n_nodes, 2.0 * net.n_links / net.n_nodes, max(degrees))
+    degree_stats = (net.n_nodes, 2.0 * net.n_links / net.n_nodes, int(net.degrees.max()))
 
-    weights = [ew.w for ew in net.edges.values()]
-    hist, fits, collapse = _weight_fits(weights, config)
-    files.append(_emit_table(outdir, f"{year}_collapse", ["x", "y"], collapse,
+    hist, fits, collapse = _weight_fits(net.w, config)
+    files.append(_emit_table(outdir, f"{year}_collapse", ["x", "y"], zip(*collapse),
                              config.output_format))
 
-    header, rows, curves = _percolation_rows(net, config.emit_every)
-    files.append(_emit_table(outdir, f"{year}_percolation", header, rows,
+    header, columns, curves = _percolation_columns(net, ORDERS, config.emit_every)
+    files.append(_emit_table(outdir, f"{year}_percolation", header, columns,
                              config.output_format))
-    fits["percolation"] = {}
-    for order, curve in curves.items():
-        try:
-            ef = fit_exponential_approach(curve, config.exp_fit_range)
-            fits["percolation"][order] = {
-                "rate": ef.rate, "fit_range": list(ef.fit_range),
-                "r_squared": ef.r_squared}
-        except TradeNetError as exc:
-            fits["percolation"][order] = {"error": str(exc)}
+    fits["percolation"] = _percolation_fits(curves, config.exp_fit_range)
     name = f"{year}_fits.json"
     _write_atomic(outdir / name, _json_text(fits))
     files.append(name)
 
-    header, rows, curve = _richclub_rows(net)
-    files.append(_emit_table(outdir, f"{year}_richclub", header, rows,
+    header, columns, curve = _richclub_columns(net)
+    files.append(_emit_table(outdir, f"{year}_richclub", header, columns,
                              config.output_format))
     club_size, s_rc = rich_club_size(curve, net, config.threshold)
     richclub_row = [year, s_rc, club_size, net.n_nodes]
@@ -576,14 +582,14 @@ def _emit_panel_fits(outdir: Path, nets, scaling_points, config: RunConfig,
     try:
         curve = disparity_curve(nets, config.flow, binning)
         files.append(_emit_table(outdir, "panel_disparity_curve",
-                                 ["k_center", "mean_kY", "count"], curve.points,
+                                 ["k_center", "mean_kY", "count"], zip(*curve.points),
                                  config.output_format))
         panel_fits["disparity"] = {"flow": curve.flow, "exponent": curve.exponent,
                                    "exponent_stderr": curve.exponent_stderr}
     except TradeNetError as exc:
         warnings.append(f"disparity curve skipped: {exc}")
 
-    degrees = [len(net.neighbors(c)) for net in nets for c in net.nodes]
+    degrees = [k for net in nets for k in net.degrees.tolist()]
     degree_range = config.degree_fit_range
     if degree_range is None:
         ks = sorted(degrees)
@@ -592,7 +598,7 @@ def _emit_panel_fits(outdir: Path, nets, scaling_points, config: RunConfig,
         dd = degree_distribution_from_degrees(degrees, degree_range)
         panel_fits["degree"] = {"gamma": dd.gamma, "fit_range": list(dd.fit_range)}
         files.append(_emit_table(outdir, "panel_degree_survival", ["k", "P_ge_k"],
-                                 dd.survival, config.output_format))
+                                 zip(*dd.survival), config.output_format))
     except TradeNetError as exc:
         warnings.append(f"degree survival fit skipped: {exc}")
 
@@ -628,7 +634,6 @@ def _config_from_args(args) -> RunConfig:
         emit_every=getattr(args, "emit_every", 1),
         threshold=getattr(args, "threshold", 0.5),
         degree_fit_range=_parse_float_range(getattr(args, "degree_fit_range", None)),
-        workers=getattr(args, "workers", 0),
     )
 
 
@@ -668,8 +673,16 @@ def _add_io_arguments(parser, needs_input=True):
                         help="format of tabular result files")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2, the
+    form every other config error takes."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tradenet",
         description="Weighted trade-network analysis: build annual networks from "
                     "dyadic records and compute summary, metric, distribution, "
@@ -759,8 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--degree-fit-range", default=None,
                    help="k range for the pooled degree survival fit")
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker threads for per-year analysis (0 = auto)")
     p.set_defaults(func=_cmd_panel)
 
     return parser

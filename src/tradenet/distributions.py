@@ -284,7 +284,7 @@ def degree_distribution_from_degrees(degrees, fit_range: tuple[float, float]) ->
 
 def degree_distribution(nets, fit_range: tuple[float, float]) -> DegreeDistFit:
     """Pool total degrees over the given networks and fit the survival tail."""
-    degrees = [len(net.neighbors(c)) for net in nets for c in net.nodes]
+    degrees = [k for net in nets for k in net.degrees.tolist()]
     if not degrees:
         raise EmptyInputError("no networks given")
     return degree_distribution_from_degrees(degrees, fit_range)

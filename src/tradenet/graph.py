@@ -8,9 +8,10 @@ Weights are million USD stored as 64-bit floats.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -91,59 +92,76 @@ def _average(reported, mirrored, both, missing):
     return np.where(both, total / 2.0, total)
 
 
+class Adjacency(NamedTuple):
+    """CSR adjacency of a network: the half-edges of node ``i`` are
+    ``indptr[i]:indptr[i + 1]``, sorted by partner.  ``node``, ``partner``
+    and ``edge`` give each half-edge's node, its partner and the index of
+    its edge in the network's edge arrays."""
+
+    indptr: np.ndarray
+    node: np.ndarray
+    partner: np.ndarray
+    edge: np.ndarray
+
+
 class AnnualTradeNetwork:
     """Immutable weighted undirected network for one year.
 
-    ``edges`` maps canonical (a, b) pairs with a < b to EdgeWeights, in
-    sorted key order; ``nodes`` is the sorted tuple of edge endpoints, so
-    every node has degree >= 1.  Instances are treated as read-only.
+    ``nodes`` is the sorted tuple of country codes, each an endpoint of at
+    least one edge.  Edge ``e`` joins ``nodes[a[e]]`` and ``nodes[b[e]]``
+    with ``a[e] < b[e]``; the int32 arrays ``a`` and ``b`` are sorted by
+    (a, b), and the float64 arrays ``w_exp``, ``w_imp`` and ``w`` hold its
+    weights.  Because the codes are sorted, comparing two node indices
+    compares the codes.  ``edges`` and ``neighbors`` are dict views built on
+    request.  Instances and their arrays are treated as read-only.
     """
 
-    __slots__ = ("year", "nodes", "edges", "_adj")
+    __slots__ = ("year", "nodes", "a", "b", "w_exp", "w_imp", "w", "_adjacency",
+                 "_edges")
 
     def __init__(self, year: int, edges: Mapping[tuple[str, str], EdgeWeights]):
-        if not edges:
-            raise EmptyNetworkError(f"no edges for year {year}")
-        canonical: dict[tuple[str, str], EdgeWeights] = {}
-        adj: dict[str, dict[str, EdgeWeights]] = {}
-        for (a, b), ew in sorted(edges.items()):
-            if not a or not b or a >= b:
-                raise ValidationError(f"edge key ({a!r}, {b!r}) is not a canonical pair")
-            if not ew.w > 0.0:
-                raise ValidationError(f"edge ({a}, {b}) has non-positive total weight")
-            if ew.w_exp < 0.0 or ew.w_imp < 0.0:
-                raise ValidationError(f"edge ({a}, {b}) has a negative flow weight")
-            canonical[(a, b)] = ew
-            adj.setdefault(a, {})[b] = ew
-            adj.setdefault(b, {})[a] = ew
+        keys = list(edges)
+        values = list(edges.values())
+        self._set(year, *_validated(year, [a for a, _ in keys], [b for _, b in keys],
+                                    [ew.w_exp for ew in values],
+                                    [ew.w_imp for ew in values], [ew.w for ew in values]))
+
+    @classmethod
+    def _from_lists(cls, year: int, a_codes: list, b_codes: list, w_exp, w_imp,
+                    w) -> AnnualTradeNetwork:
+        """Network from unsorted edge lists, checked as the constructor checks."""
+        net = cls.__new__(cls)
+        net._set(year, *_validated(year, a_codes, b_codes, w_exp, w_imp, w))
+        return net
+
+    def _set(self, year, nodes, a, b, w_exp, w_imp, w) -> None:
         self.year = year
-        self.edges = canonical
-        self.nodes = tuple(sorted(adj))
-        self._adj = {c: dict(sorted(neigh.items())) for c, neigh in adj.items()}
+        self.nodes = nodes
+        self.a = a
+        self.b = b
+        self.w_exp = w_exp
+        self.w_imp = w_imp
+        self.w = w
+        self._adjacency = None
+        self._edges = None
 
     @classmethod
     def _from_canonical(cls, year: int, codes, a, b, w_exp, w_imp,
                         w) -> AnnualTradeNetwork:
-        """Network from edge arrays that need no check and no sort.
+        """Network from edge arrays that need no sort.
 
         ``a`` and ``b`` index the sorted ``codes`` with ``a < b``, the
-        edges are sorted by (a, b) and every ``w`` is > 0.
+        edges are sorted by (a, b) and no pair repeats.
         """
         if not len(a):
             raise EmptyNetworkError(f"no edges for year {year}")
+        used = np.unique(np.concatenate([a, b]))
+        nodes = tuple(codes[i] for i in used.tolist())
+        a = np.searchsorted(used, a).astype(np.int32)
+        b = np.searchsorted(used, b).astype(np.int32)
+        _check_weights(nodes, a, b, w_exp, w_imp, w)
         net = cls.__new__(cls)
-        net.year = year
-        keys = zip([codes[i] for i in a.tolist()], [codes[i] for i in b.tolist()])
-        net.edges = dict(zip(keys, map(EdgeWeights, w_exp.tolist(), w_imp.tolist(),
-                                       w.tolist())))
-        net.nodes = tuple(codes[i] for i in np.unique(np.concatenate([a, b])).tolist())
-        # Edges in (a, b) order reach each node first from its smaller
-        # neighbours in ascending order, then from its larger ones.
-        adj: dict[str, dict[str, EdgeWeights]] = {c: {} for c in net.nodes}
-        for (ca, cb), ew in net.edges.items():
-            adj[ca][cb] = ew
-            adj[cb][ca] = ew
-        net._adj = adj
+        net._set(year, nodes, a, b, w_exp, w_imp, w)
         return net
 
     @property
@@ -152,22 +170,102 @@ class AnnualTradeNetwork:
 
     @property
     def n_links(self) -> int:
-        return len(self.edges)
+        return len(self.w)
+
+    def adjacency(self) -> Adjacency:
+        """The CSR adjacency, built on the first call."""
+        if self._adjacency is None:
+            n_links = len(self.w)
+            node = np.concatenate([self.a, self.b])
+            partner = np.concatenate([self.b, self.a])
+            order = np.lexsort((partner, node))
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.intp)
+            np.cumsum(np.bincount(node, minlength=self.n_nodes), out=indptr[1:])
+            self._adjacency = Adjacency(indptr, node[order], partner[order],
+                                        (order % n_links).astype(np.int32))
+        return self._adjacency
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Partner count of every node, in node order."""
+        return np.diff(self.adjacency().indptr)
+
+    def index(self, country: str) -> int:
+        """Position of ``country`` in ``nodes``."""
+        i = bisect.bisect_left(self.nodes, country)
+        if i == len(self.nodes) or self.nodes[i] != country:
+            raise NodeNotFoundError(f"{country!r} is not a node of the {self.year} network")
+        return i
+
+    @property
+    def edges(self) -> dict[tuple[str, str], EdgeWeights]:
+        """Canonical (a, b) pairs mapped to EdgeWeights, in sorted key order."""
+        if self._edges is None:
+            nodes = self.nodes
+            keys = zip([nodes[i] for i in self.a.tolist()],
+                       [nodes[i] for i in self.b.tolist()])
+            self._edges = dict(zip(keys, map(EdgeWeights, self.w_exp.tolist(),
+                                             self.w_imp.tolist(), self.w.tolist())))
+        return self._edges
 
     def neighbors(self, country: str) -> dict[str, EdgeWeights]:
         """Partners of ``country`` mapped to edge weights, sorted by code."""
-        try:
-            return self._adj[country]
-        except KeyError:
-            raise NodeNotFoundError(f"{country!r} is not a node of the {self.year} network") from None
+        i = self.index(country)
+        adj = self.adjacency()
+        lo, hi = adj.indptr[i], adj.indptr[i + 1]
+        e = adj.edge[lo:hi]
+        return dict(zip([self.nodes[p] for p in adj.partner[lo:hi].tolist()],
+                        map(EdgeWeights, self.w_exp[e].tolist(), self.w_imp[e].tolist(),
+                            self.w[e].tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, AnnualTradeNetwork):
             return NotImplemented
-        return self.year == other.year and self.edges == other.edges
+        return (self.year == other.year and self.nodes == other.nodes
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in ("a", "b", "w_exp", "w_imp", "w")))
 
     def __repr__(self):
         return f"AnnualTradeNetwork(year={self.year}, N={self.n_nodes}, L={self.n_links})"
+
+
+def _validated(year, a_codes: list, b_codes: list, w_exp, w_imp, w):
+    """Nodes and canonical edge arrays from unsorted edge lists.
+
+    Raises EmptyNetworkError for no edges and ValidationError for a pair
+    that is not canonical or repeats, or for weights that are not finite,
+    negative or sum to a non-positive total.
+    """
+    if not a_codes:
+        raise EmptyNetworkError(f"no edges for year {year}")
+    nodes = tuple(sorted(set(a_codes).union(b_codes)))
+    position = {c: i for i, c in enumerate(nodes)}
+    a = np.fromiter(map(position.__getitem__, a_codes), np.int32, len(a_codes))
+    b = np.fromiter(map(position.__getitem__, b_codes), np.int32, len(b_codes))
+    bad = (a >= b) | ((a == 0) & (nodes[0] == ""))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"edge key ({a_codes[k]!r}, {b_codes[k]!r}) is not a canonical pair")
+    order = np.argsort(a.astype(np.int64) * len(nodes) + b, kind="stable")
+    a, b = a[order], b[order]
+    repeated = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
+    if repeated.any():
+        k = int(np.argmax(repeated))
+        raise ValidationError(f"duplicate edge ({nodes[a[k]]}, {nodes[b[k]]})")
+    w_exp, w_imp, w = (np.asarray(x, dtype=np.float64)[order] for x in (w_exp, w_imp, w))
+    _check_weights(nodes, a, b, w_exp, w_imp, w)
+    return nodes, a, b, w_exp, w_imp, w
+
+
+def _check_weights(nodes, a, b, w_exp, w_imp, w) -> None:
+    for bad, problem in ((~(np.isfinite(w_exp) & np.isfinite(w_imp) & np.isfinite(w)),
+                          "a non-finite weight"),
+                         (~(w > 0.0), "non-positive total weight"),
+                         ((w_exp < 0.0) | (w_imp < 0.0), "a negative flow weight")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"edge ({nodes[a[k]]}, {nodes[b[k]]}) has {problem}")
 
 
 def build_network(pairs: Iterable[PairedFlows] | PairedColumns, year: int,
@@ -192,10 +290,11 @@ def build_network(pairs: Iterable[PairedFlows] | PairedColumns, year: int,
         seen.add(key)
     w_exp, w_imp = _symmetrized(_flow_matrix(pairs), missing)
     w = w_exp + w_imp
-    edges = {(pf.country_a, pf.country_b): EdgeWeights(e, i, t)
-             for pf, e, i, t in zip(pairs, w_exp.tolist(), w_imp.tolist(), w.tolist())
-             if t != 0.0}
-    return AnnualTradeNetwork(year, edges)
+    keep = w != 0.0
+    kept = [pf for pf, k in zip(pairs, keep.tolist()) if k]
+    return AnnualTradeNetwork._from_lists(year, [pf.country_a for pf in kept],
+                                          [pf.country_b for pf in kept],
+                                          w_exp[keep], w_imp[keep], w[keep])
 
 
 def _network_from_columns(paired: PairedColumns, year: int,
@@ -214,11 +313,10 @@ def _network_from_columns(paired: PairedColumns, year: int,
 
 def summarize(net: AnnualTradeNetwork) -> NetworkSummary:
     """Whole-network statistics: N, L, link density, trade volume figures."""
-    weights = [ew.w for ew in net.edges.values()]
     n = net.n_nodes
-    n_links = len(weights)
-    total = sum(weights)
-    w_max = max(weights)
+    n_links = net.n_links
+    total = float(np.cumsum(net.w)[-1])  # the sum in edge order, as sum() adds
+    w_max = float(net.w.max())
     return NetworkSummary(
         year=net.year,
         n_nodes=n,
@@ -255,18 +353,26 @@ def snapshot_dumps(net: AnnualTradeNetwork) -> str:
     ``snapshot_loads(snapshot_dumps(net)) == net`` holds bit for bit and
     equal networks serialize to identical bytes.
     """
+    nodes = net.nodes
     doc = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "year": net.year,
-        "nodes": list(net.nodes),
-        "edges": [[a, b, ew.w_exp, ew.w_imp] for (a, b), ew in net.edges.items()],
+        "nodes": list(nodes),
+        "edges": list(map(list, zip([nodes[i] for i in net.a.tolist()],
+                                    [nodes[i] for i in net.b.tolist()],
+                                    net.w_exp.tolist(), net.w_imp.tolist()))),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def snapshot_loads(text: str) -> AnnualTradeNetwork:
-    """Parse a snapshot document back into a network."""
+    """Parse a snapshot document back into a network.
+
+    The document is checked as CSV ingest checks its input: every edge is
+    a canonical pair listed once, with finite non-negative flow weights and
+    a positive total.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -277,16 +383,19 @@ def snapshot_loads(text: str) -> AnnualTradeNetwork:
         raise ValidationError(f"unsupported snapshot version {doc.get('version')!r}")
     try:
         year = int(doc["year"])
-        edges = {}
-        for entry in doc["edges"]:
-            a, b, w_exp, w_imp = entry
-            w_exp = float(w_exp)
-            w_imp = float(w_imp)
-            edges[(str(a), str(b))] = EdgeWeights(w_exp, w_imp, w_exp + w_imp)
+        entries = doc["edges"]
+        if set(map(len, entries)) - {4}:
+            raise ValueError("an edge entry is not [a, b, w_exp, w_imp]")
+        a, b, w_exp, w_imp = zip(*entries) if entries else ((),) * 4
+        w_exp = np.array(w_exp, dtype=np.float64)
+        w_imp = np.array(w_imp, dtype=np.float64)
+        if w_exp.ndim != 1 or w_imp.ndim != 1:
+            raise ValueError("edge weights must be numbers")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed snapshot document: {exc}") from None
-    net = AnnualTradeNetwork(year, edges)
-    if list(net.nodes) != list(doc["nodes"]):
+    net = AnnualTradeNetwork._from_lists(year, list(map(str, a)), list(map(str, b)),
+                                         w_exp, w_imp, w_exp + w_imp)
+    if list(net.nodes) != doc.get("nodes"):
         raise ValidationError("snapshot node list does not match edge endpoints")
     return net
 

@@ -276,12 +276,13 @@ def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
     """
     def rows():
         for net in nets:
-            year = net.year
-            for (a, b), ew in net.edges.items():
-                exp = repr(ew.w_exp) if ew.w_exp else ""
-                imp = repr(ew.w_imp) if ew.w_imp else ""
-                yield year, a, b, exp, imp
-                yield year, b, a, imp, exp
+            year = itertools.repeat(net.year)
+            a = [net.nodes[i] for i in net.a.tolist()]
+            b = [net.nodes[i] for i in net.b.tolist()]
+            exp = [repr(v) if v else "" for v in net.w_exp.tolist()]
+            imp = [repr(v) if v else "" for v in net.w_imp.tolist()]
+            yield from itertools.chain.from_iterable(
+                zip(zip(year, a, b, exp, imp), zip(year, b, a, imp, exp)))
 
     _write_rows(rows(), dest, fmt)
 

@@ -56,14 +56,28 @@ class DisparityCurve:
     flow: str
 
 
-def directed_weights(country: str, partner: str, ew) -> tuple[float, float]:
-    """(outgoing, incoming) flow weights of ``country`` along one edge.
+@dataclass(frozen=True)
+class NodeMetricColumns:
+    """NodeMetrics of every node as arrays in node order.
 
-    Canonical edges store w_exp as the flow from the smaller country code.
+    ``s`` is 0 and ``Y`` is NaN where the flow's strength is zero.
     """
-    if country < partner:
-        return ew.w_exp, ew.w_imp
-    return ew.w_imp, ew.w_exp
+
+    k: np.ndarray
+    k_exp: np.ndarray
+    k_imp: np.ndarray
+    s: np.ndarray
+    Y: np.ndarray
+
+    def lists(self) -> tuple[list, list, list, list, list]:
+        """The five columns as Python lists holding NodeMetrics values: a
+        degenerate node's ``s`` is the int 0 and its ``Y`` is None."""
+        s = self.s.tolist()
+        y = self.Y.tolist()
+        for i in np.flatnonzero(~(self.s > 0.0)).tolist():
+            s[i] = 0
+            y[i] = None
+        return self.k.tolist(), self.k_exp.tolist(), self.k_imp.tolist(), s, y
 
 
 def node_metrics(net: AnnualTradeNetwork, country: str, flow: str = "total") -> NodeMetrics:
@@ -72,47 +86,69 @@ def node_metrics(net: AnnualTradeNetwork, country: str, flow: str = "total") -> 
     Degree and strength for the selected flow count only partners with a
     strictly positive weight of that kind.
     """
-    if flow not in FLOWS:
-        raise DomainError(f"unknown flow kind {flow!r}; expected one of {FLOWS}")
-    neigh = net.neighbors(country)
-    k = len(neigh)
-    k_exp = 0
-    k_imp = 0
-    selected = []
-    for partner, ew in neigh.items():
-        out, inc = directed_weights(country, partner, ew)
-        if out > 0.0:
-            k_exp += 1
-        if inc > 0.0:
-            k_imp += 1
-        if flow == "total":
-            w_sel = ew.w
-        elif flow == "export":
-            w_sel = out
-        else:
-            w_sel = inc
-        if w_sel > 0.0:
-            selected.append(w_sel)
-    s = sum(selected)
-    y = sum((w / s) ** 2 for w in selected) if s > 0.0 else None
-    return NodeMetrics(k=k, k_exp=k_exp, k_imp=k_imp, s=s, Y=y)
+    _check_flow(flow)
+    i = net.index(country)
+    k, k_exp, k_imp, s, y = _columns(net, flow, i, i + 1).lists()
+    return NodeMetrics(k=k[0], k_exp=k_exp[0], k_imp=k_imp[0], s=s[0], Y=y[0])
+
+
+def node_metric_columns(net: AnnualTradeNetwork, flow: str = "total") -> NodeMetricColumns:
+    """node_metrics of every node as columns, in node order."""
+    _check_flow(flow)
+    return _columns(net, flow, 0, net.n_nodes)
 
 
 def all_node_metrics(net: AnnualTradeNetwork, flow: str = "total") -> dict[str, NodeMetrics]:
     """node_metrics for every node, keyed by country code."""
-    return {c: node_metrics(net, c, flow) for c in net.nodes}
+    return dict(zip(net.nodes, map(NodeMetrics, *node_metric_columns(net, flow).lists())))
 
 
 def disparity_samples(net: AnnualTradeNetwork, flow: str = "total") -> list[tuple[int, float]]:
     """(degree, k*Y) samples for the selected flow, one per non-degenerate node."""
-    samples = []
-    for country in net.nodes:
-        nm = node_metrics(net, country, flow)
-        if nm.Y is None:
-            continue
-        k_kind = {"total": nm.k, "export": nm.k_exp, "import": nm.k_imp}[flow]
-        samples.append((k_kind, k_kind * nm.Y))
-    return samples
+    k, ky = _disparity(node_metric_columns(net, flow), flow)
+    return list(zip(k.tolist(), ky.tolist()))
+
+
+def _check_flow(flow: str) -> None:
+    if flow not in FLOWS:
+        raise DomainError(f"unknown flow kind {flow!r}; expected one of {FLOWS}")
+
+
+def _columns(net: AnnualTradeNetwork, flow: str, first: int, stop: int) -> NodeMetricColumns:
+    """Metrics of nodes first..stop-1 from their CSR half-edges.
+
+    Per node, the strength and the sum of squared shares add the partners'
+    weights in partner order, as a loop over neighbors() does; the square
+    is libm pow, as Python's ``** 2`` computes it.
+    """
+    adj = net.adjacency()
+    lo, hi = adj.indptr[first], adj.indptr[stop]
+    node = adj.node[lo:hi]
+    edge = adj.edge[lo:hi]
+    forward = node < adj.partner[lo:hi]  # the node is the edge's smaller code
+    out = np.where(forward, net.w_exp[edge], net.w_imp[edge])
+    inc = np.where(forward, net.w_imp[edge], net.w_exp[edge])
+    node = node - first
+    n = stop - first
+    chosen = {"total": net.w[edge], "export": out, "import": inc}[flow]
+    selected = chosen > 0.0
+    owner = node[selected]
+    weights = chosen[selected]
+    # bincount returns ints when nothing is selected
+    s = np.bincount(owner, weights=weights, minlength=n).astype(np.float64, copy=False)
+    y = np.bincount(owner, weights=np.float_power(weights / s[owner], 2.0), minlength=n)
+    y = np.where(s > 0.0, y, np.nan)
+    return NodeMetricColumns(k=np.diff(adj.indptr[first:stop + 1]),
+                             k_exp=np.bincount(node[out > 0.0], minlength=n),
+                             k_imp=np.bincount(node[inc > 0.0], minlength=n),
+                             s=s, Y=y)
+
+
+def _disparity(cols: NodeMetricColumns, flow: str) -> tuple[np.ndarray, np.ndarray]:
+    """Degree of the flow kind and k*Y of the non-degenerate nodes."""
+    k = {"total": cols.k, "export": cols.k_exp, "import": cols.k_imp}[flow]
+    keep = cols.s > 0.0
+    return k[keep], k[keep] * cols.Y[keep]
 
 
 def disparity_curve(nets, flow: str = "total",
@@ -123,15 +159,14 @@ def disparity_curve(nets, flow: str = "total",
     Points cover every occupied bin; the regression uses only bins with at
     least ``binning.min_count`` samples.
     """
-    if flow not in FLOWS:
-        raise DomainError(f"unknown flow kind {flow!r}; expected one of {FLOWS}")
+    _check_flow(flow)
     if binning.bins_per_decade < 1 or binning.min_count < 1:
         raise DomainError("invalid bin spec")
-    samples = [s for net in nets for s in disparity_samples(net, flow)]
-    if not samples:
+    pooled = [_disparity(node_metric_columns(net, flow), flow) for net in nets]
+    if not sum(len(k) for k, _ in pooled):
         raise InsufficientDataError("no disparity samples in the given networks")
-    ks = np.array([k for k, _ in samples], dtype=float)
-    kys = np.array([ky for _, ky in samples])
+    ks = np.concatenate([k for k, _ in pooled]).astype(float)
+    kys = np.concatenate([ky for _, ky in pooled])
     edges = geometric_edges(float(ks.min()), float(ks.max()), binning.bins_per_decade)
     idx = np.searchsorted(edges, ks, side="right") - 1
     counts = np.bincount(idx, minlength=len(edges) - 1)

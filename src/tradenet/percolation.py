@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InsufficientDataError
 from .graph import AnnualTradeNetwork
 from .distributions import linear_fit
@@ -46,13 +48,55 @@ class UnionFind:
     def size(self, x: int) -> int:
         return self._size[self.find(x)]
 
+    def largest_after_unions(self, a: list[int], b: list[int]) -> list[int]:
+        """Union a[m] with b[m] for m = 0, 1, ... and return the largest set
+        size after each union.
 
-@dataclass(frozen=True)
+        Stops once one set holds every element, so the result is shorter
+        than ``a`` when later unions cannot change it.  This is union() in
+        a loop, inlined because percolation calls it once per link.
+        """
+        parent, size = self._parent, self._size
+        n = len(parent)
+        largest = max(size, default=0)
+        out = []
+        for x, y in zip(a, b):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                if size[x] > largest:
+                    largest = size[x]
+            out.append(largest)
+            if largest == n:
+                break
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class PercolationCurve:
-    """(f, S_g/N) trajectory of ordered link insertion."""
+    """(f, S_g/N) trajectory of ordered link insertion: after the m-th of L
+    insertions, ``f[m-1] = m/L`` and ``giant[m-1]`` is the giant fraction."""
 
     order: str
-    points: list[tuple[float, float]]
+    f: np.ndarray
+    giant: np.ndarray
+
+    @classmethod
+    def from_points(cls, order: str, points) -> PercolationCurve:
+        f, giant = np.array(points, dtype=np.float64).reshape(-1, 2).T
+        return cls(order, f, giant)
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        return list(zip(self.f.tolist(), self.giant.tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,22 +117,16 @@ def percolate(net: AnnualTradeNetwork, order: str = "descending") -> Percolation
     """
     if order not in ORDERS:
         raise DomainError(f"unknown order {order!r}; expected one of {ORDERS}")
-    if order == "descending":
-        ranked = sorted(net.edges.items(), key=lambda item: (-item[1].w, item[0]))
-    else:
-        ranked = sorted(net.edges.items(), key=lambda item: (item[1].w, item[0]))
-    index = {c: i for i, c in enumerate(net.nodes)}
-    uf = UnionFind(net.n_nodes)
+    # A stable sort of edges held in (a, b) order breaks ties by (a, b).
+    ranked = np.argsort(-net.w if order == "descending" else net.w, kind="stable")
     n = net.n_nodes
     n_links = net.n_links
-    giant = 1
-    points = []
-    for m, ((a, b), _) in enumerate(ranked, start=1):
-        merged = uf.union(index[a], index[b])
-        if merged > giant:
-            giant = merged
-        points.append((m / n_links, giant / n))
-    return PercolationCurve(order=order, points=points)
+    sizes = UnionFind(n).largest_after_unions(net.a[ranked].tolist(),
+                                              net.b[ranked].tolist())
+    giant = np.full(n_links, n)
+    giant[:len(sizes)] = sizes
+    return PercolationCurve(order=order, f=np.arange(1, n_links + 1) / n_links,
+                            giant=giant / n)
 
 
 def fit_exponential_approach(curve: PercolationCurve,
@@ -101,12 +139,10 @@ def fit_exponential_approach(curve: PercolationCurve,
     f_lo, f_hi = fit_range
     if not (f_lo < f_hi):
         raise DomainError("fit range must satisfy f_lo < f_hi")
-    xs = []
-    ys = []
-    for f, giant_fraction in curve.points:
-        if f_lo <= f <= f_hi and giant_fraction < 1.0:
-            xs.append(f)
-            ys.append(math.log(1.0 - giant_fraction))
+    usable = (curve.f >= f_lo) & (curve.f <= f_hi) & (curve.giant < 1.0)
+    xs = curve.f[usable]
+    # math.log, not np.log: the two differ in the last bit on some inputs.
+    ys = [math.log(gap) for gap in (1.0 - curve.giant[usable]).tolist()]
     if len(xs) < 3:
         raise InsufficientDataError(
             f"only {len(xs)} usable points inside ({f_lo:g}, {f_hi:g}); need 3")

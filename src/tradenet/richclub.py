@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 from .graph import AnnualTradeNetwork
-from .metrics import node_metrics
+from .metrics import node_metric_columns
 
 
 @dataclass(frozen=True)
@@ -42,23 +44,26 @@ def rich_club_curve(net: AnnualTradeNetwork) -> RichClubCurve:
     point (full set) is exactly 1 and the last (single node) exactly 0,
     and the sequence is non-increasing.
     """
-    strength = {c: node_metrics(net, c, "total").s for c in net.nodes}
-    seq = sorted(net.nodes, key=lambda c: (strength[c], c))
+    strength = node_metric_columns(net, "total").s
+    n = net.n_nodes
+    seq = np.argsort(strength, kind="stable")  # node order breaks ties by code
+    rank = np.empty(n, dtype=np.intp)
+    rank[seq] = np.arange(n)
+    # Walking from the strongest node down, an edge joins the club together
+    # with its weaker endpoint, and the edges one node brings in come in
+    # partner-code order.  One running sum in that walk order gives every
+    # club's internal trade.
+    joins = np.minimum(rank[net.a], rank[net.b])
+    partner = np.where(rank[net.a] > rank[net.b], net.a, net.b)
+    walk = np.lexsort((partner, -joins))
+    internal = np.concatenate(([0.0], np.cumsum(net.w[walk])))
+    added = np.cumsum(np.bincount(joins, minlength=n)[::-1])[::-1]  # edges in suffix i
+    suffix_internal = internal[added]
     s_max = strength[seq[-1]]
-    suffix_internal = [0.0] * len(seq)
-    internal = 0.0
-    added = set()
-    for i in range(len(seq) - 1, -1, -1):
-        country = seq[i]
-        for partner, ew in net.neighbors(country).items():
-            if partner in added:
-                internal += ew.w
-        added.add(country)
-        suffix_internal[i] = internal
-    total = suffix_internal[0]
-    points = [(strength[c] / s_max, suffix_internal[i] / total, len(seq) - i)
-              for i, c in enumerate(seq)]
-    return RichClubCurve(points=points, s_max=s_max)
+    points = zip((strength[seq] / s_max).tolist(),
+                 (suffix_internal / suffix_internal[0]).tolist(),
+                 range(n, 0, -1))
+    return RichClubCurve(points=list(points), s_max=float(s_max))
 
 
 def rich_club_size(curve: RichClubCurve, net: AnnualTradeNetwork,

@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, EmptyInputError, EmptyNetworkError
-from .graph import AnnualTradeNetwork, EdgeWeights
+from .graph import AnnualTradeNetwork
 from .rng import SplitMix64, derive_seed
 
 
@@ -99,15 +99,11 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
     order = np.lexsort((jj, ii, -propensity))
     chosen = np.sort(order[:n_links])
 
-    codes = country_codes(n)
-    shares = rng.uniform(n_links)
-    edges = {}
-    for t, share in zip(chosen, shares):
-        w = float(weights[t])
-        w_exp = float(share) * w
-        w_imp = w - w_exp
-        edges[(codes[ii[t]], codes[jj[t]])] = EdgeWeights(w_exp, w_imp, w_exp + w_imp)
-    return AnnualTradeNetwork(year, edges)
+    w = weights[chosen]
+    w_exp = rng.uniform(n_links) * w
+    w_imp = w - w_exp
+    return AnnualTradeNetwork._from_canonical(year, country_codes(n), ii[chosen], jj[chosen],
+                                              w_exp, w_imp, w_exp + w_imp)
 
 
 def generate_panel(params: GravityParams, years: Iterable[int],

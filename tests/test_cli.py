@@ -71,6 +71,58 @@ def test_cli_builds_no_per_record_objects(tmp_path, monkeypatch):
     assert main(["panel", "--input", str(data), "--outdir", str(tmp_path / "p")]) == 0
 
 
+def test_cli_builds_no_edge_objects(tmp_path, monkeypatch):
+    """The CLI works on the network's arrays: no EdgeWeights, no edges or
+    neighbors() view, on any subcommand."""
+    import tradenet.graph
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-edge object built on a CLI path")
+
+    monkeypatch.setattr(tradenet.graph, "EdgeWeights", forbidden)
+    monkeypatch.setattr(tradenet.graph.AnnualTradeNetwork, "edges", property(forbidden))
+    monkeypatch.setattr(tradenet.graph.AnnualTradeNetwork, "neighbors", forbidden)
+    snaps = tmp_path / "snaps"
+    data = tmp_path / "d.csv"
+    assert main(["synth", "--countries", "25", "--years", "1990:1991", "--dyadic", str(data),
+                 "--snapshot-dir", str(snaps)]) == 0
+    for argv in (["panel", "--input", str(data)], ["panel", "--input", str(snaps)],
+                 ["summary", "--input", str(data)], ["metrics", "--input", str(snaps)],
+                 ["percolate", "--input", str(data), "--fit", "0.05:0.9"],
+                 ["richclub", "--input", str(snaps)], ["fit", "--input", str(data)]):
+        assert main(argv + ["--outdir", str(tmp_path / argv[0])]) == 0, argv
+
+
+class TestArgumentErrors:
+    """A bad argument value exits 2 with one error line, before any input is
+    read or any file is written."""
+
+    @pytest.mark.parametrize("argv, word", [
+        (["summary", "--years", "abc"], "year"),
+        (["summary", "--years", "1990,"], "year"),
+        (["percolate", "--fit", "0.1"], "range"),
+        (["percolate", "--emit-every", "0"], "emit-every"),
+        (["percolate", "--emit-every", "-3"], "emit-every"),
+        (["panel", "--emit-every", "0"], "emit-every"),
+        (["panel", "--workers", "-1"], "--workers"),
+        (["panel", "--threshold", "1.5"], "threshold"),
+        (["richclub", "--threshold", "1.5"], "threshold"),
+        (["richclub", "--threshold", "0"], "threshold"),
+    ])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, word):
+        data = synth_csv(tmp_path, years="1990:1990", countries=12)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        try:
+            rc = main(argv[:1] + ["--input", str(data), "--outdir", str(out)] + argv[1:])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and word in err, err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestAnalysisCommands:
     def test_summary_from_csv(self, tmp_path):
         data = synth_csv(tmp_path)
@@ -178,6 +230,18 @@ class TestErrorPaths:
         bad.write_text("year,reporter,partner,export,import\n1990,USA,USA,1,1\n")
         assert main(["summary", "--input", str(bad), "--outdir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("edges", [
+        '[["A","B",1.0,2.0],["A","B",3.0,4.0]]',  # one edge twice
+        '[["A","B",1.0,Infinity]]',
+    ])
+    def test_invalid_snapshot(self, tmp_path, capsys, edges):
+        snap = tmp_path / "2000_network.json"
+        snap.write_text('{"format":"trade-network-snapshot","version":1,"year":2000,'
+                        f'"nodes":["A","B"],"edges":{edges}}}')
+        assert main(["summary", "--input", str(snap), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edge (A, B)" in err and err.count("\n") == 1
+
     def test_absent_year_is_partial_failure(self, tmp_path):
         data = synth_csv(tmp_path)
         out = tmp_path / "out"
@@ -251,12 +315,13 @@ class TestPanel:
         assert main(["summary", "--input", str(data)]) == 0
         assert (out / "1990_summary.csv").exists()
 
-    def test_workers_do_not_change_output(self, tmp_path):
+    def test_year_outputs_do_not_depend_on_other_years(self, tmp_path):
         data = synth_csv(tmp_path, years="1990:1993")
-        out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        main(["panel", "--input", str(data), "--outdir", str(out1), "--workers", "1"])
-        main(["panel", "--input", str(data), "--outdir", str(out2), "--workers", "4"])
-        for p in sorted(out1.iterdir()):
-            if p.name == "manifest.json":
-                continue  # manifest records the worker count
-            assert p.read_bytes() == (out2 / p.name).read_bytes(), p.name
+        out_all = tmp_path / "all"
+        assert main(["panel", "--input", str(data), "--outdir", str(out_all)]) == 0
+        for year in (1990, 1992):
+            out = tmp_path / str(year)
+            assert main(["panel", "--input", str(data), "--years", str(year),
+                         "--outdir", str(out)]) == 0
+            for p in sorted(out.glob(f"{year}_*")):
+                assert p.read_bytes() == (out_all / p.name).read_bytes(), p.name

@@ -151,6 +151,18 @@ class TestSnapshot:
         with pytest.raises(ValidationError):
             snapshot_loads(text)
 
+    @pytest.mark.parametrize("edge", [
+        '["A","B",1.0,2.0]',  # listed twice
+        '["B","C",1.0,Infinity]',
+        '["B","C",-Infinity,2.0]',
+        '["B","C",NaN,2.0]',
+    ])
+    def test_rejects_repeated_edges_and_non_finite_weights(self, edge):
+        text = ('{"format":"trade-network-snapshot","version":1,"year":2000,'
+                f'"nodes":["A","B","C"],"edges":[["A","B",1.0,2.0],["A","C",1.0,1.0],{edge}]}}')
+        with pytest.raises(ValidationError):
+            snapshot_loads(text)
+
     def test_rejects_node_mismatch(self):
         text = ('{"format":"trade-network-snapshot","version":1,"year":2000,'
                 '"nodes":["A","B","C"],"edges":[["A","B",1.0,2.0]]}')

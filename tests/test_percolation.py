@@ -116,25 +116,25 @@ class TestExponentialFit:
     def test_exact_synthetic_curve(self):
         fs = np.linspace(0.05, 1.0, 20)
         points = [(float(f), float(1.0 - math.exp(-5.0 * f))) for f in fs]
-        curve = PercolationCurve("descending", points)
+        curve = PercolationCurve.from_points("descending", points)
         fit = fit_exponential_approach(curve, (0.0, 1.0))
         assert fit.rate == pytest.approx(5.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_saturated_curve_is_insufficient(self):
         points = [(0.2, 1.0), (0.5, 1.0), (0.8, 1.0), (1.0, 1.0)]
-        curve = PercolationCurve("descending", points)
+        curve = PercolationCurve.from_points("descending", points)
         with pytest.raises(InsufficientDataError):
             fit_exponential_approach(curve, (0.0, 1.0))
 
     def test_range_filtering(self):
         points = [(0.1, 0.2), (0.2, 0.4), (0.3, 0.5), (0.9, 0.99)]
-        curve = PercolationCurve("descending", points)
+        curve = PercolationCurve.from_points("descending", points)
         with pytest.raises(InsufficientDataError):
             fit_exponential_approach(curve, (0.25, 0.95))
 
     def test_bad_range(self):
-        curve = PercolationCurve("descending", [(0.5, 0.5)])
+        curve = PercolationCurve.from_points("descending", [(0.5, 0.5)])
         with pytest.raises(DomainError):
             fit_exponential_approach(curve, (0.9, 0.1))
 
