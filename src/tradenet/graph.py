@@ -393,8 +393,10 @@ def snapshot_loads(text: str) -> AnnualTradeNetwork:
             raise ValueError("edge weights must be numbers")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed snapshot document: {exc}") from None
+    with np.errstate(invalid="ignore"):  # inf + -inf: rejected as non-finite below
+        w = w_exp + w_imp
     net = AnnualTradeNetwork._from_lists(year, list(map(str, a)), list(map(str, b)),
-                                         w_exp, w_imp, w_exp + w_imp)
+                                         w_exp, w_imp, w)
     if list(net.nodes) != doc.get("nodes"):
         raise ValidationError("snapshot node list does not match edge endpoints")
     return net

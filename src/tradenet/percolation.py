@@ -91,6 +91,7 @@ class PercolationCurve:
 
     @classmethod
     def from_points(cls, order: str, points) -> PercolationCurve:
+        """Curve from a sequence of (f, giant fraction) pairs."""
         f, giant = np.array(points, dtype=np.float64).reshape(-1, 2).T
         return cls(order, f, giant)
 

@@ -156,7 +156,9 @@ class TestSnapshot:
         '["B","C",1.0,Infinity]',
         '["B","C",-Infinity,2.0]',
         '["B","C",NaN,2.0]',
+        '["B","C",Infinity,-Infinity]',
     ])
+    @pytest.mark.filterwarnings("error")
     def test_rejects_repeated_edges_and_non_finite_weights(self, edge):
         text = ('{"format":"trade-network-snapshot","version":1,"year":2000,'
                 f'"nodes":["A","B","C"],"edges":[["A","B",1.0,2.0],["A","C",1.0,1.0],{edge}]}}')
