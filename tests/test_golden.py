@@ -5,7 +5,9 @@ Each case runs one CLI command in a scratch directory with relative paths
 its exit code and its stderr with ``tests/golden/<case>/``.  The cases
 cover the synth writers (dyadic CSV and snapshots), ``panel`` in CSV and
 JSON on a small seeded synth panel and on its snapshot directory with every
-percolation point, ``metrics`` for export and import flows, ``percolate``
+percolation point, ``panel`` on a hand-built file whose country codes need
+CSV quoting (a comma, a doubled quote, a newline) or hold an inner space or
+a non-ASCII letter, ``metrics`` for export and import flows, ``percolate``
 with its exponential fits, ``richclub`` at a non-default threshold, and
 ``summary`` under every ``--on-duplicate`` x ``--missing`` combination on a
 hand-built file with duplicates, one-sided reports, zeros, shuffled rows and
@@ -34,12 +36,13 @@ from tradenet.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MESSY = GOLDEN / "inputs" / "messy.csv"
+CODES = GOLDEN / "inputs" / "codes.csv"
 
 SYNTH_ARGS = ["synth", "--countries", "30", "--years", "2001:2003", "--n-final", "40",
               "--gdp-scale-final", "2", "--noise-logsd", "1.5", "--seed", "7"]
 
 # case name -> (argv, input: "synth" panel CSV, "snapshots" directory,
-# "messy" file or None)
+# "messy" file, "codes" file or None)
 CASES = {
     "synth": (SYNTH_ARGS + ["--dyadic", "out/panel.csv"], None),
     "synth_snapshots": (SYNTH_ARGS + ["--snapshot-dir", "out"], None),
@@ -49,6 +52,8 @@ CASES = {
                     "--emit-every", "4", "--output-format", "json"], "synth"),
     "panel_snapshots": (["panel", "--input", "snaps", "--outdir", "out",
                          "--emit-every", "1"], "snapshots"),
+    "panel_codes": (["panel", "--input", "codes.csv", "--outdir", "out",
+                     "--emit-every", "1"], "codes"),
     "metrics_export": (["metrics", "--input", "panel.csv", "--outdir", "out",
                         "--flow", "export"], "synth"),
     "metrics_import": (["metrics", "--input", "messy.csv", "--outdir", "out",
@@ -75,6 +80,8 @@ def run_case(name: str, workdir: Path) -> tuple[dict, dict[str, bytes]]:
         shutil.copytree(GOLDEN / "synth_snapshots" / "out", workdir / "snaps")
     elif source == "messy":
         shutil.copyfile(MESSY, workdir / "messy.csv")
+    elif source == "codes":
+        shutil.copyfile(CODES, workdir / "codes.csv")
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
