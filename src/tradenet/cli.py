@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 partial failure (some requested years failed),
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -31,7 +29,7 @@ from .distributions import (COLLAPSE_BINS_PER_DECADE, collapse_transform,
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
 from .graph import build_network, load_snapshot, save_snapshot, summarize
-from .ingest import pair_columns, read_columns, write_network_records
+from .ingest import _write_columns, pair_columns, read_columns, write_network_records
 from .metrics import LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import rich_club_curve, rich_club_size
@@ -83,8 +81,8 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def _table_text(header, columns, output_format: str) -> str:
-    """A table given as columns, as CSV or JSON text.
+def _write_table(fh, header, columns, output_format: str) -> None:
+    """Write a table given as columns to ``fh`` as CSV or JSON.
 
     A column is a numpy array or a sequence of Python ints, floats, strs and
     Nones.  CSV writes a float as its repr and None as an empty cell; JSON
@@ -92,39 +90,28 @@ def _table_text(header, columns, output_format: str) -> str:
     """
     if output_format == "json":
         columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        return _json_text([dict(zip(header, row)) for row in zip(*columns)])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*map(_csv_cells, columns)))
-    return buf.getvalue()
+        fh.write(_json_text([dict(zip(header, row)) for row in zip(*columns)]))
+    else:
+        _write_columns(fh, header, columns)
 
 
-def _csv_cells(column):
-    """A column as values csv.writer formats the same way."""
-    if not isinstance(column, np.ndarray):
-        return column
-    if column.dtype.kind != "f":
-        return column.tolist()
-    # Percolation columns repeat few values (S_g/N takes at most N), so each
-    # distinct value is formatted once; keyed by bits to keep -0.0 apart.
-    bits, inverse = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
-
-
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temporary file, then move it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        write(fh)
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, obj) -> None:
+    _write_atomic(path, lambda fh: fh.write(_json_text(obj)))
 
 
 def _emit_table(outdir: Path, name: str, header, columns, output_format: str) -> str:
     ext = "json" if output_format == "json" else "csv"
     filename = f"{name}.{ext}"
-    _write_atomic(outdir / filename, _table_text(header, columns, output_format))
+    _write_atomic(outdir / filename,
+                  lambda fh: _write_table(fh, header, columns, output_format))
     return filename
 
 
@@ -156,9 +143,12 @@ def _parse_float_range(spec: str | None) -> tuple[float, float] | None:
         return None
     try:
         lo, hi = spec.split(":", 1)
-        return float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except ValueError:
         raise DomainError(f"invalid range {spec!r}; expected LO:HI") from None
+    if not lo < hi:
+        raise DomainError(f"invalid range {spec!r}; LO must be less than HI")
+    return lo, hi
 
 
 def _check_emit_every(emit_every: int) -> None:
@@ -320,6 +310,7 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    binning = LogBinSpec(args.disparity_bins_per_decade, args.disparity_min_count)
     nets, errors = _load_networks(args.input, _parse_years(args.years),
                                   args.format, args.on_duplicate, args.missing)
     outdir = _ensure_outdir(args.outdir)
@@ -327,18 +318,17 @@ def _cmd_metrics(args) -> int:
         header, columns = _metrics_columns(net, args.flow)
         _emit_table(outdir, f"{year}_metrics", header, columns, args.output_format)
     if nets:
-        binning = LogBinSpec(args.disparity_bins_per_decade, args.disparity_min_count)
         try:
             curve = disparity_curve([nets[y] for y in sorted(nets)], args.flow, binning)
             _emit_table(outdir, "disparity_curve", ["k_center", "mean_kY", "count"],
                         zip(*curve.points), args.output_format)
-            _write_atomic(outdir / "disparity_fit.json", _json_text({
+            _write_json(outdir / "disparity_fit.json", {
                 "flow": curve.flow,
                 "exponent": curve.exponent,
                 "exponent_stderr": curve.exponent_stderr,
                 "bins_per_decade": binning.bins_per_decade,
                 "min_count": binning.min_count,
-            }))
+            })
         except InsufficientDataError as exc:
             print(f"warning: disparity curve skipped: {exc}", file=sys.stderr)
     _report_year_errors(errors)
@@ -346,8 +336,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    outdir = _ensure_outdir(args.outdir)
     config = _config_from_args(args)
+    outdir = _ensure_outdir(args.outdir)
     if args.weights:
         weights = _read_weight_list(args.weights)
         _emit_fit_files(outdir, "weights", weights, config, args.output_format)
@@ -371,7 +361,7 @@ def _emit_fit_files(outdir: Path, prefix: str, weights, config: RunConfig,
     files.append(_emit_table(outdir, f"{prefix}_collapse", ["x", "y"],
                              zip(*collapse), output_format))
     name = f"{prefix}_fits.json"
-    _write_atomic(outdir / name, _json_text(fits))
+    _write_json(outdir / name, fits)
     files.append(name)
     return files
 
@@ -402,8 +392,8 @@ def _cmd_percolate(args) -> int:
         header, columns, curves = _percolation_columns(net, orders, args.emit_every)
         _emit_table(outdir, f"{year}_percolation", header, columns, args.output_format)
         if fit_range is not None:
-            _write_atomic(outdir / f"{year}_percolation_fit.json",
-                          _json_text(_percolation_fits(curves, fit_range)))
+            _write_json(outdir / f"{year}_percolation_fit.json",
+                        _percolation_fits(curves, fit_range))
     _report_year_errors(errors)
     return 1 if errors else 0
 
@@ -480,6 +470,7 @@ def run_analyze(config: RunConfig) -> int:
     """
     _check_emit_every(config.emit_every)
     _check_threshold(config.threshold)
+    binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
     nets, errors = _load_networks(config.input_path, config.years,
                                   config.input_format, config.on_duplicate,
                                   config.missing)
@@ -509,7 +500,8 @@ def run_analyze(config: RunConfig) -> int:
             outdir, "panel_richclub", ["year", "S_RC", "club_size", "N"],
             zip(*richclub_rows), config.output_format))
         panel_files.extend(_emit_panel_fits(
-            outdir, [nets[y] for y in ordered_years], scaling_points, config, warnings))
+            outdir, [nets[y] for y in ordered_years], scaling_points, binning, config,
+            warnings))
 
     manifest = {
         "tool": "tradenet",
@@ -520,7 +512,7 @@ def run_analyze(config: RunConfig) -> int:
         "panel_files": panel_files,
         "warnings": warnings,
     }
-    _write_atomic(outdir / "manifest.json", _json_text(manifest))
+    _write_json(outdir / "manifest.json", manifest)
     _report_year_errors(errors)
     return 1 if errors else 0
 
@@ -548,7 +540,7 @@ def _analyze_year(net, config: RunConfig, outdir: Path):
                              config.output_format))
     fits["percolation"] = _percolation_fits(curves, config.exp_fit_range)
     name = f"{year}_fits.json"
-    _write_atomic(outdir / name, _json_text(fits))
+    _write_json(outdir / name, fits)
     files.append(name)
 
     header, columns, curve = _richclub_columns(net)
@@ -560,8 +552,8 @@ def _analyze_year(net, config: RunConfig, outdir: Path):
     return sorted(files), summary_row, richclub_row, degree_stats
 
 
-def _emit_panel_fits(outdir: Path, nets, scaling_points, config: RunConfig,
-                     warnings: list[str]) -> list[str]:
+def _emit_panel_fits(outdir: Path, nets, scaling_points, binning: LogBinSpec,
+                     config: RunConfig, warnings: list[str]) -> list[str]:
     files = []
     panel_fits: dict[str, object] = {}
 
@@ -578,7 +570,6 @@ def _emit_panel_fits(outdir: Path, nets, scaling_points, config: RunConfig,
     except TradeNetError as exc:
         warnings.append(f"max-degree scaling fit skipped: {exc}")
 
-    binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
     try:
         curve = disparity_curve(nets, config.flow, binning)
         files.append(_emit_table(outdir, "panel_disparity_curve",
@@ -602,7 +593,7 @@ def _emit_panel_fits(outdir: Path, nets, scaling_points, config: RunConfig,
     except TradeNetError as exc:
         warnings.append(f"degree survival fit skipped: {exc}")
 
-    _write_atomic(outdir / "panel_fits.json", _json_text(panel_fits))
+    _write_json(outdir / "panel_fits.json", panel_fits)
     files.append("panel_fits.json")
     return files
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DomainError, EmptyNetworkError, NodeNotFoundError,
                      ParseError, ValidationError)
-from .ingest import FLOW_SLOTS, PairedColumns, PairedFlows
+from .ingest import FLOW_SLOTS, PairedColumns, PairedFlows, _float_cells
 
 MISSING_FLOW_POLICIES = ("zero", "copy")
 
@@ -113,11 +113,13 @@ class AnnualTradeNetwork:
     (a, b), and the float64 arrays ``w_exp``, ``w_imp`` and ``w`` hold its
     weights.  Because the codes are sorted, comparing two node indices
     compares the codes.  ``edges`` and ``neighbors`` are dict views built on
-    request.  Instances and their arrays are treated as read-only.
+    request.  Instances and their arrays are treated as read-only, so
+    results derived from them are cached: the CSR adjacency and, keyed by
+    flow, metrics.node_metric_columns.
     """
 
     __slots__ = ("year", "nodes", "a", "b", "w_exp", "w_imp", "w", "_adjacency",
-                 "_edges")
+                 "_edges", "_metric_columns")
 
     def __init__(self, year: int, edges: Mapping[tuple[str, str], EdgeWeights]):
         keys = list(edges)
@@ -144,6 +146,7 @@ class AnnualTradeNetwork:
         self.w = w
         self._adjacency = None
         self._edges = None
+        self._metric_columns = {}
 
     @classmethod
     def _from_canonical(cls, year: int, codes, a, b, w_exp, w_imp,
@@ -353,17 +356,16 @@ def snapshot_dumps(net: AnnualTradeNetwork) -> str:
     ``snapshot_loads(snapshot_dumps(net)) == net`` holds bit for bit and
     equal networks serialize to identical bytes.
     """
-    nodes = net.nodes
-    doc = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "year": net.year,
-        "nodes": list(nodes),
-        "edges": list(map(list, zip([nodes[i] for i in net.a.tolist()],
-                                    [nodes[i] for i in net.b.tolist()],
-                                    net.w_exp.tolist(), net.w_imp.tolist()))),
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    head = json.dumps({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
+                       "year": net.year}, separators=(",", ":"))
+    # The rest of json.dumps(doc, separators=(",", ":")) for the "nodes" and
+    # "edges" members, joined from each code's JSON text and each weight's
+    # repr (json.dumps writes a finite float as its repr).
+    node = np.array([json.dumps(code) for code in net.nodes], dtype=object)
+    edges = "],[".join(map(",".join, zip(node[net.a].tolist(), node[net.b].tolist(),
+                                          _float_cells(net.w_exp), _float_cells(net.w_imp))))
+    edges = f"[[{edges}]]" if net.n_links else "[]"
+    return f'{head[:-1]},"nodes":[{",".join(node.tolist())}],"edges":{edges}}}\n'
 
 
 def snapshot_loads(text: str) -> AnnualTradeNetwork:

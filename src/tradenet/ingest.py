@@ -113,9 +113,7 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
     with the same line numbers; rows are streamed, never held as strings
     all at once.
     """
-    delimiter = _DELIMITERS.get(fmt)
-    if delimiter is None:
-        raise DomainError(f"unknown input format {fmt!r}; expected one of {sorted(_DELIMITERS)}")
+    delimiter = _delimiter(fmt)
     fh, owned = _as_text(source)
     try:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -260,9 +258,15 @@ def write_records(records: Iterable[DyadicRecord], dest, fmt: str = "csv") -> No
 
     Floats are serialized with their shortest round-trip representation.
     """
-    _write_rows(([rec.year, rec.reporter, rec.partner,
-                  _flow_cell(rec.export_value), _flow_cell(rec.import_value)]
-                 for rec in records), dest, fmt)
+    delimiter = _delimiter(fmt)
+    rows = ([rec.year, rec.reporter, rec.partner, _flow_cell(rec.export_value),
+             _flow_cell(rec.import_value)] for rec in records)
+    fh, owned = _as_writable(dest)
+    try:
+        _write_columns(fh, HEADER, list(zip(*rows)), delimiter)
+    finally:
+        if owned:
+            fh.close()
 
 
 def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
@@ -274,31 +278,123 @@ def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
     The bytes equal write_records(records_from_pairs(network_to_pairs(net)))
     over the networks in order.
     """
-    def rows():
-        for net in nets:
-            year = itertools.repeat(net.year)
-            a = [net.nodes[i] for i in net.a.tolist()]
-            b = [net.nodes[i] for i in net.b.tolist()]
-            exp = [repr(v) if v else "" for v in net.w_exp.tolist()]
-            imp = [repr(v) if v else "" for v in net.w_imp.tolist()]
-            yield from itertools.chain.from_iterable(
-                zip(zip(year, a, b, exp, imp), zip(year, b, a, imp, exp)))
-
-    _write_rows(rows(), dest, fmt)
-
-
-def _write_rows(rows, dest, fmt: str) -> None:
-    delimiter = _DELIMITERS.get(fmt)
-    if delimiter is None:
-        raise DomainError(f"unknown input format {fmt!r}; expected one of {sorted(_DELIMITERS)}")
+    delimiter = _delimiter(fmt)
     fh, owned = _as_writable(dest)
     try:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(HEADER)
-        writer.writerows(rows)
+        _write_columns(fh, HEADER, [], delimiter)
+        for net in nets:
+            fields = _csv_fields(net.nodes, delimiter)
+            node = np.array([fields[code] for code in net.nodes], dtype=object)
+            a, b = node[net.a].tolist(), node[net.b].tolist()
+            exp = _float_cells(net.w_exp, zero="")
+            imp = _float_cells(net.w_imp, zero="")
+            year = [str(net.year)] * (2 * len(a))
+            _write_lines(fh, [year, _interleave(a, b), _interleave(b, a),
+                              _interleave(exp, imp), _interleave(imp, exp)], delimiter)
     finally:
         if owned:
             fh.close()
+
+
+# ---------------------------------------------------------------------------
+# Column-join text writer: each column is formatted once into cell strings,
+# then rows are joined into lines and written in blocks of _BLOCK_ROWS.
+
+_BLOCK_ROWS = 4096
+
+
+def _write_columns(fh, header, columns, delimiter: str = ",") -> None:
+    """Write a header row and a table given as columns to ``fh``, byte for
+    byte as ``csv.writer(fh, delimiter=delimiter, lineterminator="\n")``
+    writes the header and then the rows.
+
+    A column is a numpy array or a sequence of cells; rows stop at the
+    shortest column.  Float arrays are written as the repr of each value
+    and int arrays as its str.  Other cells are written as csv.writer
+    writes them: None as an empty cell and anything else as its str(),
+    quoted as csv.writer quotes it.  The text of the whole table is never
+    held at once.
+    """
+    columns = list(columns)
+    fh.write(delimiter.join(_cells(header, delimiter, len(header))) + "\n")
+    _write_lines(fh, [_cells(column, delimiter, len(columns)) for column in columns],
+                 delimiter)
+
+
+def _write_lines(fh, cells: list[list[str]], delimiter: str) -> None:
+    """Join columns of cell strings into lines, _BLOCK_ROWS rows per write."""
+    n_rows = min(map(len, cells), default=0)
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        rows = zip(*(column[lo:lo + _BLOCK_ROWS] for column in cells))
+        fh.write("\n".join(map(delimiter.join, rows)) + "\n")
+
+
+def _cells(column, delimiter: str, width: int) -> list[str]:
+    """One column of a ``width``-column table as csv.writer writes its cells."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return _float_cells(column)
+        # The str of an int, like the repr of a float, holds no delimiter,
+        # quote or line break, so it needs no quoting.
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        column = column.tolist()
+    text = ["" if value is None else str(value) for value in column]
+    fields = _csv_fields(text, delimiter, width)
+    return list(map(fields.__getitem__, text))
+
+
+def _float_cells(values: np.ndarray, zero: str | None = None) -> list[str]:
+    """The repr of each float, formatted once per distinct value.
+
+    Values are keyed by their bits, so -0.0 keeps its sign.  ``zero``, when
+    given, is written for 0.0 and -0.0 instead.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = np.array([repr(v) for v in distinct.tolist()], dtype=object)
+    if zero is not None:
+        text[distinct == 0.0] = zero
+    return text[inverse].tolist()
+
+
+class _Rows(list):
+    """A list csv.writer can write to: it gets one entry per row."""
+
+    write = list.append
+
+
+def _csv_fields(strings, delimiter: str, width: int = 2) -> dict[str, str]:
+    """Each distinct string as csv.writer writes it as one field of a row of
+    ``width`` fields.
+
+    csv.writer is asked once per distinct string, so its quoting rules are
+    not restated here.  The width matters only for the empty string, which
+    csv.writer quotes when it is the only field of a row.
+    """
+    distinct = list(dict.fromkeys(strings))
+    pad = [""] if width > 1 else []
+    rows = _Rows()
+    csv.writer(rows, delimiter=delimiter, lineterminator="\n").writerows(
+        [s, *pad] for s in distinct)
+    cut = len(pad) + 1  # the padding field's delimiter and the line end
+    return dict(zip(distinct, (row[:-cut] for row in rows)))
+
+
+def _interleave(first: list, second: list) -> list:
+    """first[0], second[0], first[1], second[1], ..."""
+    out = first + second
+    out[::2] = first
+    out[1::2] = second
+    return out
+
+
+def _delimiter(fmt: str) -> str:
+    delimiter = _DELIMITERS.get(fmt)
+    if delimiter is None:
+        raise DomainError(f"unknown input format {fmt!r}; expected one of {sorted(_DELIMITERS)}")
+    return delimiter
 
 
 def _flow_cell(value: float | None) -> str:

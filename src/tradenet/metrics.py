@@ -45,6 +45,11 @@ class LogBinSpec:
     bins_per_decade: int = 8
     min_count: int = 3
 
+    def __post_init__(self):
+        if self.bins_per_decade < 1 or self.min_count < 1:
+            raise DomainError(f"invalid bin spec: bins per decade ({self.bins_per_decade}) "
+                              f"and minimum count ({self.min_count}) must be at least 1")
+
 
 @dataclass(frozen=True)
 class DisparityCurve:
@@ -93,9 +98,19 @@ def node_metrics(net: AnnualTradeNetwork, country: str, flow: str = "total") -> 
 
 
 def node_metric_columns(net: AnnualTradeNetwork, flow: str = "total") -> NodeMetricColumns:
-    """node_metrics of every node as columns, in node order."""
+    """node_metrics of every node as columns, in node order.
+
+    Computed once per network and flow and cached on the network, so the
+    arrays are read-only.
+    """
     _check_flow(flow)
-    return _columns(net, flow, 0, net.n_nodes)
+    cols = net._metric_columns.get(flow)
+    if cols is None:
+        cols = _columns(net, flow, 0, net.n_nodes)
+        for column in (cols.k, cols.k_exp, cols.k_imp, cols.s, cols.Y):
+            column.flags.writeable = False
+        net._metric_columns[flow] = cols
+    return cols
 
 
 def all_node_metrics(net: AnnualTradeNetwork, flow: str = "total") -> dict[str, NodeMetrics]:
@@ -160,8 +175,6 @@ def disparity_curve(nets, flow: str = "total",
     least ``binning.min_count`` samples.
     """
     _check_flow(flow)
-    if binning.bins_per_decade < 1 or binning.min_count < 1:
-        raise DomainError("invalid bin spec")
     pooled = [_disparity(node_metric_columns(net, flow), flow) for net in nets]
     if not sum(len(k) for k, _ in pooled):
         raise InsufficientDataError("no disparity samples in the given networks")

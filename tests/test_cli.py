@@ -93,9 +93,27 @@ def test_cli_builds_no_edge_objects(tmp_path, monkeypatch):
         assert main(argv + ["--outdir", str(tmp_path / argv[0])]) == 0, argv
 
 
+REVERSED_RANGES = [["percolate", "--fit", "0.9:0.1"], ["percolate", "--fit", "0.5:0.5"],
+                   ["panel", "--exp-fit-range", "0.9:0.1"], ["panel", "--fit-range", "10:1"],
+                   ["panel", "--degree-fit-range", "20:5"], ["fit", "--fit-range", "nan:1"]]
+BAD_BIN_SPECS = [["metrics", "--disparity-bins-per-decade", "0"],
+                 ["metrics", "--disparity-min-count", "0"],
+                 ["panel", "--disparity-bins-per-decade", "0"],
+                 ["panel", "--disparity-min-count", "-1"]]
+
+
 class TestArgumentErrors:
     """A bad argument value exits 2 with one error line, before any input is
     read or any file is written."""
+
+    @pytest.mark.parametrize("argv", REVERSED_RANGES + BAD_BIN_SPECS)
+    def test_checked_before_input_is_read(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv[:1] + ["--input", str(tmp_path / "absent.csv"), "--outdir", str(out)]
+                  + argv[1:])
+        err = capsys.readouterr().err
+        assert rc == 2 and "does not exist" not in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, word", [
         (["summary", "--years", "abc"], "year"),
@@ -108,6 +126,8 @@ class TestArgumentErrors:
         (["panel", "--threshold", "1.5"], "threshold"),
         (["richclub", "--threshold", "1.5"], "threshold"),
         (["richclub", "--threshold", "0"], "threshold"),
+        *((argv, "range") for argv in REVERSED_RANGES),
+        *((argv, "bin spec") for argv in BAD_BIN_SPECS),
     ])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, word):
         data = synth_csv(tmp_path, years="1990:1990", countries=12)
@@ -314,6 +334,27 @@ class TestPanel:
         monkeypatch.setenv("TRADENET_OUTDIR", str(out))
         assert main(["summary", "--input", str(data)]) == 0
         assert (out / "1990_summary.csv").exists()
+
+    @pytest.mark.parametrize("flow, per_year", [("total", 1), ("export", 2)])
+    def test_node_metric_columns_once_per_network_and_flow(self, tmp_path, monkeypatch,
+                                                          flow, per_year):
+        """The metrics table, the pooled disparity curve and the rich club
+        share one computation per network and flow."""
+        import tradenet.metrics
+
+        calls = []
+        columns = tradenet.metrics._columns
+
+        def counted(net, flow, first, stop):
+            calls.append((net.year, flow))
+            return columns(net, flow, first, stop)
+
+        monkeypatch.setattr(tradenet.metrics, "_columns", counted)
+        data = synth_csv(tmp_path, years="1990:1992", countries=20)
+        assert main(["panel", "--input", str(data), "--outdir", str(tmp_path / "out"),
+                     "--flow", flow]) == 0
+        assert len(calls) == 3 * per_year
+        assert len(set(calls)) == len(calls)
 
     def test_year_outputs_do_not_depend_on_other_years(self, tmp_path):
         data = synth_csv(tmp_path, years="1990:1993")

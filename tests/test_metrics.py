@@ -6,7 +6,7 @@ from conftest import make_network, random_network
 from tradenet.errors import DomainError, InsufficientDataError, NodeNotFoundError
 from tradenet.graph import AnnualTradeNetwork, EdgeWeights
 from tradenet.metrics import (LogBinSpec, all_node_metrics, disparity_curve,
-                              disparity_samples, node_metrics)
+                              disparity_samples, node_metric_columns, node_metrics)
 
 
 def brute_force_disparity(net, country):
@@ -20,6 +20,14 @@ def brute_force_disparity(net, country):
 
 
 class TestNodeMetrics:
+    def test_columns_cached_per_flow_and_read_only(self, rng):
+        net = random_network(rng, 12)
+        total = node_metric_columns(net)
+        assert node_metric_columns(net, "total") is total
+        assert node_metric_columns(net, "export") is not total
+        with pytest.raises(ValueError):
+            total.s[0] = 0.0
+
     def test_equal_weights_lower_bound(self):
         net = make_network(2000, [("X", f"P{i}", 1.0, 1.0) for i in range(4)])
         nm = node_metrics(net, "X")
@@ -156,6 +164,11 @@ class TestDisparityCurve:
         net = clique_network([3, 6, 12], lambda i, j: 1.0, copies=1)
         with pytest.raises(InsufficientDataError):
             disparity_curve([net], binning=LogBinSpec(min_count=10))
+
+    @pytest.mark.parametrize("bins_per_decade, min_count", [(0, 3), (8, 0), (-1, -1)])
+    def test_bin_spec_rejects_non_positive_settings(self, bins_per_decade, min_count):
+        with pytest.raises(DomainError, match="bin spec"):
+            LogBinSpec(bins_per_decade, min_count)
 
     def test_degenerate_nodes_skipped(self):
         net = make_network(2000, [("A", "B", 3.0, 0.0), ("A", "C", 1.0, 0.0),

@@ -1,0 +1,120 @@
+"""The column-join text writers match csv.writer and json.dumps byte for byte.
+
+Random networks go through write_network_records, write_records and
+snapshot_dumps; random tables through the CLI's table writer and the
+column writer under it.  Codes and cells hold delimiters, quotes, line
+breaks and non-ASCII letters; weights and cells hold zeros, -0.0, 5e-324,
+1e16 and 1e22; list cells hold None and numpy scalars.  Rows are written in
+blocks, so the block size is drawn small as well.
+"""
+
+from __future__ import annotations
+
+import io
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tradenet import cli, ingest
+from tradenet.graph import AnnualTradeNetwork, EdgeWeights, network_to_pairs, snapshot_dumps
+from tradenet.ingest import records_from_pairs, write_network_records, write_records
+from writer_oracle import network_records_text, records_text, snapshot_text, table_text
+
+FORMATS = {"csv": ",", "tsv": "\t"}
+ODD_CHARS = list('Ab1 ,"\'\n\r\t;é')
+text = st.text(alphabet=st.sampled_from(ODD_CHARS), max_size=5)
+codes = st.text(alphabet=st.sampled_from(ODD_CHARS), min_size=1, max_size=5)
+SPECIAL = [0.0, -0.0, 5e-324, 1e16, 1e22, 0.1, 2.5]
+weights = st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1e300))
+floats = st.one_of(st.sampled_from(SPECIAL + [-1e22, float("inf"), float("nan")]),
+                   st.floats())
+ints = st.integers(-2**63, 2**63 - 1)
+block_rows = st.sampled_from([1, 2, 3, 4096])
+
+
+@st.composite
+def networks(draw):
+    nodes = sorted(draw(st.lists(codes, min_size=2, max_size=7, unique=True)))
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = {}
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+        w_exp, w_imp = draw(weights), draw(weights)
+        if not w_exp + w_imp > 0.0:
+            w_imp = 1.0
+        edges[(a, b)] = EdgeWeights(w_exp, w_imp, w_exp + w_imp)
+    return AnnualTradeNetwork(draw(st.integers(1900, 2100)), edges)
+
+
+@st.composite
+def columns(draw, n_rows):
+    n = n_rows + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["float", "int", "str", "list"]))
+    if kind == "float":
+        return np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
+    if kind == "int":
+        return np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+    if kind == "str":
+        return np.array(draw(st.lists(text, min_size=n, max_size=n)), dtype=str)
+    cell = st.one_of(st.none(), text, ints, floats, floats.map(np.float64),
+                     ints.map(np.int64))
+    return draw(st.one_of(st.lists(cell, min_size=n, max_size=n),
+                          st.lists(cell, min_size=n, max_size=n).map(tuple)))
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.integers(0, 4))
+    header = draw(st.lists(text, min_size=max(n_cols, 1), max_size=max(n_cols, 1)))
+    return header, [draw(columns(n_rows)) for _ in range(n_cols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.sampled_from(sorted(FORMATS)), block_rows)
+def test_tables_match_csv_writer(table, fmt, block):
+    header, cols = table
+    want = table_text(header, cols, FORMATS[fmt])
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        got = io.StringIO()
+        ingest._write_columns(got, header, cols, FORMATS[fmt])
+        assert got.getvalue() == want
+        if fmt == "csv":
+            got = io.StringIO()
+            cli._write_table(got, header, iter(cols), "csv")
+            assert got.getvalue() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(networks(), max_size=3), st.sampled_from(sorted(FORMATS)), block_rows)
+def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
+    delimiter = FORMATS[fmt]
+    records = [rec for net in nets for rec in records_from_pairs(network_to_pairs(net))]
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        direct, via_records = io.StringIO(), io.StringIO()
+        write_network_records(nets, direct, fmt)
+        write_records(iter(records), via_records, fmt)
+    assert direct.getvalue() == network_records_text(nets, delimiter)
+    assert via_records.getvalue() == records_text(records, delimiter)
+    for net in nets:
+        assert snapshot_dumps(net) == snapshot_text(net)
+
+
+def test_explicit_cases():
+    one = AnnualTradeNetwork(1990, {
+        ("A,B", 'Say "Hi"'): EdgeWeights(-0.0, 5e-324, 5e-324),
+        ("A,B", "Line\nBreak"): EdgeWeights(1e16, 0.0, 1e16),
+        ("Line\nBreak", "Ñandú"): EdgeWeights(1e22, 0.1, 1e22 + 0.1)})
+    for fmt, delimiter in FORMATS.items():
+        got = io.StringIO()
+        write_network_records([one], got, fmt)
+        assert got.getvalue() == network_records_text([one], delimiter)
+        got = io.StringIO()
+        write_network_records([], got, fmt)
+        assert got.getvalue() == delimiter.join(ingest.HEADER) + "\n"
+    assert snapshot_dumps(one) == snapshot_text(one)
+    table = (["only"], [[None, "", np.float64(0.1), np.int64(3), -0.0, 1e22]])
+    got = io.StringIO()
+    cli._write_table(got, *table, "csv")
+    assert got.getvalue() == table_text(*table) == 'only\n""\n""\n0.1\n3\n-0.0\n1e+22\n'
