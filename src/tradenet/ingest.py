@@ -11,7 +11,8 @@ The work is done on columns: ``read_columns`` streams a file into
 ``DyadicColumns`` and ``pair_columns`` resolves every year's duplicate
 reports at once into ``PairedColumns``.  ``parse_records``, ``pair_flows``,
 ``records_from_pairs`` and ``write_records`` are the per-record interface
-over the same code.
+over the same code.  Text is written by one column-join writer
+(``_write_columns``), which the CLI's tables and the snapshots use too.
 """
 
 from __future__ import annotations

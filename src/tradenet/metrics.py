@@ -40,7 +40,7 @@ class NodeMetrics:
 @dataclass(frozen=True)
 class LogBinSpec:
     """Logarithmic degree binning: bin count per decade and the minimum
-    occupancy a bin needs to enter the exponent regression."""
+    occupancy a bin needs to enter the exponent regression, both at least 1."""
 
     bins_per_decade: int = 8
     min_count: int = 3
