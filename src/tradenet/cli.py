@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 partial failure (some requested years failed),
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -29,7 +31,8 @@ from .distributions import (COLLAPSE_BINS_PER_DECADE, collapse_transform,
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
 from .graph import build_network, load_snapshot, save_snapshot, summarize
-from .ingest import _write_columns, pair_columns, read_columns, write_network_records
+from .ingest import (_read_utf8, _write_columns, pair_columns, read_columns,
+                     write_network_records)
 from .metrics import LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import rich_club_curve, rich_club_size
@@ -159,6 +162,16 @@ def _check_emit_every(emit_every: int) -> None:
 def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"--threshold must lie strictly between 0 and 1, got {threshold}")
+
+
+def _check_weight_fit_settings(config: RunConfig) -> None:
+    for option, bins in (("--bins-per-decade", config.bins_per_decade),
+                         ("--collapse-bins-per-decade", config.collapse_bins_per_decade)):
+        if bins < 1:
+            raise DomainError(f"{option} must be at least 1, got {bins}")
+    if not 0.0 < config.fit_decades < math.inf:
+        raise DomainError(
+            f"--fit-decades must be positive and finite, got {config.fit_decades}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +350,15 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_fit(args) -> int:
     config = _config_from_args(args)
-    outdir = _ensure_outdir(args.outdir)
+    _check_weight_fit_settings(config)
     if args.weights:
         weights = _read_weight_list(args.weights)
-        _emit_fit_files(outdir, "weights", weights, config, args.output_format)
+        _emit_fit_files(_ensure_outdir(args.outdir), "weights", weights, config,
+                        args.output_format)
         return 0
     nets, errors = _load_networks(args.input, _parse_years(args.years),
                                   args.format, args.on_duplicate, args.missing)
+    outdir = _ensure_outdir(args.outdir)
     for year, net in sorted(nets.items()):
         _emit_fit_files(outdir, str(year), net.w, config, args.output_format)
     _report_year_errors(errors)
@@ -368,15 +383,14 @@ def _emit_fit_files(outdir: Path, prefix: str, weights, config: RunConfig,
 
 def _read_weight_list(path: str) -> list[float]:
     weights = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                weights.append(float(line))
-            except ValueError:
-                raise ParseError(f"non-numeric weight {line!r}", line=lineno) from None
+    for lineno, line in enumerate(io.StringIO(_read_utf8(path), newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            weights.append(float(line))
+        except ValueError:
+            raise ParseError(f"non-numeric weight {line!r}", line=lineno) from None
     return weights
 
 
@@ -470,6 +484,7 @@ def run_analyze(config: RunConfig) -> int:
     """
     _check_emit_every(config.emit_every)
     _check_threshold(config.threshold)
+    _check_weight_fit_settings(config)
     binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
     nets, errors = _load_networks(config.input_path, config.years,
                                   config.input_format, config.on_duplicate,

@@ -152,7 +152,11 @@ def intermediate_range(hist: LogHistogram, decades: float = 2.5) -> tuple[float,
     center = float(np.average(np.log10(hist.centers[occupied]),
                               weights=hist.counts[occupied]))
     half = decades / 2.0
-    return 10.0 ** (center - half), 10.0 ** (center + half)
+    try:
+        hi = 10.0 ** (center + half)
+    except OverflowError:  # a window wider than the float range is open above
+        hi = math.inf
+    return 10.0 ** (center - half), hi
 
 
 def fit_power_law(hist: LogHistogram, fit_range: tuple[float, float]) -> PowerLawFit:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DomainError, EmptyNetworkError, NodeNotFoundError,
                      ParseError, ValidationError)
-from .ingest import FLOW_SLOTS, PairedColumns, PairedFlows, _float_cells
+from .ingest import FLOW_SLOTS, PairedColumns, PairedFlows, _float_cells, _read_utf8
 
 MISSING_FLOW_POLICIES = ("zero", "copy")
 
@@ -410,5 +410,4 @@ def save_snapshot(net: AnnualTradeNetwork, path) -> None:
 
 
 def load_snapshot(path) -> AnnualTradeNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return snapshot_loads(fh.read())
+    return snapshot_loads(_read_utf8(path))

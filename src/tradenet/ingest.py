@@ -38,7 +38,13 @@ FLOW_SLOTS = ("exp_ab", "imp_ab", "exp_ba", "imp_ba")
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
-_CHUNK_ROWS = 1024
+# Characters (or bytes) read from the input at a time.  Every cell of a
+# block becomes a Python str, so a larger block raises peak memory.
+_READ_BLOCK = 1 << 16
+
+# Rows per write of the column-join writer, and per chunk that csv.reader
+# hands to the column builder.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -111,24 +117,32 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
     """Parse a delimited text stream or file path into DyadicColumns.
 
     Accepts exactly what parse_records accepts and raises the same errors
-    with the same line numbers; rows are streamed, never held as strings
-    all at once.
+    with the same line numbers; the text is read in blocks, never held all
+    at once.  A block of plain text is split into columns directly; from
+    the first block that is not plain on, csv.reader reads the rest (see
+    _plain_lines).
     """
     delimiter = _delimiter(fmt)
-    fh, owned = _as_text(source)
+    fh, owned = _as_readable(source)
     try:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1) from None
-        if tuple(cell.strip() for cell in header) != HEADER:
-            raise ParseError(f"expected header {','.join(HEADER)!r}", line=1)
+        blocks = _text_blocks(fh)
+        first = next(blocks, None)
+        if first is None:
+            raise ParseError("missing header row", line=1)
         builder = _ColumnBuilder()
-        lineno = 2
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            builder.add(chunk, lineno)
-            lineno += len(chunk)
+        limit = csv.field_size_limit()
+        lineno = 1  # the line of the block's first row
+        for block in itertools.chain([first], blocks):
+            lines = _plain_lines(block, delimiter, limit)
+            if lines is None:
+                # A quoted field may run on into the next block.
+                _read_csv(builder, _csv_lines(block, blocks), delimiter, lineno)
+                break
+            if lineno == 1:
+                _check_header(lines.pop(0).split(delimiter))
+                lineno = 2
+            _add_lines(builder, lines, delimiter, lineno)
+            lineno += len(lines)
         return builder.finish()
     finally:
         if owned:
@@ -301,8 +315,6 @@ def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
 # Column-join text writer: each column is formatted once into cell strings,
 # then rows are joined into lines and written in blocks of _BLOCK_ROWS.
 
-_BLOCK_ROWS = 4096
-
 
 def _write_columns(fh, header, columns, delimiter: str = ",") -> None:
     """Write a header row and a table given as columns to ``fh``, byte for
@@ -428,18 +440,185 @@ def _columns_from_records(records: list[DyadicRecord]) -> DyadicColumns:
         np.array([rec.import_value for rec in records], dtype=np.float64))
 
 
+# ---------------------------------------------------------------------------
+# Block tokenizer: the input is read _READ_BLOCK at a time and cut into
+# blocks of whole lines.  A plain block is split into its five columns with
+# str.split; any other text is read by csv.reader.  Both feed the same
+# _ColumnBuilder, and both check rows that fail its cheap checks one by one
+# with _parse_row, so errors and line numbers do not depend on the path.
+# Line numbers count csv rows: the header is line 1 and a blank line is a
+# row.
+
+
+def _text_blocks(fh):
+    r"""The text of ``fh`` in blocks of whole lines: every block but the last
+    ends with "\n".
+
+    ``fh`` is read _READ_BLOCK at a time, so a block is about that long, or
+    longer when a line is.  Bytes are decoded as UTF-8.
+    """
+    pieces = []  # what was read of an unfinished line
+    line = 1  # the line, counted by "\n", of the next block's first byte
+    while chunk := fh.read(_READ_BLOCK):
+        cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
+        if not cut:
+            pieces.append(chunk)
+            continue
+        block = chunk[:0].join([*pieces, chunk[:cut]])
+        pieces = [chunk[cut:]]
+        yield from _decoded(block, line)
+        if isinstance(block, bytes):
+            line += block.count(b"\n")
+    if any(pieces):
+        yield from _decoded(pieces[0][:0].join(pieces), line)
+
+
+def _decoded(block, line: int):
+    r"""Yield ``block`` as text, bytes decoded as UTF-8.  For a byte that is
+    not UTF-8, the whole lines before it are yielded first, so an error in
+    those rows is still reported first; then a ParseError names its line,
+    counted by "\n" from ``line``."""
+    if isinstance(block, bytes):
+        try:
+            block = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            good = block.rfind(b"\n", 0, exc.start) + 1
+            if good:
+                yield block[:good].decode("utf-8")
+            raise _not_utf8(exc, line) from None
+    yield block
+
+
+def _read_utf8(path) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc) from None
+
+
+def _not_utf8(exc: UnicodeDecodeError, line: int = 1) -> ParseError:
+    r"""The error for input that is not UTF-8: the line of the first bad byte,
+    counted by "\n" from ``line`` at the start of what was decoded."""
+    return ParseError(f"input is not UTF-8 text ({exc.reason})",
+                      line=line + exc.object.count(b"\n", 0, exc.start))
+
+
+def _plain_lines(block: str, delimiter: str, limit: int) -> list[str] | None:
+    r"""The rows of a plain block as lines without their line ends, or None.
+
+    A block is plain when, once each "\r\n" is read as "\n", it holds no
+    quote, "\r" or NUL, no line longer than ``limit`` (csv's field size
+    limit) and exactly four delimiters on every line that is not blank.
+    csv.reader then reads each line as its split at the delimiter and a
+    blank line as an empty row, so the split can stand in for it.
+    """
+    if "\r" in block:
+        block = block.replace("\r\n", "\n")
+    if '"' in block or "\r" in block or "\0" in block:
+        return None
+    lines = block.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the last line end
+    if len(block) > limit and max(map(len, lines), default=0) > limit:
+        return None
+    if (list(map(str.count, lines, itertools.repeat(delimiter))).count(4)
+            + lines.count("") != len(lines)):
+        return None
+    return lines
+
+
+def _add_lines(builder: _ColumnBuilder, lines: list[str], delimiter: str,
+               lineno: int) -> None:
+    """Add the rows of a plain block, the first on line ``lineno``."""
+    data = [line for line in lines if line] if "" in lines else lines
+    if data:
+        cells = delimiter.join(data).split(delimiter)
+        _add(builder, [cells[k::5] for k in range(5)],
+             csv.reader(lines, delimiter=delimiter), lineno)
+
+
+def _csv_lines(block: str, blocks):
+    r"""The lines of ``block`` and the blocks after it, split where csv.reader
+    ends a line: at "\n", "\r\n" and a lone "\r"."""
+    return itertools.chain.from_iterable(
+        io.StringIO(text, newline="") for text in itertools.chain([block], blocks))
+
+
+def _read_csv(builder: _ColumnBuilder, lines, delimiter: str, lineno: int) -> None:
+    """Add the rows csv.reader reads from ``lines``, the first on line
+    ``lineno`` (line 1 is the header), _BLOCK_ROWS at a time."""
+    failure: list[Exception] = []
+    rows = _rows_until_error(csv.reader(lines, delimiter=delimiter), failure)
+    if lineno == 1 and (header := next(rows, None)) is not None:
+        _check_header(header)
+        lineno = 2
+    while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
+        _add(builder, _row_columns(chunk), chunk, lineno)
+        lineno += len(chunk)
+    for exc in failure:
+        if isinstance(exc, csv.Error):
+            raise ParseError(str(exc), line=lineno) from None
+        raise exc
+
+
+def _rows_until_error(reader, failure: list):
+    """The rows of ``reader`` up to the first error, which goes to
+    ``failure``: the rows before it are checked first, so an error in them
+    is reported first."""
+    try:
+        yield from reader
+    except (csv.Error, ParseError) as exc:
+        failure.append(exc)
+
+
+def _row_columns(rows: list[list[str]]):
+    """The cells of the rows that are not blank as five columns, or None
+    unless each of them has five cells."""
+    lengths = set(map(len, rows))
+    if lengths - {0, 5}:
+        return None
+    if 0 in lengths:
+        rows = [row for row in rows if row]
+    return list(zip(*rows)) or [()] * 5
+
+
+def _check_header(cells: list[str]) -> None:
+    if tuple(cell.strip() for cell in cells) != HEADER:
+        raise ParseError(f"expected header {','.join(HEADER)!r}", line=1)
+
+
+def _add(builder: _ColumnBuilder, columns, rows, lineno: int) -> None:
+    """Add five columns of raw cells to ``builder``.
+
+    When ``columns`` is None or fails a cheap check, ``rows``, the same
+    cells as csv rows with the first on line ``lineno``, are checked one by
+    one with _parse_row instead: that raises the exact error of the first
+    bad row, or yields cleaned cells, which are added.
+    """
+    if columns is not None:
+        try:
+            builder.add(columns)
+            return
+        except _Unclean:
+            pass
+    builder.add(_row_columns([_clean_row(row, k) for k, row in enumerate(rows, start=lineno)
+                              if row]))
+
+
 class _Unclean(Exception):
-    """A chunk needs the row-by-row checks of _parse_row."""
+    """Cells need the row-by-row checks of _parse_row."""
 
 
 class _ColumnBuilder:
-    """Turns chunks of csv rows into columns, interning years and codes.
+    """Turns columns of raw cells into DyadicColumns, interning years and
+    codes.
 
     Cells are interned by their raw text; each new raw text is checked and
     mapped once (year to int, code to its stripped form), so ``" USA"`` and
-    ``"USA"`` become the same country.  A chunk that fails a cheap check
-    is parsed again row by row with _parse_row, which raises the exact
-    error of the first bad row or yields cleaned cells.
+    ``"USA"`` become the same country.
     """
 
     def __init__(self):
@@ -448,36 +627,24 @@ class _ColumnBuilder:
         self._country_ids = _interner()  # stripped code -> country id
         self._year_of: list[int] = []  # raw year id -> year
         self._country_of: list[int] = []  # raw code id -> country id
-        # One array per chunk for each of: raw year id, raw reporter id, raw
+        # One array per add for each of: raw year id, raw reporter id, raw
         # partner id, export, import.
         self._columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
 
-    def add(self, rows: list[list[str]], lineno: int) -> None:
-        try:
-            self._add_clean(rows)
-        except _Unclean:
-            self._add_clean([_clean_row(row, k) for k, row in enumerate(rows, start=lineno)
-                             if row])
-
-    def _add_clean(self, rows) -> None:
-        """Add the rows, or raise _Unclean if a cheap check fails.
+    def add(self, columns) -> None:
+        """Add five equally long columns of cells (year, reporter, partner,
+        export, import), or raise _Unclean if a cheap check fails.
 
         Checks that can fail after the interners have grown (a bad year or
         code, a self-trade) are ones _parse_row also fails, so the retry in
-        add raises and the half-grown state is never used.
+        _add raises and the half-grown state is never used.
         """
-        lengths = set(map(len, rows))
-        if 0 in lengths:
-            rows = [row for row in rows if row]
-            lengths.discard(0)
-        if not rows:
+        year_cells, reporter_cells, partner_cells, export_cells, import_cells = columns
+        n = len(year_cells)
+        if not n:
             return
-        if lengths != {5}:
-            raise _Unclean
-        year_cells, reporter_cells, partner_cells, export_cells, import_cells = zip(*rows)
-        exports = _flow_column(export_cells)
-        imports = _flow_column(import_cells)
-        n = len(rows)
+        exports = _flows(export_cells)
+        imports = _flows(import_cells)
         known_years, known_codes = len(self._year_of), len(self._country_of)
         year = np.fromiter(map(self._year_ids.__getitem__, year_cells), np.intp, n)
         reporter = np.fromiter(map(self._code_ids.__getitem__, reporter_cells), np.intp, n)
@@ -505,7 +672,7 @@ class _ColumnBuilder:
         year_map = np.array([year_rank[y] for y in self._year_of], dtype=np.intp)
         country_rank = np.array([code_rank[c] for c in self._country_ids], dtype=np.intp)
         code_map = country_rank[np.array(self._country_of, dtype=np.intp)]
-        # One column at a time, each freeing its chunks, to keep the peak low.
+        # One column at a time, each freeing its pieces, to keep the peak low.
         year_pieces, reporter_pieces, partner_pieces, export_pieces, import_pieces = self._columns
         year = year_map[_drain(year_pieces, np.intp)]
         reporter = code_map[_drain(reporter_pieces, np.intp)]
@@ -530,14 +697,21 @@ def _interner() -> collections.defaultdict:
     return ids
 
 
-def _flow_column(cells: tuple[str, ...]) -> np.ndarray:
+def _flows(cells) -> np.ndarray:
     """Float64 flows with NaN for empty cells; _Unclean unless every other
-    cell is a finite number >= 0."""
+    cell is a finite number >= 0.
+
+    numpy parses a str as float() does (``1_0``, ``١``, ``infinity`` and
+    ``1e500`` included), which tests/test_reader_oracle.py checks.
+    """
+    n_empty = cells.count("")
+    if n_empty:
+        cells = [cell or "nan" for cell in cells]
     try:
-        values = np.array([float(cell) if cell else math.nan for cell in cells])
+        values = np.array(cells, dtype=np.float64)
     except ValueError:
         raise _Unclean from None
-    if np.count_nonzero(~((values >= 0) & (values < math.inf))) != cells.count(""):
+    if np.count_nonzero(~((values >= 0) & (values < math.inf))) != n_empty:
         raise _Unclean  # a nan, infinite or negative cell
     return values
 
@@ -577,14 +751,12 @@ def _parse_flow(cell: str, name: str, lineno: int) -> float | None:
     return value
 
 
-def _as_text(source):
-    """Return (text file object, whether we own closing it)."""
+def _as_readable(source):
+    """Return (file object, whether we own closing it); a path is opened
+    for reading bytes."""
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data), True
-    return open(source, "r", encoding="utf-8", newline=""), True
+        return source, False
+    return open(source, "rb"), True
 
 
 def _as_writable(dest):

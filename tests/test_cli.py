@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tradenet.cli import main
 from tradenet.graph import load_snapshot
@@ -100,13 +106,18 @@ BAD_BIN_SPECS = [["metrics", "--disparity-bins-per-decade", "0"],
                  ["metrics", "--disparity-min-count", "0"],
                  ["panel", "--disparity-bins-per-decade", "0"],
                  ["panel", "--disparity-min-count", "-1"]]
+BAD_FIT_SETTINGS = [["panel", "--bins-per-decade", "0"], ["fit", "--bins-per-decade", "-2"],
+                    ["panel", "--collapse-bins-per-decade", "0"],
+                    ["fit", "--collapse-bins-per-decade", "0"], ["fit", "--fit-decades", "0"],
+                    ["panel", "--fit-decades", "-1"], ["fit", "--fit-decades", "inf"],
+                    ["panel", "--fit-decades", "nan"]]
 
 
 class TestArgumentErrors:
     """A bad argument value exits 2 with one error line, before any input is
     read or any file is written."""
 
-    @pytest.mark.parametrize("argv", REVERSED_RANGES + BAD_BIN_SPECS)
+    @pytest.mark.parametrize("argv", REVERSED_RANGES + BAD_BIN_SPECS + BAD_FIT_SETTINGS)
     def test_checked_before_input_is_read(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--input", str(tmp_path / "absent.csv"), "--outdir", str(out)]
@@ -128,6 +139,7 @@ class TestArgumentErrors:
         (["richclub", "--threshold", "0"], "threshold"),
         *((argv, "range") for argv in REVERSED_RANGES),
         *((argv, "bin spec") for argv in BAD_BIN_SPECS),
+        *((argv, argv[1]) for argv in BAD_FIT_SETTINGS),
     ])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, word):
         data = synth_csv(tmp_path, years="1990:1990", countries=12)
@@ -141,6 +153,66 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and word in err, err
         assert not out.exists() or not any(out.iterdir())
+
+
+GOLDEN_PANEL = Path(__file__).parent / "golden" / "synth" / "out" / "panel.csv"
+# Per option: (values the command should run with, values it should reject).
+# Edge values that the analyses may refuse per year or per fit are on the
+# left; either way the exit code contract must hold.
+INPUT_OPTIONS = {
+    "--format": (["csv"], ["tsv", "psv"]),
+    "--years": (["all", "2002", "2001:2002", "2002,1999"], ["abc", "1990,", "", "2003:2001"]),
+    "--on-duplicate": (["mean", "first", "max"], ["median"]),
+    "--missing": (["zero", "copy"], ["none"]),
+    "--output-format": (["csv", "json"], ["xml"]),
+}
+COUNTS = (["1", "3", "10", "1000"], ["-1", "0", "1.5", "x"])
+POSITIVE = (["0.5", "2.5", "1e-300", "1e300"], ["-1", "0", "inf", "nan", "x"])
+RANGES = (["0.05:0.9", "1:1e6", "0:1", "-1:5", "1:inf", "0.3:0.31"],
+          ["0.9:0.1", "nan:1", "1", "x:y"])
+WEIGHT_FIT_OPTIONS = {"--bins-per-decade": COUNTS, "--fit-range": RANGES, "--fit-decades": POSITIVE,
+                      "--collapse-bins-per-decade": COUNTS, "--collapse-window": POSITIVE}
+DISPARITY_OPTIONS = {"--flow": (["total", "export", "import"], ["net"]),
+                     "--disparity-bins-per-decade": COUNTS, "--disparity-min-count": COUNTS}
+THRESHOLD = (["0.5", "0.99", "1e-300"], ["-1", "0", "1", "1.5", "nan", "x"])
+COMMAND_OPTIONS = {
+    "summary": {},
+    "metrics": DISPARITY_OPTIONS,
+    "fit": WEIGHT_FIT_OPTIONS,
+    "percolate": {"--order": (["desc", "asc", "both"], ["up"]), "--emit-every": COUNTS,
+                  "--fit": RANGES},
+    "richclub": {"--threshold": THRESHOLD},
+    "panel": {**WEIGHT_FIT_OPTIONS, **DISPARITY_OPTIONS, "--exp-fit-range": RANGES,
+              "--emit-every": COUNTS, "--threshold": THRESHOLD, "--degree-fit-range": RANGES},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_argument_values_keep_the_exit_code_contract(data):
+    """Exit 0, 1 or 2 for any argument values, no exception but argparse's
+    SystemExit(2), and an exit 2 leaves no outdir behind.
+
+    Each option is left out, given a value to run with or, at a share of
+    the draws fixed per example, a value to reject."""
+    command = data.draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    bad_share = data.draw(st.sampled_from([0, 0, 5, 30]), label="bad share in 100")
+    argv = [command, "--input", str(GOLDEN_PANEL)]
+    for option, (good, bad) in {**INPUT_OPTIONS, **COMMAND_OPTIONS[command]}.items():
+        if data.draw(st.booleans(), label=f"{option} given"):
+            bad_draw = data.draw(st.sampled_from(range(100))) < bad_share
+            argv.append(f"{option}={data.draw(st.sampled_from(bad if bad_draw else good))}")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "out"
+        try:
+            rc = main(argv + ["--outdir", str(out)])
+        except SystemExit as exc:
+            assert exc.code == 2
+            rc = 2
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert not out.exists()
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 class TestAnalysisCommands:
@@ -240,10 +312,20 @@ class TestAnalysisCommands:
         assert curve[1][1] == "1.0" and curve[-1][1] == "0.0"
 
 
+CSV_HEADER = b"year,reporter,partner,export,import\n"
+
+
 class TestErrorPaths:
     def test_missing_input_file(self, tmp_path):
         assert main(["summary", "--input", str(tmp_path / "nope.csv"),
                      "--outdir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["summary", "metrics", "fit", "percolate",
+                                         "richclub", "panel"])
+    def test_input_error_leaves_no_outdir(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([command, "--input", str(tmp_path / "nope.csv"), "--outdir", str(out)]) == 2
+        assert not out.exists()
 
     def test_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -261,6 +343,22 @@ class TestErrorPaths:
         assert main(["summary", "--input", str(snap), "--outdir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "edge (A, B)" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, name, data, word", [
+        (["summary", "--input"], "latin1.csv", CSV_HEADER + b"1990,CAF\xe9,USA,1,1\n",
+         "line 2: input is not UTF-8"),
+        (["summary", "--input"], "long.csv", CSV_HEADER + b"1990,USA," + b"A" * 200_000 + b",1,1\n",
+         "line 2: field larger than field limit"),
+        (["summary", "--input"], "2000_network.json",
+         b'{"format":"trade-network-snapshot",\n"nodes":["\xe9"]}', "line 2: input is not UTF-8"),
+        (["fit", "--weights"], "weights.txt", b"1.5\n2\xe9\n", "line 2: input is not UTF-8"),
+    ], ids=["csv-not-utf8", "csv-long-field", "snapshot-not-utf8", "weights-not-utf8"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, argv, name, data, word):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(argv + [str(path), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {word}") and err.count("\n") == 1, err
 
     def test_absent_year_is_partial_failure(self, tmp_path):
         data = synth_csv(tmp_path)

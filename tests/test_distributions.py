@@ -128,6 +128,12 @@ class TestFitPowerLaw:
         gm = math.exp(np.log(w).mean())
         assert lo < gm < hi
 
+    def test_intermediate_range_wider_than_floats(self):
+        hist = log_histogram([1.0, 10.0, 100.0], 1)
+        assert intermediate_range(hist, 1e300) == (0.0, math.inf)
+        with pytest.raises(DomainError):
+            fit_power_law(hist, intermediate_range(hist, 1e300))
+
 
 class TestFitLognormal:
     def test_identical_values_degenerate(self):

@@ -89,6 +89,41 @@ class TestParseRecords:
             parse(HEADER + rows + "\n1950,USA,USA,1,1\n")
         assert exc.value.line == 3003
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        rows = "".join(f"1950,A{i},B{i},1.0,2.0\n" for i in range(4000))  # past the first block
+        data = (HEADER + rows).encode() + b"1950,CAF\xe9,USA,1,1\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(ParseError, match="not UTF-8") as exc:
+                parse_records(source)
+            assert exc.value.line == 4002
+
+    def test_row_error_before_bad_bytes_is_reported_first(self):
+        data = (HEADER + "1950,USA,USA,1,1\n").encode() + b"1950,CAF\xe9,USA,1,1\n"
+        with pytest.raises(ValidationError) as exc:
+            parse_records(io.BytesIO(data))
+        assert exc.value.line == 2
+
+    def test_field_over_the_csv_field_limit(self):
+        with pytest.raises(ParseError, match="field larger than field limit") as exc:
+            parse(HEADER + "1950,USA,CAN,1,1\n1950," + "A" * 200_000 + ",CAN,1,1\n")
+        assert exc.value.line == 3
+
+    def test_plain_text_takes_the_block_path(self, monkeypatch):
+        r"""Neither csv.reader nor the row-by-row checks read plain text,
+        \r\n line ends and empty cells included."""
+        import tradenet.ingest
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("plain text read row by row")
+
+        monkeypatch.setattr(tradenet.ingest, "_read_csv", forbidden)
+        monkeypatch.setattr(tradenet.ingest, "_parse_row", forbidden)
+        rows = "".join(f"1950,A{i},B{i},{i}.5,\r\n" for i in range(4000))
+        recs = parse(HEADER + "\n" + rows)
+        assert len(recs) == 4000 and recs[-1] == DyadicRecord(1950, "A3999", "B3999", 3999.5, None)
+
     def test_padded_cells_are_stripped(self):
         recs = parse(HEADER + " 1950 , USA ,CAN, 1.5 ,  \n1950,CAN,USA,2,\n")
         assert recs == [DyadicRecord(1950, "USA", "CAN", 1.5, None),
