@@ -1,6 +1,7 @@
 """Weighted international-trade network analysis.
 
-Build symmetrized annual trade networks from dyadic records and compute
+Build symmetrized annual trade networks from dyadic records
+(``read_columns`` -> ``pair_columns`` -> ``build_network``) and compute
 degree/strength/disparity metrics, weight and degree distribution fits
 (power law vs log-normal with a scaling collapse), weight-ordered
 percolation of the giant component, and strength-ordered rich-club curves.
@@ -16,16 +17,14 @@ from .distributions import (COLLAPSE_BINS_PER_DECADE, DegreeDistFit, LogHistogra
                             geometric_edges, intermediate_range, linear_fit,
                             log_histogram, scaling_regression)
 from .errors import (DegenerateDataError, DomainError, EmptyInputError,
-                     EmptyNetworkError, InsufficientDataError, NodeNotFoundError,
-                     ParseError, TradeNetError, ValidationError)
-from .graph import (AnnualTradeNetwork, EdgeWeights, NetworkSummary, build_network,
-                    load_snapshot, network_to_pairs, save_snapshot, snapshot_dumps,
-                    snapshot_loads, summarize, symmetrize)
-from .ingest import (DyadicRecord, PairedFlows, pair_flows, parse_records,
-                     records_from_pairs, write_records)
-from .metrics import (DisparityCurve, LogBinSpec, NodeMetricColumns, NodeMetrics,
-                      all_node_metrics, disparity_curve, disparity_samples,
-                      node_metric_columns, node_metrics)
+                     EmptyNetworkError, InsufficientDataError, ParseError,
+                     TradeNetError, ValidationError)
+from .graph import (AnnualTradeNetwork, NetworkSummary, build_network, load_snapshot,
+                    save_snapshot, snapshot_dumps, snapshot_loads, summarize)
+from .ingest import (DyadicColumns, PairedColumns, pair_columns, read_columns,
+                     write_network_records)
+from .metrics import (DisparityCurve, LogBinSpec, NodeMetricColumns, disparity_curve,
+                      node_metric_columns)
 from .percolation import (ExponentialFit, PercolationCurve, UnionFind,
                           fit_exponential_approach, percolate)
 from .richclub import (RichClubCurve, RichClubSeries, rich_club_curve,

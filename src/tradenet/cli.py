@@ -48,7 +48,7 @@ class RunConfig:
 
     input_path: str
     outdir: str
-    years: list[int] | None = None
+    years: str | None = None  # the --years value as given; None for all
     input_format: str = "csv"
     output_format: str = "csv"
     on_duplicate: str = "mean"
@@ -122,23 +122,36 @@ def _emit_table(outdir: Path, name: str, header, columns, output_format: str) ->
 # Argument values, checked before any input is read or file is written
 
 
-def _parse_years(spec: str | None) -> list[int] | None:
+def _parse_years(spec: str | None) -> tuple[set[int], list[tuple[int, int]]] | None:
+    """The years listed on their own and the LO:HI ranges of a year
+    selection, or None for all years.  A range is not expanded."""
     if spec in (None, "", "all"):
         return None
     years: set[int] = set()
+    ranges: list[tuple[int, int]] = []
     try:
         for part in spec.split(","):
-            part = part.strip()
-            if ":" in part:
-                lo, hi = part.split(":", 1)
-                years.update(range(int(lo), int(hi) + 1))
+            lo, colon, hi = part.partition(":")
+            if colon:
+                ranges.append((int(lo), int(hi)))
             else:
                 years.add(int(part))
     except ValueError:
         raise DomainError(f"invalid year selection {spec!r}") from None
-    if not years:
-        raise DomainError(f"empty year selection {spec!r}")
-    return sorted(years)
+    if any(lo > hi for lo, hi in ranges):
+        raise DomainError(f"empty year range in selection {spec!r}")
+    return years, ranges
+
+
+def _selected_years(selection, available) -> list[int]:
+    """The requested years: every available year when ``selection`` is
+    None, else each year listed on its own and each available year inside
+    a range."""
+    if selection is None:
+        return sorted(available)
+    years, ranges = selection
+    return sorted(years.union(y for y in available
+                              if any(lo <= y <= hi for lo, hi in ranges)))
 
 
 def _parse_float_range(spec: str | None) -> tuple[float, float] | None:
@@ -169,22 +182,25 @@ def _check_weight_fit_settings(config: RunConfig) -> None:
                          ("--collapse-bins-per-decade", config.collapse_bins_per_decade)):
         if bins < 1:
             raise DomainError(f"{option} must be at least 1, got {bins}")
-    if not 0.0 < config.fit_decades < math.inf:
-        raise DomainError(
-            f"--fit-decades must be positive and finite, got {config.fit_decades}")
+    for option, value in (("--fit-decades", config.fit_decades),
+                          ("--collapse-window", config.collapse_window)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{option} must be positive and finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # Input loading
 
 
-def _load_networks(input_path: str, years: list[int] | None, input_format: str,
-                   on_duplicate: str, missing: str):
-    """Load requested annual networks from a snapshot, a directory of
-    snapshots, or a dyadic record file.
+def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
+                   missing: str):
+    """Load the annual networks that ``years``, a _parse_years selection,
+    requests from a snapshot, a directory of snapshots, or a dyadic record
+    file.
 
     Returns (networks by year, per-year error messages), both keyed only by
-    requested years.
+    requested years.  A selection that requests no year is an
+    EmptyInputError.
     """
     path = Path(input_path)
     if not path.exists():
@@ -209,7 +225,7 @@ def _load_networks(input_path: str, years: list[int] | None, input_format: str,
         def builder(year):
             return build_network(paired, year, missing)
 
-    requested = years if years is not None else sorted(available)
+    requested = _selected_years(years, available)
     if not requested:
         raise EmptyInputError(f"no usable years in {input_path!r}")
     nets: dict[int, object] = {}
@@ -351,13 +367,14 @@ def _cmd_metrics(args) -> int:
 def _cmd_fit(args) -> int:
     config = _config_from_args(args)
     _check_weight_fit_settings(config)
+    years = _parse_years(config.years)
     if args.weights:
         weights = _read_weight_list(args.weights)
         _emit_fit_files(_ensure_outdir(args.outdir), "weights", weights, config,
                         args.output_format)
         return 0
-    nets, errors = _load_networks(args.input, _parse_years(args.years),
-                                  args.format, args.on_duplicate, args.missing)
+    nets, errors = _load_networks(args.input, years, args.format, args.on_duplicate,
+                                  args.missing)
     outdir = _ensure_outdir(args.outdir)
     for year, net in sorted(nets.items()):
         _emit_fit_files(outdir, str(year), net.w, config, args.output_format)
@@ -443,9 +460,11 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     if args.years:
-        years = _parse_years(args.years)
-        if years is None:
+        selection = _parse_years(args.years)
+        if selection is None:
             raise DomainError("synth --years must be explicit")
+        singles, ranges = selection
+        years = sorted(singles.union(*(range(lo, hi + 1) for lo, hi in ranges)))
         n_mult = args.n_multiplier
         gdp_mult = args.gdp_multiplier
         if args.n_final is not None:
@@ -482,11 +501,12 @@ def run_analyze(config: RunConfig) -> int:
     year is analyzed, and a manifest listing every artifact and every
     parameter.  Returns the process exit code.
     """
+    years = _parse_years(config.years)
     _check_emit_every(config.emit_every)
     _check_threshold(config.threshold)
     _check_weight_fit_settings(config)
     binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
-    nets, errors = _load_networks(config.input_path, config.years,
+    nets, errors = _load_networks(config.input_path, years,
                                   config.input_format, config.on_duplicate,
                                   config.missing)
     outdir = _ensure_outdir(config.outdir)
@@ -621,7 +641,7 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         input_path=getattr(args, "input", "") or "",
         outdir=args.outdir,
-        years=_parse_years(getattr(args, "years", None)),
+        years=getattr(args, "years", None),
         input_format=getattr(args, "format", "csv"),
         output_format=args.output_format,
         on_duplicate=getattr(args, "on_duplicate", "mean"),
@@ -666,7 +686,8 @@ def _add_io_arguments(parser, needs_input=True):
         parser.add_argument("--format", choices=("csv", "tsv"), default="csv",
                             help="delimiter of dyadic record files")
         parser.add_argument("--years", default=None,
-                            help="year selection: all (default), 1950, 1948:1960, or 1948,1950")
+                            help="year selection: all (default), 1950, 1948:1960, or "
+                                 "1948,1950; a range selects the years it holds")
         parser.add_argument("--on-duplicate", dest="on_duplicate",
                             choices=("mean", "first", "max"), default="mean",
                             help="how to resolve duplicate reports of one directed flow")

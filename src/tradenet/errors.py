@@ -29,10 +29,6 @@ class EmptyNetworkError(TradeNetError):
     """A network build produced no edges."""
 
 
-class NodeNotFoundError(TradeNetError):
-    """Requested country is not a node of the network."""
-
-
 class EmptyInputError(TradeNetError):
     """An operation received no data."""
 

@@ -9,9 +9,9 @@ convention is ours, not the data source's.
 
 The work is done on columns: ``read_columns`` streams a file into
 ``DyadicColumns`` and ``pair_columns`` resolves every year's duplicate
-reports at once into ``PairedColumns``.  ``parse_records``, ``pair_flows``,
-``records_from_pairs`` and ``write_records`` are the per-record interface
-over the same code.  Text is written by one column-join writer
+reports at once into ``PairedColumns``; graph.build_network turns one
+year of that into a network.  ``write_network_records`` writes networks
+back as dyadic rows.  Text is written by one column-join writer
 (``_write_columns``), which the CLI's tables and the snapshots use too.
 """
 
@@ -45,36 +45,6 @@ _READ_BLOCK = 1 << 16
 # Rows per write of the column-join writer, and per chunk that csv.reader
 # hands to the column builder.
 _BLOCK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class DyadicRecord:
-    """One reported directed flow pair between two countries in one year."""
-
-    year: int
-    reporter: str
-    partner: str
-    export_value: float | None
-    import_value: float | None
-
-
-@dataclass(frozen=True)
-class PairedFlows:
-    """The four reported flows for one unordered country pair in one year.
-
-    ``country_a < country_b`` under plain string order.  ``exp_ab`` is a's
-    reported export to b, ``imp_ab`` a's reported import from b, and the
-    ``_ba`` fields are b's reports in the opposite direction.  At least one
-    field is present and positive.
-    """
-
-    year: int
-    country_a: str
-    country_b: str
-    exp_ab: float | None = None
-    imp_ab: float | None = None
-    exp_ba: float | None = None
-    imp_ba: float | None = None
 
 
 @dataclass(frozen=True)
@@ -116,11 +86,14 @@ class PairedColumns:
 def read_columns(source, fmt: str = "csv") -> DyadicColumns:
     """Parse a delimited text stream or file path into DyadicColumns.
 
-    Accepts exactly what parse_records accepts and raises the same errors
-    with the same line numbers; the text is read in blocks, never held all
-    at once.  A block of plain text is split into columns directly; from
-    the first block that is not plain on, csv.reader reads the rest (see
-    _plain_lines).
+    ``source`` may be a path or an open text or binary file.  Structural
+    problems (wrong column count, non-numeric cells, bad header) raise
+    ParseError; invariant violations (self-trade, negative or non-finite
+    flows) raise ValidationError.  Both carry the 1-based line number of
+    the first bad row.  Row order is kept.  The text is read in blocks,
+    never held all at once.  A block of plain text is split into columns
+    directly; from the first block that is not plain on, csv.reader reads
+    the rest (see _plain_lines).
     """
     delimiter = _delimiter(fmt)
     fh, owned = _as_readable(source)
@@ -147,23 +120,6 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
     finally:
         if owned:
             fh.close()
-
-
-def parse_records(source, fmt: str = "csv") -> list[DyadicRecord]:
-    """Parse dyadic records from a delimited text stream or file path.
-
-    ``source`` may be a path or an open text/binary file.  Structural
-    problems (wrong column count, non-numeric cells, bad header) raise
-    ParseError; invariant violations (self-trade, negative or non-finite
-    flows) raise ValidationError.  Both carry the 1-based line number.
-    Row order is preserved.
-    """
-    cols = read_columns(source, fmt)
-    years = [cols.years[i] for i in cols.year.tolist()]
-    reporters = [cols.codes[i] for i in cols.reporter.tolist()]
-    partners = [cols.codes[i] for i in cols.partner.tolist()]
-    return list(map(DyadicRecord, years, reporters, partners,
-                    _optional(cols.exports), _optional(cols.imports)))
 
 
 def pair_columns(cols: DyadicColumns, on_duplicate: str = "mean") -> PairedColumns:
@@ -228,70 +184,12 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:]
 
 
-def pair_flows(records: Iterable[DyadicRecord], year: int,
-               on_duplicate: str = "mean") -> list[PairedFlows]:
-    """Collapse directed records for one year into canonical PairedFlows.
-
-    Duplicate reports of the same directed flow resolve per ``on_duplicate``
-    as in pair_columns: arithmetic mean of the reported values (default),
-    summed in ascending value order so record order cannot change the
-    result; first in input order; or maximum.  Zero flows are dropped
-    before resolution.  Pairs with no positive flow at all are not emitted.
-    Output is sorted by country pair.
-    """
-    _check_duplicate_policy(on_duplicate)
-    records = list(records)
-    for rec in records:
-        if rec.year != year:
-            raise ValidationError(f"record for year {rec.year} passed to pairing for {year}")
-    paired = pair_columns(_columns_from_records(records), on_duplicate)
-    codes = paired.codes
-    flows = [_optional(column) for column in paired.flows.T]
-    return [PairedFlows(year, codes[a], codes[b], *slots)
-            for a, b, *slots in zip(paired.a.tolist(), paired.b.tolist(), *flows)]
-
-
-def records_from_pairs(pairs: Iterable[PairedFlows]) -> list[DyadicRecord]:
-    """Expand PairedFlows back into one record per reporting country.
-
-    Inverse of pair_flows on duplicate-free data: re-pairing the output
-    reproduces the same PairedFlows bit for bit.
-    """
-    records = []
-    for pf in pairs:
-        if pf.exp_ab is not None or pf.imp_ab is not None:
-            records.append(DyadicRecord(pf.year, pf.country_a, pf.country_b,
-                                        pf.exp_ab, pf.imp_ab))
-        if pf.exp_ba is not None or pf.imp_ba is not None:
-            records.append(DyadicRecord(pf.year, pf.country_b, pf.country_a,
-                                        pf.exp_ba, pf.imp_ba))
-    return records
-
-
-def write_records(records: Iterable[DyadicRecord], dest, fmt: str = "csv") -> None:
-    """Write records as delimited text that parse_records reads back exactly.
-
-    Floats are serialized with their shortest round-trip representation.
-    """
-    delimiter = _delimiter(fmt)
-    rows = ([rec.year, rec.reporter, rec.partner, _flow_cell(rec.export_value),
-             _flow_cell(rec.import_value)] for rec in records)
-    fh, owned = _as_writable(dest)
-    try:
-        _write_columns(fh, HEADER, list(zip(*rows)), delimiter)
-    finally:
-        if owned:
-            fh.close()
-
-
 def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
     """Write networks as consistent double-reported dyadic rows.
 
     Each edge (a, b) becomes a's report and b's mirror report of the same
     two flows, so reading the file back and symmetrizing rebuilds every
     network bit for bit.  A zero flow weight is written as an empty cell.
-    The bytes equal write_records(records_from_pairs(network_to_pairs(net)))
-    over the networks in order.
     """
     delimiter = _delimiter(fmt)
     fh, owned = _as_writable(dest)
@@ -410,34 +308,10 @@ def _delimiter(fmt: str) -> str:
     return delimiter
 
 
-def _flow_cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _optional(values: np.ndarray) -> list[float | None]:
-    """Python floats of a flow column, None where it holds NaN."""
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
 def _check_duplicate_policy(on_duplicate: str) -> None:
     if on_duplicate not in DUPLICATE_POLICIES:
         raise DomainError(
             f"unknown duplicate policy {on_duplicate!r}; expected one of {DUPLICATE_POLICIES}")
-
-
-def _columns_from_records(records: list[DyadicRecord]) -> DyadicColumns:
-    years = sorted({rec.year for rec in records})
-    codes = sorted({c for rec in records for c in (rec.reporter, rec.partner)})
-    year_id = {y: i for i, y in enumerate(years)}
-    code_id = {c: i for i, c in enumerate(codes)}
-
-    return DyadicColumns(
-        tuple(years), tuple(codes),
-        np.array([year_id[rec.year] for rec in records], dtype=np.intp),
-        np.array([code_id[rec.reporter] for rec in records], dtype=np.intp),
-        np.array([code_id[rec.partner] for rec in records], dtype=np.intp),
-        np.array([rec.export_value for rec in records], dtype=np.float64),
-        np.array([rec.import_value for rec in records], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +478,7 @@ def _add(builder: _ColumnBuilder, columns, rows, lineno: int) -> None:
             return
         except _Unclean:
             pass
-    builder.add(_row_columns([_clean_row(row, k) for k, row in enumerate(rows, start=lineno)
+    builder.add(_row_columns([_parse_row(row, k) for k, row in enumerate(rows, start=lineno)
                               if row]))
 
 
@@ -716,13 +590,10 @@ def _flows(cells) -> np.ndarray:
     return values
 
 
-def _clean_row(row: list[str], lineno: int) -> list[str]:
-    rec = _parse_row(row, lineno)
-    return [str(rec.year), rec.reporter, rec.partner,
-            _flow_cell(rec.export_value), _flow_cell(rec.import_value)]
-
-
-def _parse_row(row: list[str], lineno: int) -> DyadicRecord:
+def _parse_row(row: list[str], lineno: int) -> list[str]:
+    """The five cells of one csv row, checked and cleaned: the year as the
+    str of its int, the codes stripped and each flow as the repr of its
+    float, or empty.  Raises the row's ParseError or ValidationError."""
     if len(row) != 5:
         raise ParseError(f"expected 5 columns, got {len(row)}", line=lineno)
     year_s, reporter, partner, export_s, import_s = (cell.strip() for cell in row)
@@ -732,23 +603,23 @@ def _parse_row(row: list[str], lineno: int) -> DyadicRecord:
         raise ParseError(f"non-integer year {year_s!r}", line=lineno) from None
     if not reporter or not partner:
         raise ParseError("empty country code", line=lineno)
-    export_value = _parse_flow(export_s, "export", lineno)
-    import_value = _parse_flow(import_s, "import", lineno)
+    export_cell = _parse_flow(export_s, "export", lineno)
+    import_cell = _parse_flow(import_s, "import", lineno)
     if reporter == partner:
         raise ValidationError(f"self-trade reported for {reporter!r}", line=lineno)
-    return DyadicRecord(year, reporter, partner, export_value, import_value)
+    return [str(year), reporter, partner, export_cell, import_cell]
 
 
-def _parse_flow(cell: str, name: str, lineno: int) -> float | None:
+def _parse_flow(cell: str, name: str, lineno: int) -> str:
     if cell == "":
-        return None
+        return ""
     try:
         value = float(cell)
     except ValueError:
         raise ParseError(f"non-numeric {name} value {cell!r}", line=lineno) from None
     if not math.isfinite(value) or value < 0:
         raise ValidationError(f"{name} value must be finite and >= 0, got {cell}", line=lineno)
-    return value
+    return repr(value)
 
 
 def _as_readable(source):

@@ -21,23 +21,6 @@ FLOWS = ("total", "export", "import")
 
 
 @dataclass(frozen=True)
-class NodeMetrics:
-    """Degrees, strength and disparity of one node.
-
-    ``k``, ``k_exp`` and ``k_imp`` are always the total/export/import
-    partner counts.  ``s`` and ``Y`` refer to the flow kind the metrics
-    were computed for; ``Y`` is None when that flow has zero strength
-    (degenerate node).
-    """
-
-    k: int
-    k_exp: int
-    k_imp: int
-    s: float
-    Y: float | None
-
-
-@dataclass(frozen=True)
 class LogBinSpec:
     """Logarithmic degree binning: bin count per decade and the minimum
     occupancy a bin needs to enter the exponent regression, both at least 1."""
@@ -63,9 +46,12 @@ class DisparityCurve:
 
 @dataclass(frozen=True)
 class NodeMetricColumns:
-    """NodeMetrics of every node as arrays in node order.
+    """Degrees, strength and disparity of every node as arrays in node order.
 
-    ``s`` is 0 and ``Y`` is NaN where the flow's strength is zero.
+    ``k``, ``k_exp`` and ``k_imp`` are always the total, export and import
+    partner counts.  ``s`` and ``Y`` refer to the flow kind the metrics were
+    computed for; ``s`` is 0 and ``Y`` is NaN where that flow's strength is
+    zero (a degenerate node).
     """
 
     k: np.ndarray
@@ -75,8 +61,8 @@ class NodeMetricColumns:
     Y: np.ndarray
 
     def lists(self) -> tuple[list, list, list, list, list]:
-        """The five columns as Python lists holding NodeMetrics values: a
-        degenerate node's ``s`` is the int 0 and its ``Y`` is None."""
+        """The five columns as Python lists: a degenerate node's ``s`` is the
+        int 0 and its ``Y`` is None."""
         s = self.s.tolist()
         y = self.Y.tolist()
         for i in np.flatnonzero(~(self.s > 0.0)).tolist():
@@ -85,43 +71,21 @@ class NodeMetricColumns:
         return self.k.tolist(), self.k_exp.tolist(), self.k_imp.tolist(), s, y
 
 
-def node_metrics(net: AnnualTradeNetwork, country: str, flow: str = "total") -> NodeMetrics:
-    """Compute degrees, strength and disparity for one node.
+def node_metric_columns(net: AnnualTradeNetwork, flow: str = "total") -> NodeMetricColumns:
+    """Degrees, strength and disparity of every node, in node order.
 
     Degree and strength for the selected flow count only partners with a
-    strictly positive weight of that kind.
-    """
-    _check_flow(flow)
-    i = net.index(country)
-    k, k_exp, k_imp, s, y = _columns(net, flow, i, i + 1).lists()
-    return NodeMetrics(k=k[0], k_exp=k_exp[0], k_imp=k_imp[0], s=s[0], Y=y[0])
-
-
-def node_metric_columns(net: AnnualTradeNetwork, flow: str = "total") -> NodeMetricColumns:
-    """node_metrics of every node as columns, in node order.
-
-    Computed once per network and flow and cached on the network, so the
-    arrays are read-only.
+    strictly positive weight of that kind.  Computed once per network and
+    flow and cached on the network, so the arrays are read-only.
     """
     _check_flow(flow)
     cols = net._metric_columns.get(flow)
     if cols is None:
-        cols = _columns(net, flow, 0, net.n_nodes)
+        cols = _columns(net, flow)
         for column in (cols.k, cols.k_exp, cols.k_imp, cols.s, cols.Y):
             column.flags.writeable = False
         net._metric_columns[flow] = cols
     return cols
-
-
-def all_node_metrics(net: AnnualTradeNetwork, flow: str = "total") -> dict[str, NodeMetrics]:
-    """node_metrics for every node, keyed by country code."""
-    return dict(zip(net.nodes, map(NodeMetrics, *node_metric_columns(net, flow).lists())))
-
-
-def disparity_samples(net: AnnualTradeNetwork, flow: str = "total") -> list[tuple[int, float]]:
-    """(degree, k*Y) samples for the selected flow, one per non-degenerate node."""
-    k, ky = _disparity(node_metric_columns(net, flow), flow)
-    return list(zip(k.tolist(), ky.tolist()))
 
 
 def _check_flow(flow: str) -> None:
@@ -129,22 +93,19 @@ def _check_flow(flow: str) -> None:
         raise DomainError(f"unknown flow kind {flow!r}; expected one of {FLOWS}")
 
 
-def _columns(net: AnnualTradeNetwork, flow: str, first: int, stop: int) -> NodeMetricColumns:
-    """Metrics of nodes first..stop-1 from their CSR half-edges.
+def _columns(net: AnnualTradeNetwork, flow: str) -> NodeMetricColumns:
+    """Metrics of every node from its CSR half-edges.
 
     Per node, the strength and the sum of squared shares add the partners'
-    weights in partner order, as a loop over neighbors() does; the square
-    is libm pow, as Python's ``** 2`` computes it.
+    weights in partner order, as a loop over the sorted partners does; the
+    square is libm pow, as Python's ``** 2`` computes it.
     """
     adj = net.adjacency()
-    lo, hi = adj.indptr[first], adj.indptr[stop]
-    node = adj.node[lo:hi]
-    edge = adj.edge[lo:hi]
-    forward = node < adj.partner[lo:hi]  # the node is the edge's smaller code
+    node, edge = adj.node, adj.edge
+    forward = node < adj.partner  # the node is the edge's smaller code
     out = np.where(forward, net.w_exp[edge], net.w_imp[edge])
     inc = np.where(forward, net.w_imp[edge], net.w_exp[edge])
-    node = node - first
-    n = stop - first
+    n = net.n_nodes
     chosen = {"total": net.w[edge], "export": out, "import": inc}[flow]
     selected = chosen > 0.0
     owner = node[selected]
@@ -153,7 +114,7 @@ def _columns(net: AnnualTradeNetwork, flow: str, first: int, stop: int) -> NodeM
     s = np.bincount(owner, weights=weights, minlength=n).astype(np.float64, copy=False)
     y = np.bincount(owner, weights=np.float_power(weights / s[owner], 2.0), minlength=n)
     y = np.where(s > 0.0, y, np.nan)
-    return NodeMetricColumns(k=np.diff(adj.indptr[first:stop + 1]),
+    return NodeMetricColumns(k=np.diff(adj.indptr),
                              k_exp=np.bincount(node[out > 0.0], minlength=n),
                              k_imp=np.bincount(node[inc > 0.0], minlength=n),
                              s=s, Y=y)

@@ -89,14 +89,10 @@ class PercolationCurve:
     f: np.ndarray
     giant: np.ndarray
 
-    @classmethod
-    def from_points(cls, order: str, points) -> PercolationCurve:
-        """Curve from a sequence of (f, giant fraction) pairs."""
-        f, giant = np.array(points, dtype=np.float64).reshape(-1, 2).T
-        return cls(order, f, giant)
-
     @property
     def points(self) -> list[tuple[float, float]]:
+        """(f, giant fraction) pairs as Python floats; the benchmark's tracer
+        (perfbench/tracing.py) counts insertions by their number."""
         return list(zip(self.f.tolist(), self.giant.tolist()))
 
 

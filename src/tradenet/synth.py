@@ -103,7 +103,7 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
     w_exp = rng.uniform(n_links) * w
     w_imp = w - w_exp
     return AnnualTradeNetwork._from_canonical(year, country_codes(n), ii[chosen], jj[chosen],
-                                              w_exp, w_imp, w_exp + w_imp)
+                                              w_exp, w_imp)
 
 
 def generate_panel(params: GravityParams, years: Iterable[int],

@@ -10,6 +10,12 @@ with the built-in ``sum`` and ``+=``.  A network is given as
 from __future__ import annotations
 
 
+def edge_dict(net):
+    """A network's edges as {(a, b): (w_exp, w_imp, w)} in (a, b) order."""
+    keys = zip([net.nodes[i] for i in net.a.tolist()], [net.nodes[i] for i in net.b.tolist()])
+    return dict(zip(keys, zip(net.w_exp.tolist(), net.w_imp.tolist(), net.w.tolist())))
+
+
 def adjacency(edges):
     """{country: {partner: (w_exp, w_imp, w)}}, both levels sorted by code."""
     adj = {}

@@ -1,20 +1,36 @@
 """Shared test helpers."""
 
+import io
+
 import numpy as np
 import pytest
 
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights
+from tradenet.graph import AnnualTradeNetwork, build_network
+from tradenet.ingest import pair_columns, read_columns, write_network_records
 
 
 def make_network(year, edge_list):
-    """Build a network from (a, b, w_exp, w_imp) tuples."""
-    edges = {}
-    for a, b, w_exp, w_imp in edge_list:
-        if a > b:
-            a, b = b, a
-            w_exp, w_imp = w_imp, w_exp
-        edges[(a, b)] = EdgeWeights(w_exp, w_imp, w_exp + w_imp)
-    return AnnualTradeNetwork(year, edges)
+    """Build a network from (a, b, w_exp, w_imp) tuples; a pair given as
+    (b, a) is turned round, its two flows with it."""
+    rows = [(a, b, w_exp, w_imp) if a < b else (b, a, w_imp, w_exp)
+            for a, b, w_exp, w_imp in edge_list]
+    return AnnualTradeNetwork(year, *zip(*rows))
+
+
+def rescaled(net, factor, year=None):
+    """``net`` with both flow weights of every edge multiplied by ``factor``."""
+    return AnnualTradeNetwork(net.year if year is None else year,
+                              [net.nodes[i] for i in net.a.tolist()],
+                              [net.nodes[i] for i in net.b.tolist()],
+                              factor * net.w_exp, factor * net.w_imp)
+
+
+def rebuilt_from_rows(net, missing="zero"):
+    """``net`` written as dyadic rows, read back, paired and built again."""
+    buf = io.StringIO()
+    write_network_records([net], buf)
+    buf.seek(0)
+    return build_network(pair_columns(read_columns(buf)), net.year, missing)
 
 
 def random_network(rng: np.random.Generator, n_nodes, edge_prob=0.4, year=2000,

@@ -5,9 +5,14 @@ columnar core: one dict bucket per country pair, each duplicate report
 resolved on its own, each pair symmetrized on its own.  The one change is
 that ``mean`` sums a slot's reports in ascending value order, the order
 the columnar core uses, so results cannot depend on record order.
+
+A record is a (year, reporter, partner, export, import) tuple with None for
+a flow that was not reported.
 """
 
 from __future__ import annotations
+
+import math
 
 SLOTS = ("exp_ab", "imp_ab", "exp_ba", "imp_ba")
 
@@ -17,7 +22,7 @@ def oracle_networks(records, years, on_duplicate, missing):
     or the error message the CLI reports for that year."""
     out = {}
     for year in years:
-        rows = [rec for rec in records if rec.year == year]
+        rows = [rec for rec in records if rec[0] == year]
         if not rows:
             out[year] = f"no records for year {year}"
             continue
@@ -34,16 +39,16 @@ def oracle_networks(records, years, on_duplicate, missing):
 
 def _buckets(records):
     buckets = {}
-    for rec in records:
-        if rec.reporter < rec.partner:
-            key, exp_slot, imp_slot = (rec.reporter, rec.partner), "exp_ab", "imp_ab"
+    for _, reporter, partner, export_value, import_value in records:
+        if reporter < partner:
+            key, exp_slot, imp_slot = (reporter, partner), "exp_ab", "imp_ab"
         else:
-            key, exp_slot, imp_slot = (rec.partner, rec.reporter), "exp_ba", "imp_ba"
+            key, exp_slot, imp_slot = (partner, reporter), "exp_ba", "imp_ba"
         slot = buckets.setdefault(key, {name: [] for name in SLOTS})
-        if rec.export_value:
-            slot[exp_slot].append(rec.export_value)
-        if rec.import_value:
-            slot[imp_slot].append(rec.import_value)
+        if export_value:
+            slot[exp_slot].append(export_value)
+        if import_value:
+            slot[imp_slot].append(import_value)
     return buckets
 
 
@@ -67,3 +72,24 @@ def _average(reported, mirrored, policy):
     if not present:
         return 0.0
     return present[0] if len(present) == 1 else (present[0] + present[1]) / 2.0
+
+
+def records_of(cols):
+    """The rows of DyadicColumns as records, in input order."""
+    return list(zip([cols.years[i] for i in cols.year.tolist()],
+                    [cols.codes[i] for i in cols.reporter.tolist()],
+                    [cols.codes[i] for i in cols.partner.tolist()],
+                    _optional(cols.exports), _optional(cols.imports)))
+
+
+def paired_rows(paired):
+    """The rows of PairedColumns as (year, a, b, exp_ab, imp_ab, exp_ba,
+    imp_ba) tuples, None where a slot holds no report."""
+    years = [paired.years[i] for i in paired.year.tolist()]
+    a = [paired.codes[i] for i in paired.a.tolist()]
+    b = [paired.codes[i] for i in paired.b.tolist()]
+    return list(zip(years, a, b, *map(_optional, paired.flows.T)))
+
+
+def _optional(values):
+    return [None if math.isnan(v) else v for v in values.tolist()]

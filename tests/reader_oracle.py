@@ -41,7 +41,7 @@ def oracle_read_columns(text: str, delimiter: str = ",") -> DyadicColumns:
         lineno += 1
     if lineno == 1:
         raise ParseError("missing header row", line=1)
-    return _columns(records)
+    return columns_of(records)
 
 
 def _parse_row(row, lineno):
@@ -73,7 +73,9 @@ def _parse_flow(cell, name, lineno):
     return value
 
 
-def _columns(records) -> DyadicColumns:
+def columns_of(records) -> DyadicColumns:
+    """DyadicColumns of (year, reporter, partner, export, import) records;
+    a missing flow is NaN or None."""
     years = sorted({rec[0] for rec in records})
     codes = sorted({code for rec in records for code in rec[1:3]})
     year_id = {y: i for i, y in enumerate(years)}

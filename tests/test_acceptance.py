@@ -10,16 +10,16 @@ import time
 
 import numpy as np
 
+from analysis_oracle import edge_dict
 from tradenet.cli import main as cli_main
 from tradenet.distributions import (collapse_from_log_density,
                                     degree_distribution_from_degrees,
                                     fit_lognormal, fit_power_law, log_histogram,
                                     scaling_regression)
-from tradenet.graph import (build_network, snapshot_dumps, summarize)
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights
-from tradenet.ingest import PairedFlows, pair_flows, parse_records, write_records, records_from_pairs
-from tradenet.graph import network_to_pairs
-from tradenet.metrics import node_metrics
+from tradenet.graph import AnnualTradeNetwork, build_network, snapshot_dumps, summarize
+from tradenet.ingest import (PairedColumns, pair_columns, read_columns,
+                             write_network_records)
+from tradenet.metrics import node_metric_columns
 from tradenet.percolation import percolate
 from tradenet.richclub import rich_club_curve, rich_club_series, rich_club_size
 from tradenet.synth import GravityParams, generate_network
@@ -33,44 +33,41 @@ def report(num, name, ok, detail=""):
 
 def random_network(rng, n_nodes, edge_prob=0.4, year=2000):
     codes = [f"N{i:03d}" for i in range(n_nodes)]
-    edges = {}
+    edges = []
     for i in range(n_nodes):
         for j in range(i + 1, n_nodes):
             if rng.random() < edge_prob:
                 w_exp = float(rng.random() * 100.0)
                 w_imp = float(rng.random() * 100.0)
                 if w_exp + w_imp > 0:
-                    edges[(codes[i], codes[j])] = EdgeWeights(w_exp, w_imp,
-                                                              w_exp + w_imp)
+                    edges.append((codes[i], codes[j], w_exp, w_imp))
     if not edges:
-        edges[(codes[0], codes[1])] = EdgeWeights(1.0, 2.0, 3.0)
-    return AnnualTradeNetwork(year, edges)
+        edges.append((codes[0], codes[1], 1.0, 2.0))
+    return AnnualTradeNetwork(year, *zip(*edges))
 
 
 def test_criterion_1_eq1_identity_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(1001)
     codes = [f"C{i:03d}" for i in range(142)]
-    all_pairs = [(codes[i], codes[j]) for i in range(142) for j in range(i + 1, 142)]
-    pairs = []
-    for a, b in all_pairs[:10_000]:
-        flows = [float(rng.uniform(0.0, 1e6)) if rng.random() < 0.7 else None
-                 for _ in range(4)]
-        if not any(flows):
-            flows[0] = float(rng.uniform(1.0, 1e6))
-        pairs.append(PairedFlows(2000, a, b, *flows))
-
-    identity_ok = True
-    from tradenet.graph import symmetrize
-    for pf in pairs:
-        ew = symmetrize(pf)
-        if ew is None or ew.w != ew.w_exp + ew.w_imp:
-            identity_ok = False
-            break
+    all_pairs = [(i, j) for i in range(142) for j in range(i + 1, 142)][:10_000]
+    flows = []
+    for _ in all_pairs:
+        row = [float(rng.uniform(0.0, 1e6)) if rng.random() < 0.7 else None
+               for _ in range(4)]
+        if not any(row):
+            row[0] = float(rng.uniform(1.0, 1e6))
+        flows.append(row)
+    a, b = np.array(all_pairs).T
+    pairs = PairedColumns((2000,), tuple(codes), np.zeros(len(a), dtype=np.intp), a, b,
+                          np.array(flows, dtype=np.float64))
 
     net = build_network(pairs, 2000)
+    # every pair has a report, so every pair is an edge, and w = w_exp + w_imp
+    identity_ok = (net.n_links == len(all_pairs)
+                   and (net.w == net.w_exp + net.w_imp).all())
     total = summarize(net).total_trade
-    strength_sum = sum(node_metrics(net, c).s for c in net.nodes)
+    strength_sum = sum(node_metric_columns(net).s.tolist())
     rel = abs(strength_sum - 2.0 * total) / (2.0 * total)
     elapsed = time.perf_counter() - start
     ok = identity_ok and rel <= 1e-9 and elapsed < 1.0
@@ -86,15 +83,16 @@ def test_criterion_2_disparity_oracle():
     for _ in range(200):
         net = random_network(rng, int(rng.integers(3, 31)),
                              edge_prob=float(rng.uniform(0.15, 0.7)))
-        for country in net.nodes:
-            nm = node_metrics(net, country)
+        edges = edge_dict(net)
+        cols = node_metric_columns(net)
+        for country, k, y in zip(net.nodes, cols.k.tolist(), cols.Y.tolist()):
             # independent brute force straight off the edge map
-            incident = [ew.w for (a, b), ew in net.edges.items()
+            incident = [w for (a, b), (_, _, w) in edges.items()
                         if a == country or b == country]
             s = sum(incident)
             y_oracle = sum((w / s) ** 2 for w in incident)
-            exact = exact and nm.Y == y_oracle
-            bounds = bounds and (1.0 / nm.k) <= nm.Y <= 1.0
+            exact = exact and y == y_oracle
+            bounds = bounds and (1.0 / k) <= y <= 1.0
             checked += 1
     report(2, "disparity-oracle", exact and bounds,
            f"{checked} nodes over 200 networks, exact equality")
@@ -130,9 +128,9 @@ def test_criterion_3_percolation_oracle():
                              edge_prob=float(rng.uniform(0.15, 0.7)))
         for order in ("descending", "ascending"):
             curve = percolate(net, order)
-            key = (lambda kv: (-kv[1].w, kv[0])) if order == "descending" \
-                else (lambda kv: (kv[1].w, kv[0]))
-            ranked = [k for k, _ in sorted(net.edges.items(), key=key)]
+            key = (lambda kv: (-kv[1][2], kv[0])) if order == "descending" \
+                else (lambda kv: (kv[1][2], kv[0]))
+            ranked = [k for k, _ in sorted(edge_dict(net).items(), key=key)]
             inserted = []
             for pair, (f, giant) in zip(ranked, curve.points):
                 inserted.append(pair)
@@ -219,16 +217,16 @@ def test_criterion_6_rich_club_oracle():
         club_size, _ = rich_club_size(curve, net, 0.5)
 
         # exhaustive: internal trade of every strength suffix from scratch
+        weights = {key: w for key, (_, _, w) in edge_dict(net).items()}
         strength = {}
         for c in net.nodes:
-            strength[c] = sum(ew.w for (a, b), ew in net.edges.items()
-                              if a == c or b == c)
+            strength[c] = sum(w for (a, b), w in weights.items() if a == c or b == c)
         seq = sorted(net.nodes, key=lambda c: (strength[c], c))
-        total = sum(ew.w for ew in net.edges.values())
+        total = sum(weights.values())
         best = len(seq)
         for start in range(len(seq)):
             club = set(seq[start:])
-            internal = sum(ew.w for (a, b), ew in net.edges.items()
+            internal = sum(w for (a, b), w in weights.items()
                            if a in club and b in club)
             if internal >= 0.5 * total:
                 best = len(seq) - start
@@ -283,13 +281,14 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         hubs = [f"C{i:02d}" for i in range(h)]
         for i in range(h):
             for j in range(i + 1, h):
-                edges[(hubs[i], hubs[j])] = EdgeWeights(500.0, 500.0, 1000.0)
+                edges[(hubs[i], hubs[j])] = (500.0, 500.0)
         for i in range(n):
             a, b = f"C{i:02d}", f"C{(i + 1) % n:02d}"
             if a > b:
                 a, b = b, a
-            edges.setdefault((a, b), EdgeWeights(0.5, 0.5, 1.0))
-        nets.append(AnnualTradeNetwork(1990 + t, edges))
+            edges.setdefault((a, b), (0.5, 0.5))
+        (a, b), (w_exp, w_imp) = zip(*edges), zip(*edges.values())
+        nets.append(AnnualTradeNetwork(1990 + t, a, b, w_exp, w_imp))
     values = [s_rc for _, s_rc in rich_club_series(nets).entries]
     non_increasing = all(p >= q for p, q in zip(values, values[1:]))
 
@@ -306,7 +305,7 @@ def test_criterion_9_ingest_round_trip(tmp_path):
     for year in (1955, 1999):
         net = generate_network(params, year)
         path = tmp_path / f"{year}.csv"
-        write_records(records_from_pairs(network_to_pairs(net)), path)
-        rebuilt = build_network(pair_flows(parse_records(path), year), year)
+        write_network_records([net], path)
+        rebuilt = build_network(pair_columns(read_columns(path)), year)
         ok = ok and snapshot_dumps(rebuilt) == snapshot_dumps(net)
     report(9, "ingest-round-trip", ok, "snapshots bit-identical after CSV cycle")

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import analysis_oracle as oracle
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights, summarize
-from tradenet.metrics import (FLOWS, all_node_metrics, disparity_samples,
-                              node_metrics)
+from tradenet.graph import AnnualTradeNetwork, summarize
+from tradenet.metrics import FLOWS, _disparity, node_metric_columns
 from tradenet.percolation import ORDERS, percolate
 from tradenet.richclub import rich_club_curve
 
@@ -50,16 +49,18 @@ def exact(value) -> str:
 @example({("AB", "B"): (0.0, 1.5, 1.5), ("A", "AB"): (1.0, 0.5, 1.5),
           ("A", "B"): (0.75, 0.75, 1.5), ("B", "C10"): (1.5, 0.0, 1.5)})
 def test_array_analyses_equal_the_dict_oracle(edges):
-    net = AnnualTradeNetwork(2000, {key: EdgeWeights(*w) for key, w in edges.items()})
+    a, b = zip(*edges)
+    w_exp, w_imp, _ = zip(*edges.values())
+    net = AnnualTradeNetwork(2000, a, b, w_exp, w_imp)
+    assert oracle.edge_dict(net) == dict(sorted(edges.items()))
+    assert net.nodes == tuple(oracle.adjacency(edges))
     assert exact(astuple(summarize(net))) == exact(oracle.summarize(2000, edges))
     for flow in FLOWS:
-        every = all_node_metrics(net, flow)
-        assert list(every) == list(net.nodes)
-        for country in net.nodes:
-            want = exact(oracle.node_metrics(edges, country, flow))
-            assert exact(astuple(node_metrics(net, country, flow))) == want
-            assert exact(astuple(every[country])) == want
-        assert (exact(disparity_samples(net, flow))
+        cols = node_metric_columns(net, flow)
+        assert (exact(list(zip(*cols.lists())))
+                == exact([oracle.node_metrics(edges, country, flow) for country in net.nodes]))
+        ks, kys = _disparity(cols, flow)
+        assert (exact(list(zip(ks.tolist(), kys.tolist())))
                 == exact(oracle.disparity_samples(edges, flow)))
     for order in ORDERS:
         assert exact(percolate(net, order).points) == exact(oracle.percolate(edges, order))

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -61,44 +62,6 @@ class TestSynthCommand:
             assert net.n_links == max(1, round(0.5 * n_t * (n_t - 1) / 2))
 
 
-def test_cli_builds_no_per_record_objects(tmp_path, monkeypatch):
-    import tradenet.graph
-    import tradenet.ingest
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("per-record object built on a CLI path")
-
-    for module in (tradenet.ingest, tradenet.graph):
-        for name in ("DyadicRecord", "PairedFlows"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    data = synth_csv(tmp_path, years="1990:1991")
-    assert main(["summary", "--input", str(data), "--outdir", str(tmp_path / "s")]) == 0
-    assert main(["panel", "--input", str(data), "--outdir", str(tmp_path / "p")]) == 0
-
-
-def test_cli_builds_no_edge_objects(tmp_path, monkeypatch):
-    """The CLI works on the network's arrays: no EdgeWeights, no edges or
-    neighbors() view, on any subcommand."""
-    import tradenet.graph
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("per-edge object built on a CLI path")
-
-    monkeypatch.setattr(tradenet.graph, "EdgeWeights", forbidden)
-    monkeypatch.setattr(tradenet.graph.AnnualTradeNetwork, "edges", property(forbidden))
-    monkeypatch.setattr(tradenet.graph.AnnualTradeNetwork, "neighbors", forbidden)
-    snaps = tmp_path / "snaps"
-    data = tmp_path / "d.csv"
-    assert main(["synth", "--countries", "25", "--years", "1990:1991", "--dyadic", str(data),
-                 "--snapshot-dir", str(snaps)]) == 0
-    for argv in (["panel", "--input", str(data)], ["panel", "--input", str(snaps)],
-                 ["summary", "--input", str(data)], ["metrics", "--input", str(snaps)],
-                 ["percolate", "--input", str(data), "--fit", "0.05:0.9"],
-                 ["richclub", "--input", str(snaps)], ["fit", "--input", str(data)]):
-        assert main(argv + ["--outdir", str(tmp_path / argv[0])]) == 0, argv
-
-
 REVERSED_RANGES = [["percolate", "--fit", "0.9:0.1"], ["percolate", "--fit", "0.5:0.5"],
                    ["panel", "--exp-fit-range", "0.9:0.1"], ["panel", "--fit-range", "10:1"],
                    ["panel", "--degree-fit-range", "20:5"], ["fit", "--fit-range", "nan:1"]]
@@ -110,7 +73,8 @@ BAD_FIT_SETTINGS = [["panel", "--bins-per-decade", "0"], ["fit", "--bins-per-dec
                     ["panel", "--collapse-bins-per-decade", "0"],
                     ["fit", "--collapse-bins-per-decade", "0"], ["fit", "--fit-decades", "0"],
                     ["panel", "--fit-decades", "-1"], ["fit", "--fit-decades", "inf"],
-                    ["panel", "--fit-decades", "nan"]]
+                    ["panel", "--fit-decades", "nan"], ["fit", "--collapse-window", "-1"],
+                    ["panel", "--collapse-window", "0"], ["fit", "--collapse-window", "nan"]]
 
 
 class TestArgumentErrors:
@@ -129,6 +93,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv, word", [
         (["summary", "--years", "abc"], "year"),
         (["summary", "--years", "1990,"], "year"),
+        (["summary", "--years", "1990:1989"], "year"),
         (["percolate", "--fit", "0.1"], "range"),
         (["percolate", "--emit-every", "0"], "emit-every"),
         (["percolate", "--emit-every", "-3"], "emit-every"),
@@ -161,7 +126,8 @@ GOLDEN_PANEL = Path(__file__).parent / "golden" / "synth" / "out" / "panel.csv"
 # left; either way the exit code contract must hold.
 INPUT_OPTIONS = {
     "--format": (["csv"], ["tsv", "psv"]),
-    "--years": (["all", "2002", "2001:2002", "2002,1999"], ["abc", "1990,", "", "2003:2001"]),
+    "--years": (["all", "", "2002", "2001:2002", "2002,1999", "2001:2100", "2001:2003000"],
+                ["abc", "1990,", "2003:2001", "2050:2100"]),
     "--on-duplicate": (["mean", "first", "max"], ["median"]),
     "--missing": (["zero", "copy"], ["none"]),
     "--output-format": (["csv", "json"], ["xml"]),
@@ -191,16 +157,19 @@ COMMAND_OPTIONS = {
 @given(st.data())
 def test_any_argument_values_keep_the_exit_code_contract(data):
     """Exit 0, 1 or 2 for any argument values, no exception but argparse's
-    SystemExit(2), and an exit 2 leaves no outdir behind.
+    SystemExit(2), exit 2 for a value to reject, and an exit 2 leaves no
+    outdir behind.
 
     Each option is left out, given a value to run with or, at a share of
     the draws fixed per example, a value to reject."""
     command = data.draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     bad_share = data.draw(st.sampled_from([0, 0, 5, 30]), label="bad share in 100")
     argv = [command, "--input", str(GOLDEN_PANEL)]
+    rejected = False
     for option, (good, bad) in {**INPUT_OPTIONS, **COMMAND_OPTIONS[command]}.items():
         if data.draw(st.booleans(), label=f"{option} given"):
             bad_draw = data.draw(st.sampled_from(range(100))) < bad_share
+            rejected = rejected or bad_draw
             argv.append(f"{option}={data.draw(st.sampled_from(bad if bad_draw else good))}")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         out = Path(tmp) / "out"
@@ -210,9 +179,44 @@ def test_any_argument_values_keep_the_exit_code_contract(data):
             assert exc.code == 2
             rc = 2
         assert rc in (0, 1, 2)
+        assert rc == 2 or not rejected
         if rc == 2:
             assert not out.exists()
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+class TestYearSelection:
+    """A LO:HI range selects the years of the input inside it; a year listed
+    on its own is requested whether or not the input has it."""
+
+    def run(self, tmp_path, capsys, years):
+        out = tmp_path / "out"
+        rc = main(["panel", "--input", str(GOLDEN_PANEL), "--years", years,
+                   "--outdir", str(out)])
+        manifest = out / "manifest.json"
+        entries = json.loads(manifest.read_text())["years"] if manifest.exists() else None
+        return rc, capsys.readouterr().err, entries
+
+    @pytest.mark.parametrize("years", ["2001:2100", "2001:2003000000", "1:2003"])
+    def test_range_selects_the_available_years(self, tmp_path, capsys, years):
+        start = time.perf_counter()
+        rc, err, entries = self.run(tmp_path, capsys, years)
+        assert rc == 0 and err == ""
+        assert sorted(entries) == ["2001", "2002", "2003"]
+        assert all("files" in entry for entry in entries.values())
+        assert time.perf_counter() - start < 10.0
+
+    def test_absent_single_year_is_one_error(self, tmp_path, capsys):
+        rc, err, entries = self.run(tmp_path, capsys, "2001,2099")
+        assert rc == 1
+        assert err == "error: year 2099: no records for year 2099\n"
+        assert sorted(entries) == ["2001", "2099"] and "error" in entries["2099"]
+
+    def test_range_without_available_year_exits_2(self, tmp_path, capsys):
+        rc, err, entries = self.run(tmp_path, capsys, "2050:2100")
+        assert rc == 2 and entries is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalysisCommands:
@@ -443,9 +447,9 @@ class TestPanel:
         calls = []
         columns = tradenet.metrics._columns
 
-        def counted(net, flow, first, stop):
+        def counted(net, flow):
             calls.append((net.year, flow))
-            return columns(net, flow, first, stop)
+            return columns(net, flow)
 
         monkeypatch.setattr(tradenet.metrics, "_columns", counted)
         data = synth_csv(tmp_path, years="1990:1992", countries=20)

@@ -1,41 +1,56 @@
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_network, random_network
-from tradenet.errors import (DomainError, EmptyNetworkError, NodeNotFoundError,
-                             ParseError, ValidationError)
-from tradenet.graph import (AnnualTradeNetwork, EdgeWeights, build_network,
-                            network_to_pairs, snapshot_dumps, snapshot_loads,
-                            summarize, symmetrize)
-from tradenet.ingest import PairedFlows
-from tradenet.metrics import node_metrics
+from conftest import make_network, random_network, rebuilt_from_rows
+from tradenet.errors import DomainError, EmptyNetworkError, ParseError, ValidationError
+from tradenet.graph import (AnnualTradeNetwork, build_network, snapshot_dumps,
+                            snapshot_loads, summarize)
+from tradenet.ingest import PairedColumns, write_network_records
+from tradenet.metrics import node_metric_columns
+
+
+def paired(*rows, year=2000):
+    """PairedColumns of one year from (a, b, exp_ab, imp_ab, exp_ba, imp_ba)
+    rows, a < b; a missing or None flow is no report."""
+    rows = sorted(row + (None,) * (6 - len(row)) for row in rows)
+    codes = tuple(sorted({code for row in rows for code in row[:2]}))
+    flows = np.array([row[2:] for row in rows], dtype=np.float64).reshape(len(rows), 4)
+    return PairedColumns((year,), codes, np.zeros(len(rows), dtype=np.intp),
+                         np.array([codes.index(row[0]) for row in rows], dtype=np.intp),
+                         np.array([codes.index(row[1]) for row in rows], dtype=np.intp),
+                         flows)
+
+
+def edge_weights(rows, missing="zero"):
+    """(w_exp, w_imp, w) of the one edge that rows build."""
+    net = build_network(paired(*rows), 2000, missing)
+    assert net.n_links == 1
+    return net.w_exp[0], net.w_imp[0], net.w[0]
 
 
 class TestSymmetrize:
     def test_consistent_reports(self):
-        pf = PairedFlows(1950, "A", "B", exp_ab=10.0, imp_ab=4.0, exp_ba=4.0, imp_ba=10.0)
-        ew = symmetrize(pf)
-        assert (ew.w_exp, ew.w_imp, ew.w) == (10.0, 4.0, 14.0)
+        assert edge_weights([("A", "B", 10.0, 4.0, 4.0, 10.0)]) == (10.0, 4.0, 14.0)
 
     def test_one_sided_zero_policy_halves(self):
-        pf = PairedFlows(1950, "A", "B", exp_ab=10.0, imp_ba=14.0)
-        ew = symmetrize(pf)
-        assert (ew.w_exp, ew.w_imp, ew.w) == (12.0, 0.0, 12.0)
+        assert edge_weights([("A", "B", 10.0, None, None, 14.0)]) == (12.0, 0.0, 12.0)
 
     def test_one_sided_copy_policy_keeps(self):
-        pf = PairedFlows(1950, "A", "B", exp_ab=10.0)
-        assert symmetrize(pf, missing="zero").w_exp == 5.0
-        assert symmetrize(pf, missing="copy").w_exp == 10.0
+        assert edge_weights([("A", "B", 10.0)], missing="zero")[0] == 5.0
+        assert edge_weights([("A", "B", 10.0)], missing="copy")[0] == 10.0
 
     def test_all_missing_is_no_edge(self):
-        pf = PairedFlows(1950, "A", "B")
-        assert symmetrize(pf) is None
-        assert symmetrize(pf, missing="copy") is None
+        for missing in ("zero", "copy"):
+            net = build_network(paired(("A", "B"), ("C", "D", 1.0)), 2000, missing)
+            assert net.nodes == ("C", "D")
 
     def test_unknown_policy(self):
         with pytest.raises(DomainError):
-            symmetrize(PairedFlows(1950, "A", "B", exp_ab=1.0), missing="drop")
+            build_network(paired(("A", "B", 1.0)), 2000, missing="drop")
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.floats(0.0, 1e9, allow_nan=False)),
@@ -43,57 +58,65 @@ class TestSymmetrize:
            st.sampled_from(["zero", "copy"]))
     def test_total_identity_and_swap_invariance(self, flows, policy):
         exp_ab, imp_ab, exp_ba, imp_ba = flows
-        pf = PairedFlows(2000, "A", "B", exp_ab, imp_ab, exp_ba, imp_ba)
-        swapped = PairedFlows(2000, "A", "B", exp_ba, imp_ba, exp_ab, imp_ab)
-        ew = symmetrize(pf, missing=policy)
-        sw = symmetrize(swapped, missing=policy)
+        pairs = paired(("A", "B", exp_ab, imp_ab, exp_ba, imp_ba))
+        swapped = paired(("A", "B", exp_ba, imp_ba, exp_ab, imp_ab))
+        nets = []
+        for cols in (pairs, swapped):
+            try:
+                nets.append(build_network(cols, 2000, policy))
+            except EmptyNetworkError:  # both weights came out zero: no edge
+                nets.append(None)
+        ew, sw = nets
         if ew is None:
             assert sw is None
             return
-        assert ew.w == ew.w_exp + ew.w_imp
+        assert ew.w[0] == ew.w_exp[0] + ew.w_imp[0]
         # swapping the two directions exchanges the roles but keeps the total
-        assert sw.w_exp == ew.w_imp and sw.w_imp == ew.w_exp and sw.w == ew.w
+        assert sw.w_exp[0] == ew.w_imp[0] and sw.w_imp[0] == ew.w_exp[0] and sw.w[0] == ew.w[0]
 
 
 class TestBuildNetwork:
     def test_three_pairs(self):
-        pairs = [PairedFlows(2000, "A", "B", exp_ab=1.0),
-                 PairedFlows(2000, "A", "C", exp_ab=2.0),
-                 PairedFlows(2000, "B", "C", exp_ab=3.0)]
-        net = build_network(pairs, 2000)
+        net = build_network(paired(("A", "B", 1.0), ("A", "C", 2.0), ("B", "C", 3.0)), 2000)
         assert net.n_nodes == 3 and net.n_links == 3
 
     def test_no_edge_pair_and_isolated_country_dropped(self):
-        pairs = [PairedFlows(2000, "A", "B", exp_ab=1.0),
-                 PairedFlows(2000, "C", "D")]
-        net = build_network(pairs, 2000)
+        net = build_network(paired(("A", "B", 1.0), ("C", "D")), 2000)
         assert net.nodes == ("A", "B")
 
     def test_empty_network_error(self):
         with pytest.raises(EmptyNetworkError):
-            build_network([PairedFlows(2000, "A", "B")], 2000)
+            build_network(paired(("A", "B")), 2000)
 
-    def test_duplicate_pair_rejected(self):
-        pairs = [PairedFlows(2000, "A", "B", exp_ab=1.0),
-                 PairedFlows(2000, "A", "B", exp_ab=2.0)]
-        with pytest.raises(ValidationError):
-            build_network(pairs, 2000)
-
-    def test_year_mismatch(self):
-        with pytest.raises(ValidationError):
-            build_network([PairedFlows(1999, "A", "B", exp_ab=1.0)], 2000)
+    def test_uses_only_the_rows_of_its_year(self):
+        cols = paired(("A", "B", 1.0), ("A", "C", 2.0))
+        cols = PairedColumns((1999, 2000), cols.codes, np.array([0, 1]), cols.a, cols.b,
+                             cols.flows)
+        assert build_network(cols, 2000).nodes == ("A", "C")
+        with pytest.raises(EmptyNetworkError):
+            build_network(cols, 2001)
 
     def test_order_independence(self, rng):
-        pairs = [PairedFlows(2000, f"C{i}", f"C{j}", exp_ab=float(rng.random()))
+        edges = [(f"C{i}", f"C{j}", float(rng.random()), 0.0)
                  for i in range(5) for j in range(i + 1, 6)]
-        net1 = build_network(pairs, 2000)
-        net2 = build_network(list(reversed(pairs)), 2000)
+        net1 = make_network(2000, edges)
+        net2 = make_network(2000, list(reversed(edges)))
         assert net1 == net2
-        assert list(net1.edges) == list(net2.edges)
+        assert net1 == build_network(paired(*(e[:3] for e in edges)), 2000, "copy")
 
     def test_non_canonical_edge_key_rejected(self):
         with pytest.raises(ValidationError):
-            AnnualTradeNetwork(2000, {("B", "A"): EdgeWeights(1.0, 0.0, 1.0)})
+            AnnualTradeNetwork(2000, ["B"], ["A"], [1.0], [0.0])
+
+    def test_constructor_checks_its_lists(self):
+        with pytest.raises(EmptyNetworkError):
+            AnnualTradeNetwork(2000, [], [], [], [])
+        with pytest.raises(ValidationError, match="duplicate edge"):
+            AnnualTradeNetwork(2000, ["A", "A"], ["B", "B"], [1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(ValidationError, match="unequal length"):
+            AnnualTradeNetwork(2000, ["A"], ["B"], [1.0, 2.0], [0.0])
+        net = AnnualTradeNetwork(2000, ["A"], ["B"], [0.1], [0.2])
+        assert net.w.tolist() == [0.1 + 0.2]
 
 
 class TestSummarize:
@@ -119,13 +142,8 @@ class TestSummarize:
         for _ in range(10):
             net = random_network(rng, int(rng.integers(3, 25)))
             total = summarize(net).total_trade
-            s_sum = sum(node_metrics(net, c).s for c in net.nodes)
+            s_sum = sum(node_metric_columns(net).s.tolist())
             assert s_sum == pytest.approx(2.0 * total, rel=1e-12)
-
-    def test_neighbors_unknown_country(self, rng):
-        net = random_network(rng, 5)
-        with pytest.raises(NodeNotFoundError):
-            net.neighbors("ZZ")
 
 
 class TestSnapshot:
@@ -171,15 +189,17 @@ class TestSnapshot:
         with pytest.raises(ValidationError):
             snapshot_loads(text)
 
-    def test_network_to_pairs_rebuilds_exactly(self, rng):
+    def test_dyadic_rows_rebuild_exactly(self, rng):
         for _ in range(20):
             net = random_network(rng, int(rng.integers(2, 20)))
-            rebuilt = build_network(network_to_pairs(net), net.year)
+            rebuilt = rebuilt_from_rows(net)
             assert rebuilt == net
             assert snapshot_dumps(rebuilt) == snapshot_dumps(net)
 
-    def test_network_to_pairs_handles_zero_flow_side(self):
+    def test_dyadic_rows_handle_zero_flow_side(self):
         net = make_network(2000, [("A", "B", 4.0, 0.0)])
-        (pf,) = network_to_pairs(net)
-        assert pf.imp_ab is None and pf.exp_ba is None
-        assert build_network([pf], 2000) == net
+        buf = io.StringIO()
+        write_network_records([net], buf)
+        assert buf.getvalue().splitlines()[1:] == ["2000,A,B,4.0,", "2000,B,A,,4.0"]
+        for missing in ("zero", "copy"):
+            assert rebuilt_from_rows(net, missing) == net

@@ -1,34 +1,41 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analysis_oracle import edge_dict
 from conftest import make_network, random_network
-from ingest_oracle import oracle_networks
+from ingest_oracle import oracle_networks, paired_rows, records_of
+from reader_oracle import columns_of
 from tradenet.cli import _load_networks
 from tradenet.errors import DomainError, ParseError, ValidationError
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights, network_to_pairs
-from tradenet.ingest import (DyadicRecord, PairedFlows, pair_flows, parse_records,
-                             records_from_pairs, write_network_records, write_records)
+from tradenet.graph import AnnualTradeNetwork
+from tradenet.ingest import pair_columns, read_columns, write_network_records
+from writer_oracle import network_records_text, records_text
 
 
 def parse(text, fmt="csv"):
-    return parse_records(io.StringIO(text), fmt)
+    return records_of(read_columns(io.StringIO(text), fmt))
+
+
+def pair(records, on_duplicate="mean"):
+    return paired_rows(pair_columns(columns_of(records), on_duplicate))
 
 
 HEADER = "year,reporter,partner,export,import\n"
 
 
-class TestParseRecords:
+class TestReadColumns:
     def test_basic_row(self):
         recs = parse(HEADER + "1950,USA,CAN,100.0,95.0\n")
-        assert recs == [DyadicRecord(1950, "USA", "CAN", 100.0, 95.0)]
+        assert recs == [(1950, "USA", "CAN", 100.0, 95.0)]
 
     def test_missing_cell_maps_to_none(self):
-        recs = parse(HEADER + "1950,USA,CAN,,95.0\n")
-        assert recs[0].export_value is None
-        assert recs[0].import_value == 95.0
+        cols = read_columns(io.StringIO(HEADER + "1950,USA,CAN,,95.0\n"))
+        assert np.isnan(cols.exports[0])
+        assert cols.imports[0] == 95.0
 
     def test_self_trade_rejected_with_line(self):
         with pytest.raises(ValidationError) as exc:
@@ -69,7 +76,7 @@ class TestParseRecords:
     def test_tsv(self):
         recs = parse("year\treporter\tpartner\texport\timport\n"
                      "1950\tUSA\tCAN\t3.5\t\n", fmt="tsv")
-        assert recs == [DyadicRecord(1950, "USA", "CAN", 3.5, None)]
+        assert recs == [(1950, "USA", "CAN", 3.5, None)]
 
     def test_unknown_format(self):
         with pytest.raises(DomainError):
@@ -77,7 +84,7 @@ class TestParseRecords:
 
     def test_row_order_preserved(self):
         recs = parse(HEADER + "1950,B,C,1,1\n1950,A,C,2,2\n")
-        assert [r.reporter for r in recs] == ["B", "A"]
+        assert [r[1] for r in recs] == ["B", "A"]
 
     def test_blank_lines_skipped(self):
         recs = parse(HEADER + "\n1950,USA,CAN,1.0,2.0\n\n")
@@ -96,13 +103,13 @@ class TestParseRecords:
         path.write_bytes(data)
         for source in (path, io.BytesIO(data)):
             with pytest.raises(ParseError, match="not UTF-8") as exc:
-                parse_records(source)
+                read_columns(source)
             assert exc.value.line == 4002
 
     def test_row_error_before_bad_bytes_is_reported_first(self):
         data = (HEADER + "1950,USA,USA,1,1\n").encode() + b"1950,CAF\xe9,USA,1,1\n"
         with pytest.raises(ValidationError) as exc:
-            parse_records(io.BytesIO(data))
+            read_columns(io.BytesIO(data))
         assert exc.value.line == 2
 
     def test_field_over_the_csv_field_limit(self):
@@ -122,94 +129,73 @@ class TestParseRecords:
         monkeypatch.setattr(tradenet.ingest, "_parse_row", forbidden)
         rows = "".join(f"1950,A{i},B{i},{i}.5,\r\n" for i in range(4000))
         recs = parse(HEADER + "\n" + rows)
-        assert len(recs) == 4000 and recs[-1] == DyadicRecord(1950, "A3999", "B3999", 3999.5, None)
+        assert len(recs) == 4000 and recs[-1] == (1950, "A3999", "B3999", 3999.5, None)
 
     def test_padded_cells_are_stripped(self):
         recs = parse(HEADER + " 1950 , USA ,CAN, 1.5 ,  \n1950,CAN,USA,2,\n")
-        assert recs == [DyadicRecord(1950, "USA", "CAN", 1.5, None),
-                        DyadicRecord(1950, "CAN", "USA", 2.0, None)]
+        assert recs == [(1950, "USA", "CAN", 1.5, None), (1950, "CAN", "USA", 2.0, None)]
 
     def test_byte_stream(self):
         data = (HEADER + "1950,USA,CAN,1.5,\n").encode("utf-8")
-        recs = parse_records(io.BytesIO(data))
-        assert recs == [DyadicRecord(1950, "USA", "CAN", 1.5, None)]
+        recs = records_of(read_columns(io.BytesIO(data)))
+        assert recs == [(1950, "USA", "CAN", 1.5, None)]
 
 
-class TestPairFlows:
+class TestPairColumns:
     def test_single_sided_report(self):
-        recs = [DyadicRecord(1950, "A", "B", 10.0, 4.0)]
-        assert pair_flows(recs, 1950) == [
-            PairedFlows(1950, "A", "B", exp_ab=10.0, imp_ab=4.0)]
+        assert pair([(1950, "A", "B", 10.0, 4.0)]) == [(1950, "A", "B", 10.0, 4.0, None, None)]
 
     def test_both_sides_reported(self):
-        recs = [DyadicRecord(1950, "A", "B", 10.0, 4.0),
-                DyadicRecord(1950, "B", "A", 5.0, 9.0)]
-        assert pair_flows(recs, 1950) == [
-            PairedFlows(1950, "A", "B", exp_ab=10.0, imp_ab=4.0, exp_ba=5.0, imp_ba=9.0)]
+        recs = [(1950, "A", "B", 10.0, 4.0), (1950, "B", "A", 5.0, 9.0)]
+        assert pair(recs) == [(1950, "A", "B", 10.0, 4.0, 5.0, 9.0)]
 
     def test_duplicate_mean(self):
-        recs = [DyadicRecord(1950, "A", "B", 10.0, None),
-                DyadicRecord(1950, "A", "B", 12.0, None)]
-        (pf,) = pair_flows(recs, 1950, on_duplicate="mean")
-        assert pf.exp_ab == 11.0
+        recs = [(1950, "A", "B", 10.0, None), (1950, "A", "B", 12.0, None)]
+        (row,) = pair(recs, on_duplicate="mean")
+        assert row[3] == 11.0
 
     def test_duplicate_first_and_max(self):
-        recs = [DyadicRecord(1950, "A", "B", 10.0, None),
-                DyadicRecord(1950, "A", "B", 12.0, None)]
-        assert pair_flows(recs, 1950, on_duplicate="first")[0].exp_ab == 10.0
-        assert pair_flows(recs, 1950, on_duplicate="max")[0].exp_ab == 12.0
+        recs = [(1950, "A", "B", 10.0, None), (1950, "A", "B", 12.0, None)]
+        assert pair(recs, on_duplicate="first")[0][3] == 10.0
+        assert pair(recs, on_duplicate="max")[0][3] == 12.0
 
     def test_zero_flow_treated_as_missing(self):
-        recs = [DyadicRecord(1950, "A", "B", 0.0, 4.0)]
-        (pf,) = pair_flows(recs, 1950)
-        assert pf.exp_ab is None and pf.imp_ab == 4.0
+        (row,) = pair([(1950, "A", "B", 0.0, 4.0)])
+        assert row[3] is None and row[4] == 4.0
 
     def test_all_missing_pair_dropped(self):
-        recs = [DyadicRecord(1950, "A", "B", 0.0, None),
-                DyadicRecord(1950, "C", "D", 1.0, None)]
-        pairs = pair_flows(recs, 1950)
-        assert [(p.country_a, p.country_b) for p in pairs] == [("C", "D")]
+        recs = [(1950, "A", "B", 0.0, None), (1950, "C", "D", 1.0, None)]
+        assert [row[1:3] for row in pair(recs)] == [("C", "D")]
 
     def test_zero_ignored_in_duplicate_resolution(self):
-        recs = [DyadicRecord(1950, "A", "B", 0.0, None),
-                DyadicRecord(1950, "A", "B", 12.0, None)]
-        (pf,) = pair_flows(recs, 1950, on_duplicate="mean")
-        assert pf.exp_ab == 12.0
+        recs = [(1950, "A", "B", 0.0, None), (1950, "A", "B", 12.0, None)]
+        (row,) = pair(recs, on_duplicate="mean")
+        assert row[3] == 12.0
 
     def test_duplicate_mean_independent_of_report_order(self):
         def mean_of(values):
-            recs = [DyadicRecord(1950, "A", "B", v, None) for v in values]
-            (pf,) = pair_flows(recs, 1950, on_duplicate="mean")
-            return pf.exp_ab
+            (row,) = pair([(1950, "A", "B", v, None) for v in values], on_duplicate="mean")
+            return row[3]
 
         # summed in ascending order whatever the input order
         assert mean_of([0.1, 0.2, 0.3]) == mean_of([0.3, 0.2, 0.1]) == (0.1 + 0.2 + 0.3) / 3
 
-    def test_year_mismatch(self):
-        with pytest.raises(ValidationError):
-            pair_flows([DyadicRecord(1951, "A", "B", 1.0, None)], 1950)
-
     def test_bad_policy(self):
         with pytest.raises(DomainError):
-            pair_flows([], 1950, on_duplicate="median")
+            pair([], on_duplicate="median")
 
     def test_canonical_orientation(self):
         # reporter above the partner in code order lands on the _ba side
-        recs = [DyadicRecord(1950, "B", "A", 7.0, 2.0)]
-        (pf,) = pair_flows(recs, 1950)
-        assert (pf.country_a, pf.country_b) == ("A", "B")
-        assert pf.exp_ba == 7.0 and pf.imp_ba == 2.0
-        assert pf.exp_ab is None and pf.imp_ab is None
+        (row,) = pair([(1950, "B", "A", 7.0, 2.0)])
+        assert row == (1950, "A", "B", None, None, 7.0, 2.0)
 
     def test_each_pair_appears_once(self, rng):
         codes = [f"C{i}" for i in range(8)]
         recs = []
         for _ in range(200):
             i, j = rng.choice(len(codes), size=2, replace=False)
-            recs.append(DyadicRecord(2000, codes[i], codes[j],
-                                     float(rng.random()), float(rng.random())))
-        pairs = pair_flows(recs, 2000)
-        keys = [(p.country_a, p.country_b) for p in pairs]
+            recs.append((2000, codes[i], codes[j], float(rng.random()), float(rng.random())))
+        keys = [row[1:3] for row in pair(recs)]
         assert len(keys) == len(set(keys))
         assert all(a < b for a, b in keys)
 
@@ -225,8 +211,7 @@ def record_lists(draw):
     for _ in range(n):
         i = draw(st.integers(0, 3))
         j = draw(st.integers(0, 3).filter(lambda x: x != i))
-        recs.append(DyadicRecord(2000, codes[i], codes[j],
-                                 draw(flow_values), draw(flow_values)))
+        recs.append((2000, codes[i], codes[j], draw(flow_values), draw(flow_values)))
     return recs
 
 
@@ -234,42 +219,48 @@ def record_lists(draw):
 @given(record_lists(), st.randoms(use_true_random=False),
        st.sampled_from(["mean", "max"]))
 def test_pairing_invariant_under_reordering(recs, rand, policy):
-    before = pair_flows(recs, 2000, on_duplicate=policy)
+    before = pair(recs, on_duplicate=policy)
     shuffled = list(recs)
     rand.shuffle(shuffled)
-    assert pair_flows(shuffled, 2000, on_duplicate=policy) == before
+    assert pair(shuffled, on_duplicate=policy) == before
 
 
 @settings(max_examples=60, deadline=None)
 @given(record_lists())
 def test_round_trip_pairs_records_pairs(recs):
-    pairs = pair_flows(recs, 2000)
-    assert pair_flows(records_from_pairs(pairs), 2000) == pairs
+    """Re-pairing one report per reporting country of each resolved pair
+    gives the same pairs bit for bit."""
+    pairs = pair(recs)
+    reports = []
+    for year, a, b, exp_ab, imp_ab, exp_ba, imp_ba in pairs:
+        if exp_ab is not None or imp_ab is not None:
+            reports.append((year, a, b, exp_ab, imp_ab))
+        if exp_ba is not None or imp_ba is not None:
+            reports.append((year, b, a, exp_ba, imp_ba))
+    assert pair(reports) == pairs
 
 
-def test_write_records_round_trip(tmp_path):
-    recs = [DyadicRecord(1950, "USA", "CAN", 0.1 + 0.2, None),
-            DyadicRecord(1950, "CAN", "MEX", 1e-12, 3.0000000000000004)]
+def test_written_records_read_back_exactly(tmp_path):
+    recs = [(1950, "USA", "CAN", 0.1 + 0.2, None),
+            (1950, "CAN", "MEX", 1e-12, 3.0000000000000004)]
     path = tmp_path / "records.csv"
-    write_records(recs, path)
-    assert parse_records(path) == recs
+    path.write_text(records_text(recs))
+    assert records_of(read_columns(path)) == recs
 
 
-def test_write_records_tsv_round_trip(tmp_path):
-    recs = [DyadicRecord(1950, "USA", "CAN", 5.25, 1.75)]
+def test_written_records_tsv_read_back_exactly(tmp_path):
+    recs = [(1950, "USA", "CAN", 5.25, 1.75)]
     path = tmp_path / "records.tsv"
-    write_records(recs, path, fmt="tsv")
-    assert parse_records(path, fmt="tsv") == recs
+    path.write_text(records_text(recs, "\t"))
+    assert records_of(read_columns(path, fmt="tsv")) == recs
 
 
-def test_write_network_records_matches_record_round_trip(rng):
+def test_write_network_records_matches_csv_writer(rng):
     nets = [random_network(rng, 8, year=1990), random_network(rng, 5, year=1991),
             make_network(1992, [("A", "B", 4.0, 0.0), ("B", "C", 0.0, 2.5)])]
-    direct, via_records = io.StringIO(), io.StringIO()
+    direct = io.StringIO()
     write_network_records(nets, direct)
-    write_records([rec for net in nets for rec in records_from_pairs(network_to_pairs(net))],
-                  via_records)
-    assert direct.getvalue() == via_records.getvalue()
+    assert direct.getvalue() == network_records_text(nets)
 
 
 ORACLE_YEARS = [1990, 1991, 1992]
@@ -288,8 +279,7 @@ def report_sets(draw):
         i = draw(st.integers(0, 3))
         j = draw(st.integers(0, 3).filter(lambda x: x != i))
         for _ in range(draw(st.integers(1, 4))):
-            recs.append(DyadicRecord(year, codes[i], codes[j],
-                                     draw(oracle_flows), draw(oracle_flows)))
+            recs.append((year, codes[i], codes[j], draw(oracle_flows), draw(oracle_flows)))
     selection = st.lists(st.sampled_from(ORACLE_YEARS + [1999]), min_size=1, unique=True)
     return draw(st.permutations(recs)), draw(st.one_of(st.none(), selection.map(sorted)))
 
@@ -300,17 +290,18 @@ def report_sets(draw):
 def test_columnar_core_matches_oracle(tmp_path_factory, reports, on_duplicate, missing):
     recs, years = reports
     path = tmp_path_factory.mktemp("oracle") / "reports.csv"
-    write_records(recs, path)
-    nets, errors = _load_networks(str(path), years, "csv", on_duplicate, missing)
-    want = oracle_networks(recs, years or sorted({r.year for r in recs}), on_duplicate, missing)
+    path.write_text(records_text(recs))
+    selection = None if years is None else (set(years), [])
+    nets, errors = _load_networks(str(path), selection, "csv", on_duplicate, missing)
+    want = oracle_networks(recs, years or sorted({r[0] for r in recs}), on_duplicate, missing)
     got = {year: str(message) for year, message in errors.items()}
-    got.update((year, {key: (ew.w_exp, ew.w_imp, ew.w) for key, ew in net.edges.items()})
-               for year, net in nets.items())
+    got.update((year, edge_dict(net)) for year, net in nets.items())
     assert got == want
     for year, net in nets.items():
-        reference = AnnualTradeNetwork(year, {key: EdgeWeights(*w)
-                                              for key, w in want[year].items()})
-        assert list(net.edges) == list(reference.edges)
+        a, b = zip(*want[year])
+        w_exp, w_imp, _ = zip(*want[year].values())
+        reference = AnnualTradeNetwork(year, a, b, w_exp, w_imp)
+        assert net == reference
         assert net.nodes == reference.nodes
-        assert ([list(net.neighbors(c).items()) for c in net.nodes]
-                == [list(reference.neighbors(c).items()) for c in net.nodes])
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(net.adjacency(), reference.adjacency()))

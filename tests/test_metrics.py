@@ -1,20 +1,29 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import make_network, random_network
-from tradenet.errors import DomainError, InsufficientDataError, NodeNotFoundError
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights
-from tradenet.metrics import (LogBinSpec, all_node_metrics, disparity_curve,
-                              disparity_samples, node_metric_columns, node_metrics)
+from analysis_oracle import edge_dict
+from conftest import make_network, random_network, rescaled
+from tradenet.errors import DomainError, InsufficientDataError
+from tradenet.metrics import LogBinSpec, _disparity, disparity_curve, node_metric_columns
+
+
+def node_row(net, country, flow="total"):
+    """One node's k, k_exp, k_imp, s and Y as the metrics table writes them:
+    a degenerate node's s is the int 0 and its Y is None."""
+    i = net.nodes.index(country)
+    columns = node_metric_columns(net, flow).lists()
+    return SimpleNamespace(**{name: column[i] for name, column
+                              in zip(("k", "k_exp", "k_imp", "s", "Y"), columns)})
 
 
 def brute_force_disparity(net, country):
     """Straight evaluation of the squared-share sum from the edge map."""
     incident = []
-    for (a, b), ew in net.edges.items():
+    for (a, b), (_, _, w) in edge_dict(net).items():
         if a == country or b == country:
-            incident.append(ew.w)
+            incident.append(w)
     s = sum(incident)
     return sum((w / s) ** 2 for w in incident)
 
@@ -30,59 +39,53 @@ class TestNodeMetrics:
 
     def test_equal_weights_lower_bound(self):
         net = make_network(2000, [("X", f"P{i}", 1.0, 1.0) for i in range(4)])
-        nm = node_metrics(net, "X")
+        nm = node_row(net, "X")
         assert nm.k == 4 and nm.Y == 0.25
 
     def test_uneven_weights(self):
         net = make_network(2000, [("X", "A", 1.0, 0.0), ("X", "B", 3.0, 0.0)])
-        nm = node_metrics(net, "X")
+        nm = node_row(net, "X")
         assert nm.s == 4.0
         assert nm.Y == 0.625  # (1/4)^2 + (3/4)^2
 
     def test_zero_export_edge_excluded_from_k_exp(self):
         net = make_network(2000, [("X", "A", 0.0, 2.0), ("X", "B", 3.0, 1.0)])
-        nm = node_metrics(net, "X")
+        nm = node_row(net, "X")
         assert nm.k == 2 and nm.k_exp == 1 and nm.k_imp == 2
 
     def test_directional_orientation(self):
         # X > A in code order, so X's outgoing flow sits on the w_imp slot
         net = make_network(2000, [("A", "X", 5.0, 2.0)])
-        assert node_metrics(net, "X", "export").s == 2.0
-        assert node_metrics(net, "X", "import").s == 5.0
-        assert node_metrics(net, "A", "export").s == 5.0
+        assert node_row(net, "X", "export").s == 2.0
+        assert node_row(net, "X", "import").s == 5.0
+        assert node_row(net, "A", "export").s == 5.0
 
     def test_degenerate_flow_marker(self):
         net = make_network(2000, [("X", "A", 0.0, 2.0)])
-        nm = node_metrics(net, "X", "export")
+        nm = node_row(net, "X", "export")
         assert nm.s == 0.0 and nm.Y is None
-        assert node_metrics(net, "X", "import").Y == 1.0
-
-    def test_unknown_country(self):
-        net = make_network(2000, [("A", "B", 1.0, 1.0)])
-        with pytest.raises(NodeNotFoundError):
-            node_metrics(net, "Z")
+        assert node_row(net, "X", "import").Y == 1.0
 
     def test_unknown_flow(self):
         net = make_network(2000, [("A", "B", 1.0, 1.0)])
         with pytest.raises(DomainError):
-            node_metrics(net, "A", "net")
+            node_metric_columns(net, "net")
 
     def test_matches_brute_force_exactly(self, rng):
         for _ in range(50):
             net = random_network(rng, int(rng.integers(3, 30)))
             for c in net.nodes:
-                nm = node_metrics(net, c)
+                nm = node_row(net, c)
                 assert nm.Y == brute_force_disparity(net, c)
                 assert 1.0 / nm.k <= nm.Y <= 1.0
                 assert max(nm.k_exp, nm.k_imp) <= nm.k <= nm.k_exp + nm.k_imp
 
     def test_power_of_two_rescale_is_exact(self, rng):
         net = random_network(rng, 12)
-        scaled = AnnualTradeNetwork(net.year, {
-            key: EdgeWeights(4.0 * ew.w_exp, 4.0 * ew.w_imp, 4.0 * ew.w)
-            for key, ew in net.edges.items()})
+        scaled = rescaled(net, 4.0)
+        assert scaled.w.tolist() == (4.0 * net.w).tolist()
         for c in net.nodes:
-            base, big = node_metrics(net, c), node_metrics(scaled, c)
+            base, big = node_row(net, c), node_row(scaled, c)
             assert (big.k, big.k_exp, big.k_imp) == (base.k, base.k_exp, base.k_imp)
             assert big.Y == base.Y
             assert big.s == 4.0 * base.s
@@ -90,23 +93,22 @@ class TestNodeMetrics:
     def test_general_rescale_within_float_error(self, rng):
         net = random_network(rng, 12)
         c = 3.7
-        scaled = AnnualTradeNetwork(net.year, {
-            key: EdgeWeights(c * ew.w_exp, c * ew.w_imp, c * ew.w_exp + c * ew.w_imp)
-            for key, ew in net.edges.items()})
+        scaled = rescaled(net, c)
         for code in net.nodes:
-            base, big = node_metrics(net, code), node_metrics(scaled, code)
+            base, big = node_row(net, code), node_row(scaled, code)
             assert big.Y == pytest.approx(base.Y, rel=1e-12)
             assert big.s == pytest.approx(c * base.s, rel=1e-12)
 
-    def test_all_node_metrics_covers_nodes(self, rng):
+    def test_columns_cover_nodes(self, rng):
         net = random_network(rng, 10)
-        table = all_node_metrics(net)
-        assert set(table) == set(net.nodes)
+        for flow in ("total", "export", "import"):
+            assert all(len(column) == net.n_nodes
+                       for column in node_metric_columns(net, flow).lists())
 
 
 def clique_network(sizes, weight_of, copies=3, year=2000):
     """Disjoint complete graphs; edge weight from weight_of(i, j)."""
-    edges = {}
+    edges = []
     tag = 0
     for m in sizes:
         for _ in range(copies):
@@ -114,9 +116,9 @@ def clique_network(sizes, weight_of, copies=3, year=2000):
             for i in range(m):
                 for j in range(i + 1, m):
                     w = weight_of(i, j)
-                    edges[(codes[i], codes[j])] = EdgeWeights(w / 2, w / 2, w)
+                    edges.append((codes[i], codes[j], w / 2, w / 2))
             tag += 1
-    return AnnualTradeNetwork(year, edges)
+    return make_network(year, edges)
 
 
 class TestDisparityCurve:
@@ -138,8 +140,9 @@ class TestDisparityCurve:
         curve = disparity_curve(nets, binning=binning)
         samples = []
         for net in nets:
+            edges = edge_dict(net)
             for c in net.nodes:
-                k = len(net.neighbors(c))
+                k = sum(c in key for key in edges)
                 samples.append((k, k * brute_force_disparity(net, c)))
         # regroup independently around each reported bin center
         ratio = 10.0 ** (1.0 / binning.bins_per_decade)
@@ -173,12 +176,13 @@ class TestDisparityCurve:
     def test_degenerate_nodes_skipped(self):
         net = make_network(2000, [("A", "B", 3.0, 0.0), ("A", "C", 1.0, 0.0),
                                   ("B", "C", 0.0, 2.0)])
-        ks = [k for k, _ in disparity_samples(net, "export")]
+        ks, _ = _disparity(node_metric_columns(net, "export"), "export")
         # C exports nothing: absent from the export samples
         assert len(ks) == 2
 
     def test_export_degree_used_for_export_flow(self):
         net = make_network(2000, [("X", "A", 1.0, 1.0), ("X", "B", 0.0, 1.0)])
         # X exports only to A, so its export sample has degree 1, not 2
-        assert node_metrics(net, "X", "export").k_exp == 1
-        assert disparity_samples(net, "export") == [(1, 1.0)] * 3
+        assert node_row(net, "X", "export").k_exp == 1
+        ks, kys = _disparity(node_metric_columns(net, "export"), "export")
+        assert list(zip(ks.tolist(), kys.tolist())) == [(1, 1.0)] * 3

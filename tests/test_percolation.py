@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from analysis_oracle import edge_dict
 from conftest import make_network, random_network
 from tradenet.errors import DomainError, InsufficientDataError
 from tradenet.percolation import (PercolationCurve, UnionFind,
@@ -35,10 +36,16 @@ def bfs_largest_component(nodes, edges):
 
 
 def ordered_edges(net, order):
-    ranked = sorted(net.edges.items(),
-                    key=lambda item: ((-item[1].w if order == "descending" else item[1].w),
+    ranked = sorted(edge_dict(net).items(),
+                    key=lambda item: ((-item[1][2] if order == "descending" else item[1][2]),
                                       item[0]))
     return [key for key, _ in ranked]
+
+
+def curve_of(points):
+    """A descending curve through the (f, giant fraction) points."""
+    f, giant = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    return PercolationCurve("descending", f, giant)
 
 
 class TestUnionFind:
@@ -116,25 +123,25 @@ class TestExponentialFit:
     def test_exact_synthetic_curve(self):
         fs = np.linspace(0.05, 1.0, 20)
         points = [(float(f), float(1.0 - math.exp(-5.0 * f))) for f in fs]
-        curve = PercolationCurve.from_points("descending", points)
+        curve = curve_of(points)
         fit = fit_exponential_approach(curve, (0.0, 1.0))
         assert fit.rate == pytest.approx(5.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_saturated_curve_is_insufficient(self):
         points = [(0.2, 1.0), (0.5, 1.0), (0.8, 1.0), (1.0, 1.0)]
-        curve = PercolationCurve.from_points("descending", points)
+        curve = curve_of(points)
         with pytest.raises(InsufficientDataError):
             fit_exponential_approach(curve, (0.0, 1.0))
 
     def test_range_filtering(self):
         points = [(0.1, 0.2), (0.2, 0.4), (0.3, 0.5), (0.9, 0.99)]
-        curve = PercolationCurve.from_points("descending", points)
+        curve = curve_of(points)
         with pytest.raises(InsufficientDataError):
             fit_exponential_approach(curve, (0.25, 0.95))
 
     def test_bad_range(self):
-        curve = PercolationCurve.from_points("descending", [(0.5, 0.5)])
+        curve = curve_of([(0.5, 0.5)])
         with pytest.raises(DomainError):
             fit_exponential_approach(curve, (0.9, 0.1))
 

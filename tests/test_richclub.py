@@ -2,22 +2,27 @@ import itertools
 
 import pytest
 
-from conftest import make_network, random_network
+from analysis_oracle import edge_dict
+from conftest import make_network, random_network, rescaled
 from tradenet.errors import DomainError, ValidationError
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights
-from tradenet.metrics import node_metrics
+from tradenet.metrics import node_metric_columns
 from tradenet.richclub import (rich_club_curve, rich_club_series, rich_club_size)
+
+
+def strengths(net):
+    return dict(zip(net.nodes, node_metric_columns(net).s.tolist()))
 
 
 def brute_force_club_size(net, threshold):
     """Exhaustive scan over all strength-ordered suffixes, sums from scratch."""
-    strength = {c: node_metrics(net, c).s for c in net.nodes}
+    strength = strengths(net)
     seq = sorted(net.nodes, key=lambda c: (strength[c], c))
-    total = sum(ew.w for ew in net.edges.values())
+    edges = edge_dict(net)
+    total = sum(w for _, _, w in edges.values())
     best = len(seq)
     for start in range(len(seq)):
         club = set(seq[start:])
-        internal = sum(ew.w for (a, b), ew in net.edges.items()
+        internal = sum(w for (a, b), (_, _, w) in edges.items()
                        if a in club and b in club)
         if internal >= threshold * total:
             best = len(seq) - start
@@ -61,12 +66,13 @@ class TestRichClubCurve:
         # suffix's edges from scratch
         for _ in range(15):
             net = random_network(rng, int(rng.integers(3, 20)))
-            strength = {c: node_metrics(net, c).s for c in net.nodes}
+            strength = strengths(net)
             seq = sorted(net.nodes, key=lambda c: (strength[c], c))
-            total = sum(ew.w for ew in net.edges.values())
+            edges = edge_dict(net)
+            total = sum(w for _, _, w in edges.values())
             for (_, f_w, size) in rich_club_curve(net).points:
                 club = set(seq[len(seq) - size:])
-                scratch = sum(ew.w for (a, b), ew in net.edges.items()
+                scratch = sum(w for (a, b), (_, _, w) in edges.items()
                               if a in club and b in club)
                 assert f_w == pytest.approx(scratch / total, abs=1e-12)
 
@@ -114,9 +120,7 @@ class TestRichClubSize:
 
     def test_power_of_two_rescale_invariance(self, rng):
         net = random_network(rng, 12)
-        scaled = AnnualTradeNetwork(net.year, {
-            key: EdgeWeights(4.0 * ew.w_exp, 4.0 * ew.w_imp, 4.0 * ew.w)
-            for key, ew in net.edges.items()})
+        scaled = rescaled(net, 4.0)
         base_curve = rich_club_curve(net)
         big_curve = rich_club_curve(scaled)
         assert [p[1] for p in base_curve.points] == [p[1] for p in big_curve.points]
@@ -133,7 +137,7 @@ class TestRichClubSeries:
 
     def test_identical_networks_identical_values(self, rng):
         net1 = random_network(rng, 10, year=1990)
-        net2 = AnnualTradeNetwork(1991, dict(net1.edges))
+        net2 = rescaled(net1, 1.0, year=1991)
         series = rich_club_series([net2, net1])
         assert series.entries[0][0] == 1990
         assert series.entries[0][1] == series.entries[1][1]
@@ -170,13 +174,13 @@ class TestRichClubSeries:
             hubs = [f"C{i:02d}" for i in range(h)]
             for i in range(h):
                 for j in range(i + 1, h):
-                    edges[(hubs[i], hubs[j])] = EdgeWeights(500.0, 500.0, 1000.0)
+                    edges[(hubs[i], hubs[j])] = (500.0, 500.0)
             for i in range(n):
                 a, b = f"C{i:02d}", f"C{(i + 1) % n:02d}"
                 if a > b:
                     a, b = b, a
-                edges.setdefault((a, b), EdgeWeights(0.5, 0.5, 1.0))
-            nets.append(AnnualTradeNetwork(1990 + t, edges))
+                edges.setdefault((a, b), (0.5, 0.5))
+            nets.append(make_network(1990 + t, [key + w for key, w in edges.items()]))
         series = rich_club_series(nets)
         values = [s for _, s in series.entries]
         assert all(a >= b for a, b in zip(values, values[1:]))

@@ -3,8 +3,9 @@ import pytest
 
 from tradenet.distributions import collapse_transform, fit_lognormal, linear_fit
 from tradenet.errors import DomainError, EmptyInputError, EmptyNetworkError
-from tradenet.graph import build_network, network_to_pairs, snapshot_dumps, summarize
-from tradenet.metrics import disparity_curve, node_metrics
+from conftest import rebuilt_from_rows
+from tradenet.graph import snapshot_dumps, summarize
+from tradenet.metrics import disparity_curve, node_metric_columns
 from tradenet.rng import SplitMix64, derive_seed, mix64
 from tradenet.synth import (GravityParams, GrowthSchedule, country_codes,
                             gdp_draws, generate_network, generate_panel,
@@ -44,8 +45,7 @@ class TestGenerateNetwork:
         net = generate_network(GravityParams(n_countries=2, link_density_target=1.0,
                                              seed=1), 2000)
         assert net.n_nodes == 2 and net.n_links == 1
-        (ew,) = net.edges.values()
-        assert ew.w == ew.w_exp + ew.w_imp
+        assert net.w.tolist() == [net.w_exp[0] + net.w_imp[0]]
 
     def test_same_seed_bit_identical(self):
         params = GravityParams(n_countries=25, seed=77)
@@ -78,11 +78,11 @@ class TestGenerateNetwork:
             assert net.n_links == max(1, round(density * n * (n - 1) / 2))
 
     def test_network_satisfies_build_invariants(self):
-        # same validator path as ingested data: rebuild through PairedFlows
+        # same validator path as ingested data: rebuild through dyadic rows
         net = generate_network(GravityParams(n_countries=30, seed=9), 1999)
-        rebuilt = build_network(network_to_pairs(net), 1999)
+        rebuilt = rebuilt_from_rows(net)
         assert rebuilt == net
-        assert all(ew.w > 0 for ew in net.edges.values())
+        assert (net.w > 0).all()
         assert net.nodes == tuple(sorted(net.nodes))
 
     def test_strength_tracks_gdp(self):
@@ -93,7 +93,8 @@ class TestGenerateNetwork:
             gdp = gdp_draws(params, 1970)
             present = [i for i, c in enumerate(codes) if c in net.nodes]
             assert len(present) >= 20
-            s = np.array([node_metrics(net, codes[i]).s for i in present])
+            strength = node_metric_columns(net).s
+            s = np.array([strength[net.nodes.index(codes[i])] for i in present])
             g = gdp[present]
 
             def rank(v):
@@ -109,7 +110,7 @@ class TestGenerateNetwork:
         # the collapse should hug the parabola better than any straight line
         params = GravityParams(n_countries=150, link_density_target=0.5,
                                noise_logsd=1.0, seed=5)
-        w = np.array([ew.w for ew in generate_network(params, 2000).edges.values()])
+        w = generate_network(params, 2000).w
         fit = fit_lognormal(w)
         pts = [(x, y) for x, y in collapse_transform(w, fit.w0, fit.sigma)
                if abs(x) <= 2.0 * fit.sigma]

@@ -1,7 +1,7 @@
 """The column-join text writers match csv.writer and json.dumps byte for byte.
 
-Random networks go through write_network_records, write_records and
-snapshot_dumps; random tables through the CLI's table writer and the
+Random networks go through write_network_records and snapshot_dumps;
+random tables through the CLI's table writer and the
 column writer under it.  Codes and cells hold delimiters, quotes, line
 breaks and non-ASCII letters; weights and cells hold zeros, -0.0, 5e-324,
 1e16 and 1e22; list cells hold None and numpy scalars.  Rows are written in
@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradenet import cli, ingest
-from tradenet.graph import AnnualTradeNetwork, EdgeWeights, network_to_pairs, snapshot_dumps
-from tradenet.ingest import records_from_pairs, write_network_records, write_records
-from writer_oracle import network_records_text, records_text, snapshot_text, table_text
+from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
+from tradenet.ingest import write_network_records
+from writer_oracle import network_records_text, snapshot_text, table_text
 
 FORMATS = {"csv": ",", "tsv": "\t"}
 ODD_CHARS = list('Ab1 ,"\'\n\r\t;é')
@@ -38,13 +38,13 @@ block_rows = st.sampled_from([1, 2, 3, 4096])
 def networks(draw):
     nodes = sorted(draw(st.lists(codes, min_size=2, max_size=7, unique=True)))
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
-    edges = {}
+    edges = []
     for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
         w_exp, w_imp = draw(weights), draw(weights)
         if not w_exp + w_imp > 0.0:
             w_imp = 1.0
-        edges[(a, b)] = EdgeWeights(w_exp, w_imp, w_exp + w_imp)
-    return AnnualTradeNetwork(draw(st.integers(1900, 2100)), edges)
+        edges.append((a, b, w_exp, w_imp))
+    return AnnualTradeNetwork(draw(st.integers(1900, 2100)), *zip(*edges))
 
 
 @st.composite
@@ -89,23 +89,18 @@ def test_tables_match_csv_writer(table, fmt, block):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(networks(), max_size=3), st.sampled_from(sorted(FORMATS)), block_rows)
 def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
-    delimiter = FORMATS[fmt]
-    records = [rec for net in nets for rec in records_from_pairs(network_to_pairs(net))]
     with mock.patch.object(ingest, "_BLOCK_ROWS", block):
-        direct, via_records = io.StringIO(), io.StringIO()
-        write_network_records(nets, direct, fmt)
-        write_records(iter(records), via_records, fmt)
-    assert direct.getvalue() == network_records_text(nets, delimiter)
-    assert via_records.getvalue() == records_text(records, delimiter)
+        direct = io.StringIO()
+        write_network_records(iter(nets), direct, fmt)
+    assert direct.getvalue() == network_records_text(nets, FORMATS[fmt])
     for net in nets:
         assert snapshot_dumps(net) == snapshot_text(net)
 
 
 def test_explicit_cases():
-    one = AnnualTradeNetwork(1990, {
-        ("A,B", 'Say "Hi"'): EdgeWeights(-0.0, 5e-324, 5e-324),
-        ("A,B", "Line\nBreak"): EdgeWeights(1e16, 0.0, 1e16),
-        ("Line\nBreak", "Ñandú"): EdgeWeights(1e22, 0.1, 1e22 + 0.1)})
+    one = AnnualTradeNetwork(1990, ["A,B", "A,B", "Line\nBreak"],
+                             ['Say "Hi"', "Line\nBreak", "Ñandú"],
+                             [-0.0, 1e16, 1e22], [5e-324, 0.0, 0.1])
     for fmt, delimiter in FORMATS.items():
         got = io.StringIO()
         write_network_records([one], got, fmt)

@@ -2,7 +2,7 @@
 time, as the package wrote its files before its column-join writer.
 
 tests/test_writer_oracle.py compares the package's writers with these byte
-for byte.
+for byte; records_text writes dyadic input for the ingest tests.
 """
 
 from __future__ import annotations
@@ -34,14 +34,16 @@ def table_text(header, columns, delimiter: str = ",") -> str:
 
 
 def records_text(records, delimiter: str = ",") -> str:
+    """Dyadic text of (year, reporter, partner, export, import) records; a
+    flow of None is an empty cell."""
     def flow(value):
         return "" if value is None else repr(value)
 
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
     writer.writerow(HEADER)
-    writer.writerows([rec.year, rec.reporter, rec.partner, flow(rec.export_value),
-                      flow(rec.import_value)] for rec in records)
+    writer.writerows([year, reporter, partner, flow(export), flow(imp)]
+                     for year, reporter, partner, export, imp in records)
     return buf.getvalue()
 
 
