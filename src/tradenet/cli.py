@@ -13,10 +13,12 @@ Exit codes: 0 success, 1 partial failure (some requested years failed),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -30,9 +32,9 @@ from .distributions import (COLLAPSE_BINS_PER_DECADE, collapse_transform,
                             scaling_regression)
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
-from .graph import build_network, load_snapshot, save_snapshot, summarize
-from .ingest import (_read_utf8, _write_columns, pair_columns, read_columns,
-                     write_network_records)
+from .graph import _snapshot_text, build_network, load_snapshot, summarize
+from .ingest import (HEADER, _edge_text, _read_utf8, _write_columns, _write_network_rows,
+                     pair_columns, read_columns)
 from .metrics import LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import rich_club_curve, rich_club_size
@@ -98,23 +100,26 @@ def _write_table(fh, header, columns, output_format: str) -> None:
         _write_columns(fh, header, columns)
 
 
-def _write_atomic(path: Path, write) -> None:
-    """Call ``write(fh)`` on a temporary file, then move it to ``path``."""
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """A text file written under a temporary name and moved to ``path``
+    when its ``with`` block ends without an error."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        write(fh)
+        yield fh
     os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_atomic(path, lambda fh: fh.write(_json_text(obj)))
+    with _atomic_file(path) as fh:
+        fh.write(_json_text(obj))
 
 
 def _emit_table(outdir: Path, name: str, header, columns, output_format: str) -> str:
     ext = "json" if output_format == "json" else "csv"
     filename = f"{name}.{ext}"
-    _write_atomic(outdir / filename,
-                  lambda fh: _write_table(fh, header, columns, output_format))
+    with _atomic_file(outdir / filename) as fh:
+        _write_table(fh, header, columns, output_format)
     return filename
 
 
@@ -124,8 +129,9 @@ def _emit_table(outdir: Path, name: str, header, columns, output_format: str) ->
 
 def _parse_years(spec: str | None) -> tuple[set[int], list[tuple[int, int]]] | None:
     """The years listed on their own and the LO:HI ranges of a year
-    selection, or None for all years.  A range is not expanded."""
-    if spec in (None, "", "all"):
+    selection, or None for all years.  A range is not expanded; an empty
+    selection is an error, not all years."""
+    if spec in (None, "all"):
         return None
     years: set[int] = set()
     ranges: list[tuple[int, int]] = []
@@ -143,15 +149,21 @@ def _parse_years(spec: str | None) -> tuple[set[int], list[tuple[int, int]]] | N
     return years, ranges
 
 
+def _selects(selection, year: int) -> bool:
+    """Whether a _parse_years selection requests ``year`` of an input that
+    has it."""
+    if selection is None:
+        return True
+    years, ranges = selection
+    return year in years or any(lo <= year <= hi for lo, hi in ranges)
+
+
 def _selected_years(selection, available) -> list[int]:
     """The requested years: every available year when ``selection`` is
     None, else each year listed on its own and each available year inside
     a range."""
-    if selection is None:
-        return sorted(available)
-    years, ranges = selection
-    return sorted(years.union(y for y in available
-                              if any(lo <= y <= hi for lo, hi in ranges)))
+    listed = set() if selection is None else selection[0]
+    return sorted(listed.union(y for y in available if _selects(selection, y)))
 
 
 def _parse_float_range(spec: str | None) -> tuple[float, float] | None:
@@ -200,7 +212,8 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
 
     Returns (networks by year, per-year error messages), both keyed only by
     requested years.  A selection that requests no year is an
-    EmptyInputError.
+    EmptyInputError.  In a directory, a snapshot named ``<year>_network.json``
+    is read only when its year is selected, and must hold that year.
     """
     path = Path(input_path)
     if not path.exists():
@@ -208,7 +221,13 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
     available: dict[int, object] = {}
     if path.is_dir():
         for snap in sorted(path.glob("*_network.json")):
+            prefix = snap.name[:-len("_network.json")]
+            named = int(prefix) if re.fullmatch(r"-?[0-9]+", prefix) else None
+            if named is not None and not _selects(years, named):
+                continue
             net = load_snapshot(snap)
+            if named is not None and net.year != named:
+                raise ValidationError(f"snapshot {snap.name} holds year {net.year}")
             if net.year in available:
                 raise ValidationError(f"duplicate snapshot for year {net.year}")
             available[net.year] = net
@@ -459,7 +478,7 @@ def _cmd_synth(args) -> int:
         noise_logsd=args.noise_logsd,
         seed=args.seed,
     )
-    if args.years:
+    if args.years is not None:
         selection = _parse_years(args.years)
         if selection is None:
             raise DomainError("synth --years must be explicit")
@@ -476,16 +495,21 @@ def _cmd_synth(args) -> int:
         nets = [generate_network(params, args.year)]
     if args.dyadic:
         Path(args.dyadic).parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(args.dyadic).with_name(Path(args.dyadic).name + ".tmp")
-        write_network_records(nets, tmp)
-        os.replace(tmp, args.dyadic)
-    if args.snapshot_dir:
-        snap_dir = Path(args.snapshot_dir)
+    snap_dir = Path(args.snapshot_dir) if args.snapshot_dir else None
+    if snap_dir is not None:
         snap_dir.mkdir(parents=True, exist_ok=True)
+    # One pass over the networks: each one's weights are formatted once, for
+    # its dyadic rows and its snapshot both.
+    with _atomic_file(Path(args.dyadic)) if args.dyadic else contextlib.nullcontext() as dyadic:
+        if dyadic is not None:
+            _write_columns(dyadic, HEADER, [])
         for net in nets:
-            tmp = snap_dir / f"{net.year}_network.json.tmp"
-            save_snapshot(net, tmp)
-            os.replace(tmp, snap_dir / f"{net.year}_network.json")
+            weights = _edge_text(net)
+            if dyadic is not None:
+                _write_network_rows(dyadic, net, weights)
+            if snap_dir is not None:
+                with _atomic_file(snap_dir / f"{net.year}_network.json") as fh:
+                    fh.write(_snapshot_text(net, weights))
     return 0
 
 

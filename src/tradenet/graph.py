@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EmptyNetworkError, ParseError, ValidationError
-from .ingest import PairedColumns, _float_cells, _read_utf8
+from .ingest import PairedColumns, _edge_text, _read_utf8
 
 MISSING_FLOW_POLICIES = ("zero", "copy")
 
@@ -250,15 +250,21 @@ def snapshot_dumps(net: AnnualTradeNetwork) -> str:
     ``snapshot_loads(snapshot_dumps(net)) == net`` holds bit for bit and
     equal networks serialize to identical bytes.
     """
+    return _snapshot_text(net, _edge_text(net))
+
+
+def _snapshot_text(net: AnnualTradeNetwork, weights: list[str]) -> str:
+    """The snapshot document of ``net``, with its ``_edge_text`` as ``weights``."""
     head = json.dumps({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
                        "year": net.year}, separators=(",", ":"))
     # The rest of json.dumps(doc, separators=(",", ":")) for the "nodes" and
     # "edges" members, joined from each code's JSON text and each weight's
     # repr (json.dumps writes a finite float as its repr).
     node = np.array([json.dumps(code) for code in net.nodes], dtype=object)
+    n = net.n_links
     edges = "],[".join(map(",".join, zip(node[net.a].tolist(), node[net.b].tolist(),
-                                          _float_cells(net.w_exp), _float_cells(net.w_imp))))
-    edges = f"[[{edges}]]" if net.n_links else "[]"
+                                          weights[:n], weights[n:])))
+    edges = f"[[{edges}]]" if n else "[]"
     return f'{head[:-1]},"nodes":[{",".join(node.tolist())}],"edges":{edges}}}\n'
 
 

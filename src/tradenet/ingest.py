@@ -11,8 +11,9 @@ The work is done on columns: ``read_columns`` streams a file into
 ``DyadicColumns`` and ``pair_columns`` resolves every year's duplicate
 reports at once into ``PairedColumns``; graph.build_network turns one
 year of that into a network.  ``write_network_records`` writes networks
-back as dyadic rows.  Text is written by one column-join writer
-(``_write_columns``), which the CLI's tables and the snapshots use too.
+back as dyadic rows, from the weight text (``_edge_text``) that a
+network's snapshot is joined from too.  Text is written by one column-join
+writer (``_write_columns``), which the CLI's tables and the snapshots use too.
 """
 
 from __future__ import annotations
@@ -196,17 +197,35 @@ def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
     try:
         _write_columns(fh, HEADER, [], delimiter)
         for net in nets:
-            fields = _csv_fields(net.nodes, delimiter)
-            node = np.array([fields[code] for code in net.nodes], dtype=object)
-            a, b = node[net.a].tolist(), node[net.b].tolist()
-            exp = _float_cells(net.w_exp, zero="")
-            imp = _float_cells(net.w_imp, zero="")
-            year = [str(net.year)] * (2 * len(a))
-            _write_lines(fh, [year, _interleave(a, b), _interleave(b, a),
-                              _interleave(exp, imp), _interleave(imp, exp)], delimiter)
+            _write_network_rows(fh, net, _edge_text(net), delimiter)
     finally:
         if owned:
             fh.close()
+
+
+def _edge_text(net) -> list[str]:
+    """The repr of each edge weight of ``net``: every ``w_exp``, then every
+    ``w_imp``, in edge order.
+
+    The dyadic rows and the snapshot of a network both take their weight
+    cells from this list, so writing both formats formats each weight once.
+    """
+    return _float_cells(np.concatenate([net.w_exp, net.w_imp]))
+
+
+def _write_network_rows(fh, net, weights: list[str], delimiter: str = ",") -> None:
+    """Write the dyadic rows of ``net`` to ``fh``, with its ``_edge_text``
+    as ``weights``; a zero flow is an empty cell."""
+    fields = _csv_fields(net.nodes, delimiter)
+    node = np.array([fields[code] for code in net.nodes], dtype=object)
+    a, b = node[net.a].tolist(), node[net.b].tolist()
+    exp, imp = weights[:len(a)], weights[len(a):]
+    for cells, w in ((exp, net.w_exp), (imp, net.w_imp)):
+        for i in np.flatnonzero(w == 0.0).tolist():
+            cells[i] = ""
+    year = [str(net.year)] * (2 * len(a))
+    _write_lines(fh, [year, _interleave(a, b), _interleave(b, a),
+                      _interleave(exp, imp), _interleave(imp, exp)], delimiter)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +274,14 @@ def _cells(column, delimiter: str, width: int) -> list[str]:
     return list(map(fields.__getitem__, text))
 
 
-def _float_cells(values: np.ndarray, zero: str | None = None) -> list[str]:
+def _float_cells(values: np.ndarray) -> list[str]:
     """The repr of each float, formatted once per distinct value.
 
-    Values are keyed by their bits, so -0.0 keeps its sign.  ``zero``, when
-    given, is written for 0.0 and -0.0 instead.
+    Values are keyed by their bits, so -0.0 keeps its sign.
     """
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    distinct = bits.view(np.float64)
-    text = np.array([repr(v) for v in distinct.tolist()], dtype=object)
-    if zero is not None:
-        text[distinct == 0.0] = zero
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse].tolist()
 
 

@@ -6,8 +6,15 @@ splitmix64 finalizer (Steele, Lea & Flood 2014; reference code at
 prng.di.unimi.it/splitmix64.c).  Every draw is a pure function of
 (seed, counter), so streams can be reproduced from the seed alone and the
 algorithm is easy to port to other languages.  Uniform doubles take the top
-53 bits of an output; standard normals come from the Box-Muller transform
-(bit-level agreement across platforms then depends only on libm rounding).
+53 bits of an output; standard normals come from the Box-Muller transform.
+
+Bit-level agreement across platforms does not hold yet.  The transform
+takes numpy's ``log``, ``cos`` and ``sin``, and numpy 2.4.6 computes these
+(and ``exp``, which ``synth`` applies to the draws) with AVX-512 kernels
+where the CPU has them; those differ from libm in the last bit on some
+inputs.  So the same seed gives different draws, and different synth
+files, on CPUs with and without AVX-512.  Routing these calls through
+libm (``math``) is item 1 of ROADMAP.md.
 """
 
 from __future__ import annotations

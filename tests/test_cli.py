@@ -2,14 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import shutil
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tradenet import cli
 from tradenet.cli import main
 from tradenet.graph import load_snapshot
 from tradenet.synth import GravityParams, generate_network
@@ -121,13 +124,14 @@ class TestArgumentErrors:
 
 
 GOLDEN_PANEL = Path(__file__).parent / "golden" / "synth" / "out" / "panel.csv"
+GOLDEN_SNAPSHOTS = Path(__file__).parent / "golden" / "synth_snapshots" / "out"
 # Per option: (values the command should run with, values it should reject).
 # Edge values that the analyses may refuse per year or per fit are on the
 # left; either way the exit code contract must hold.
 INPUT_OPTIONS = {
     "--format": (["csv"], ["tsv", "psv"]),
-    "--years": (["all", "", "2002", "2001:2002", "2002,1999", "2001:2100", "2001:2003000"],
-                ["abc", "1990,", "2003:2001", "2050:2100"]),
+    "--years": (["all", "2002", "2001:2002", "2002,1999", "2001:2100", "2001:2003000"],
+                ["", "abc", "1990,", "2003:2001", "2050:2100"]),
     "--on-duplicate": (["mean", "first", "max"], ["median"]),
     "--missing": (["zero", "copy"], ["none"]),
     "--output-format": (["csv", "json"], ["xml"]),
@@ -212,11 +216,59 @@ class TestYearSelection:
         assert err == "error: year 2099: no records for year 2099\n"
         assert sorted(entries) == ["2001", "2099"] and "error" in entries["2099"]
 
+    def test_empty_selection_exits_2(self, tmp_path, capsys):
+        rc, err, entries = self.run(tmp_path, capsys, "")
+        assert rc == 2 and entries is None
+        assert err == "error: invalid year selection ''\n"
+        assert main(["synth", "--countries", "5", "--years", "",
+                     "--dyadic", str(tmp_path / "d.csv")]) == 2
+        assert not (tmp_path / "d.csv").exists()
+
     def test_range_without_available_year_exits_2(self, tmp_path, capsys):
         rc, err, entries = self.run(tmp_path, capsys, "2050:2100")
         assert rc == 2 and entries is None
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestSnapshotDirectorySelection:
+    """In a snapshot directory, the year in a ``<year>_network.json`` name
+    selects the file before it is parsed."""
+
+    def summary(self, snap_dir, tmp_path, years):
+        with mock.patch.object(cli, "load_snapshot", wraps=load_snapshot) as spy, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["summary", "--input", str(snap_dir), "--years", years,
+                       "--outdir", str(tmp_path / "out")])
+        return rc, [Path(c.args[0]).name for c in spy.call_args_list], err.getvalue()
+
+    def test_parses_only_the_selected_files(self, tmp_path):
+        rc, parsed, _ = self.summary(GOLDEN_SNAPSHOTS, tmp_path, "2001")
+        assert rc == 0 and parsed == ["2001_network.json"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["2001_summary.csv"]
+
+    def test_range_parses_the_files_inside_it(self, tmp_path):
+        rc, parsed, _ = self.summary(GOLDEN_SNAPSHOTS, tmp_path, "2002:2100")
+        assert rc == 0 and parsed == ["2002_network.json", "2003_network.json"]
+
+    def test_named_year_must_match_the_document(self, tmp_path):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(GOLDEN_SNAPSHOTS, snaps)
+        shutil.copyfile(snaps / "2001_network.json", snaps / "2005_network.json")
+        rc, parsed, _ = self.summary(snaps, tmp_path, "2001:2003")
+        assert rc == 0 and "2005_network.json" not in parsed
+        rc, parsed, err = self.summary(snaps, tmp_path, "2005")
+        assert rc == 2 and parsed == ["2005_network.json"]
+        assert err == "error: snapshot 2005_network.json holds year 2001\n"
+
+    def test_name_without_a_year_is_parsed(self, tmp_path):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        shutil.copyfile(GOLDEN_SNAPSHOTS / "2002_network.json", snaps / "latest_network.json")
+        shutil.copyfile(GOLDEN_SNAPSHOTS / "2003_network.json", snaps / "2003_network.json")
+        rc, parsed, _ = self.summary(snaps, tmp_path, "2002")
+        assert rc == 0 and parsed == ["latest_network.json"]
+        assert (tmp_path / "out" / "2002_summary.csv").exists()
 
 
 class TestAnalysisCommands:

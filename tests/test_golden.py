@@ -29,10 +29,13 @@ import os
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from tradenet import ingest
 from tradenet.cli import main
+from tradenet.graph import load_snapshot
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MESSY = GOLDEN / "inputs" / "messy.csv"
@@ -90,22 +93,46 @@ def run_case(name: str, workdir: Path) -> tuple[dict, dict[str, bytes]]:
             rc = main(argv)
     finally:
         os.chdir(cwd)
-    out = workdir / "out"
-    files = {p.relative_to(out).as_posix(): p.read_bytes()
-             for p in sorted(out.rglob("*")) if p.is_file()}
-    return {"argv": argv, "exit_code": rc, "stderr": err.getvalue()}, files
+    return {"argv": argv, "exit_code": rc, "stderr": err.getvalue()}, files_under(workdir / "out")
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    """The bytes of every file below ``root``, by its path relative to it."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name, tmp_path):
     result, files = run_case(name, tmp_path)
     assert result == json.loads((GOLDEN / name / "result.json").read_text())
-    golden_dir = GOLDEN / name / "out"
-    want = {p.relative_to(golden_dir).as_posix(): p.read_bytes()
-            for p in sorted(golden_dir.rglob("*")) if p.is_file()}
+    want = files_under(GOLDEN / name / "out")
     assert sorted(files) == sorted(want)
     changed = [n for n in sorted(want) if files[n] != want[n]]
     assert not changed, f"outputs differ from the golden bytes: {changed}"
+
+
+def test_synth_both_outputs_match_the_single_output_goldens(tmp_path):
+    """One synth writing the dyadic CSV and the snapshots in one pass writes
+    the bytes of the two single-output cases."""
+    rc = main(SYNTH_ARGS + ["--dyadic", str(tmp_path / "panel.csv"),
+                            "--snapshot-dir", str(tmp_path / "snaps")])
+    assert rc == 0
+    assert files_under(tmp_path) == {
+        "panel.csv": (GOLDEN / "synth" / "out" / "panel.csv").read_bytes(),
+        **{f"snaps/{name}": data
+           for name, data in files_under(GOLDEN / "synth_snapshots" / "out").items()}}
+
+
+def test_synth_formats_each_network_once(tmp_path):
+    """With both outputs, every network's weights go through one
+    _float_cells call: its w_exp and its w_imp, each value once."""
+    with mock.patch.object(ingest, "_float_cells", wraps=ingest._float_cells) as spy:
+        rc = main(SYNTH_ARGS + ["--dyadic", str(tmp_path / "panel.csv"),
+                                "--snapshot-dir", str(tmp_path / "snaps")])
+    assert rc == 0
+    nets = [load_snapshot(p) for p in sorted((tmp_path / "snaps").iterdir())]
+    assert [len(c.args[0]) for c in spy.call_args_list] == [2 * net.n_links for net in nets]
 
 
 def regenerate(names) -> None:

@@ -1,8 +1,9 @@
 """The column-join text writers match csv.writer and json.dumps byte for byte.
 
-Random networks go through write_network_records and snapshot_dumps;
-random tables through the CLI's table writer and the
-column writer under it.  Codes and cells hold delimiters, quotes, line
+Random networks go through write_network_records and snapshot_dumps, and
+through the per-network steps synth shares between the two formats (one
+weight-text list for a network's rows and then its snapshot); random
+tables through the CLI's table writer and the column writer under it.  Codes and cells hold delimiters, quotes, line
 breaks and non-ASCII letters; weights and cells hold zeros, -0.0, 5e-324,
 1e16 and 1e22; list cells hold None and numpy scalars.  Rows are written in
 blocks, so the block size is drawn small as well.
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradenet import cli, ingest
+from tradenet import cli, graph, ingest
 from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
 from tradenet.ingest import write_network_records
 from writer_oracle import network_records_text, snapshot_text, table_text
@@ -28,6 +29,9 @@ text = st.text(alphabet=st.sampled_from(ODD_CHARS), max_size=5)
 codes = st.text(alphabet=st.sampled_from(ODD_CHARS), min_size=1, max_size=5)
 SPECIAL = [0.0, -0.0, 5e-324, 1e16, 1e22, 0.1, 2.5]
 weights = st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1e300))
+# Few values, so they repeat within and across the two flow columns, and
+# zeros, so many edges carry a one-sided flow.
+repeated_weights = st.sampled_from([0.0, 0.0, -0.0, 0.1, 0.1, 2.5, 1e22])
 floats = st.one_of(st.sampled_from(SPECIAL + [-1e22, float("inf"), float("nan")]),
                    st.floats())
 ints = st.integers(-2**63, 2**63 - 1)
@@ -35,7 +39,7 @@ block_rows = st.sampled_from([1, 2, 3, 4096])
 
 
 @st.composite
-def networks(draw):
+def networks(draw, weights=weights):
     nodes = sorted(draw(st.lists(codes, min_size=2, max_size=7, unique=True)))
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
     edges = []
@@ -95,6 +99,20 @@ def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
     assert direct.getvalue() == network_records_text(nets, FORMATS[fmt])
     for net in nets:
         assert snapshot_dumps(net) == snapshot_text(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(repeated_weights), st.sampled_from(sorted(FORMATS)), block_rows)
+def test_shared_edge_text_matches_both_oracles(net, fmt, block):
+    """One _edge_text list gives a network's dyadic rows (a zero flow is an
+    empty cell) and then its snapshot (a zero flow is its repr)."""
+    weights = ingest._edge_text(net)
+    rows = io.StringIO(FORMATS[fmt].join(ingest.HEADER) + "\n")
+    rows.seek(0, io.SEEK_END)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+        ingest._write_network_rows(rows, net, weights, FORMATS[fmt])
+    assert rows.getvalue() == network_records_text([net], FORMATS[fmt])
+    assert graph._snapshot_text(net, weights) == snapshot_text(net)
 
 
 def test_explicit_cases():
