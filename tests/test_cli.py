@@ -189,6 +189,28 @@ def test_any_argument_values_keep_the_exit_code_contract(data):
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
+ANALYSES = ["summary", "metrics", "fit", "percolate", "richclub", "panel"]
+
+
+class TestConfigFromArgs:
+    """Each RunConfig default is written once, in RunConfig: an analysis
+    subcommand given only --input and --outdir runs with every field's
+    default, and so does a LO:HI range given as the empty string."""
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_defaults_are_the_field_defaults(self, command):
+        args = cli.build_parser().parse_args([command, "--input", "x", "--outdir", "o"])
+        assert cli._config_from_args(args) == cli.RunConfig("x", "o")
+
+    @pytest.mark.parametrize("argv", [["fit", "--fit-range", ""],
+                                      ["panel", "--fit-range", ""],
+                                      ["panel", "--exp-fit-range", ""],
+                                      ["panel", "--degree-fit-range", ""]])
+    def test_empty_range_means_the_field_default(self, argv):
+        args = cli.build_parser().parse_args(argv + ["--input", "x", "--outdir", "o"])
+        assert cli._config_from_args(args) == cli.RunConfig("x", "o")
+
+
 class TestYearSelection:
     """A LO:HI range selects the years of the input inside it; a year listed
     on its own is requested whether or not the input has it."""

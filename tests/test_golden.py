@@ -7,9 +7,10 @@ cover the synth writers (dyadic CSV and snapshots), ``panel`` in CSV and
 JSON on a small seeded synth panel and on its snapshot directory with every
 percolation point, ``panel`` on a hand-built file whose country codes need
 CSV quoting (a comma, a doubled quote, a newline) or hold an inner space or
-a non-ASCII letter, ``metrics`` for export and import flows, ``percolate``
-with its exponential fits, ``richclub`` at a non-default threshold, and
-``summary`` under every ``--on-duplicate`` x ``--missing`` combination on a
+a non-ASCII letter, ``metrics`` for export and import flows, ``fit`` on
+the synth panel with a fixed window and on a hand-written weight list,
+``percolate`` with its exponential fits and with one order thinned,
+``richclub`` at a non-default threshold and on one year, and ``summary`` under every ``--on-duplicate`` x ``--missing`` combination on a
 hand-built file with duplicates, one-sided reports, zeros, shuffled rows and
 one year whose flows are all zero.
 
@@ -40,12 +41,13 @@ from tradenet.graph import load_snapshot
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MESSY = GOLDEN / "inputs" / "messy.csv"
 CODES = GOLDEN / "inputs" / "codes.csv"
+WEIGHTS = GOLDEN / "inputs" / "weights.txt"
 
 SYNTH_ARGS = ["synth", "--countries", "30", "--years", "2001:2003", "--n-final", "40",
               "--gdp-scale-final", "2", "--noise-logsd", "1.5", "--seed", "7"]
 
 # case name -> (argv, input: "synth" panel CSV, "snapshots" directory,
-# "messy" file, "codes" file or None)
+# "messy" file, "codes" file, "weights" list or None)
 CASES = {
     "synth": (SYNTH_ARGS + ["--dyadic", "out/panel.csv"], None),
     "synth_snapshots": (SYNTH_ARGS + ["--snapshot-dir", "out"], None),
@@ -61,10 +63,18 @@ CASES = {
                         "--flow", "export"], "synth"),
     "metrics_import": (["metrics", "--input", "messy.csv", "--outdir", "out",
                         "--flow", "import"], "messy"),
+    "fit_input": (["fit", "--input", "panel.csv", "--outdir", "out",
+                   "--fit-range", "1:1e6", "--bins-per-decade", "7"], "synth"),
+    "fit_weights": (["fit", "--weights", "weights.txt", "--outdir", "out",
+                     "--output-format", "json"], "weights"),
     "percolate_fit": (["percolate", "--input", "panel.csv", "--outdir", "out",
                        "--order", "both", "--fit", "0.05:0.9"], "synth"),
+    "percolate_desc": (["percolate", "--input", "panel.csv", "--outdir", "out",
+                        "--order", "desc", "--emit-every", "7"], "synth"),
     "richclub_threshold": (["richclub", "--input", "panel.csv", "--outdir", "out",
                             "--threshold", "0.3"], "synth"),
+    "richclub_one_year": (["richclub", "--input", "panel.csv", "--outdir", "out",
+                           "--years", "2002"], "synth"),
 }
 for _dup in ("mean", "first", "max"):
     for _missing in ("zero", "copy"):
@@ -85,6 +95,8 @@ def run_case(name: str, workdir: Path) -> tuple[dict, dict[str, bytes]]:
         shutil.copyfile(MESSY, workdir / "messy.csv")
     elif source == "codes":
         shutil.copyfile(CODES, workdir / "codes.csv")
+    elif source == "weights":
+        shutil.copyfile(WEIGHTS, workdir / "weights.txt")
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
