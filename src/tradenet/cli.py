@@ -1,8 +1,10 @@
 """Command-line front end for ingest -> build -> analyze pipelines.
 
-One subcommand per analysis (summary, metrics, fit, percolate, richclub,
-synth, panel), composable through files: dyadic CSV/TSV in, CSV or JSON
-results out.  All output is deterministic for a given config and input
+One subcommand per analysis (summary, metrics, fit, percolate, richclub),
+``panel`` for all of them and ``synth``, composable through files: dyadic
+CSV/TSV in, CSV or JSON results out.  The analyses share one option table
+(``_OPTIONS``, keyed by ``RunConfig`` field) and one year driver
+(``_run_years``).  All output is deterministic for a given config and input
 (floats use shortest round-trip form, iteration orders are canonical, all
 randomness is seeded), and files are written atomically.
 
@@ -46,7 +48,8 @@ OUTDIR_ENV = "TRADENET_OUTDIR"
 
 @dataclass
 class RunConfig:
-    """Everything a panel run needs; recorded verbatim in the manifest."""
+    """The options of the analysis subcommands, each default written once;
+    panel records it verbatim (but the outdir) in its manifest."""
 
     input_path: str
     outdir: str
@@ -110,14 +113,14 @@ def _atomic_file(path: Path):
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, obj) -> None:
-    with _atomic_file(path) as fh:
+def _write_json(outdir: Path, name: str, obj) -> str:
+    with _atomic_file(outdir / name) as fh:
         fh.write(_json_text(obj))
+    return name
 
 
 def _emit_table(outdir: Path, name: str, header, columns, output_format: str) -> str:
-    ext = "json" if output_format == "json" else "csv"
-    filename = f"{name}.{ext}"
+    filename = f"{name}.{output_format}"  # csv or json
     with _atomic_file(outdir / filename) as fh:
         _write_table(fh, header, columns, output_format)
     return filename
@@ -179,29 +182,25 @@ def _parse_float_range(spec: str | None) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _check_emit_every(emit_every: int) -> None:
-    if emit_every < 1:
-        raise DomainError(f"--emit-every must be at least 1, got {emit_every}")
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise DomainError(f"--threshold must lie strictly between 0 and 1, got {threshold}")
-
-
-def _check_weight_fit_settings(config: RunConfig) -> None:
-    for option, bins in (("--bins-per-decade", config.bins_per_decade),
-                         ("--collapse-bins-per-decade", config.collapse_bins_per_decade)):
-        if bins < 1:
-            raise DomainError(f"{option} must be at least 1, got {bins}")
+def _check_config(config: RunConfig):
+    """Check every value of ``config``; returns its _parse_years selection."""
+    for option, count in (("--bins-per-decade", config.bins_per_decade),
+                          ("--collapse-bins-per-decade", config.collapse_bins_per_decade),
+                          ("--emit-every", config.emit_every)):
+        if count < 1:
+            raise DomainError(f"{option} must be at least 1, got {count}")
     for option, value in (("--fit-decades", config.fit_decades),
                           ("--collapse-window", config.collapse_window)):
         if not 0.0 < value < math.inf:
             raise DomainError(f"{option} must be positive and finite, got {value}")
+    if not 0.0 < config.threshold < 1.0:
+        raise DomainError(f"--threshold must lie strictly between 0 and 1, got {config.threshold}")
+    LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
+    return _parse_years(config.years)
 
 
 # ---------------------------------------------------------------------------
-# Input loading
+# Input loading and the year driver
 
 
 def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
@@ -211,7 +210,7 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
     file.
 
     Returns (networks by year, per-year error messages), both keyed only by
-    requested years.  A selection that requests no year is an
+    requested years, in year order.  A selection that requests no year is an
     EmptyInputError.  In a directory, a snapshot named ``<year>_network.json``
     is read only when its year is selected, and must hold that year.
     """
@@ -260,61 +259,77 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
     return nets, errors
 
 
-def _report_year_errors(errors: dict[int, str]) -> None:
+def _run_years(config: RunConfig, year_step, panel_step=None) -> int:
+    """Run one analysis subcommand over the years ``config`` selects.
+
+    Checks ``config``, loads the networks, makes the outdir, calls
+    ``year_step(outdir, net, config)`` on each network in year order and
+    then ``panel_step(outdir, config, nets, results, errors)``, where
+    ``results`` holds each year step's return value by year.  Reports each
+    failed year on stderr; returns 1 if some requested year failed, else 0.
+    """
+    years = _check_config(config)
+    nets, errors = _load_networks(config.input_path, years, config.input_format,
+                                  config.on_duplicate, config.missing)
+    outdir = _ensure_outdir(config.outdir)
+    results = {year: year_step(outdir, net, config) for year, net in nets.items()}
+    if panel_step is not None:
+        panel_step(outdir, config, nets, results, errors)
     for year in sorted(errors):
         print(f"error: year {year}: {errors[year]}", file=sys.stderr)
+    return 1 if errors else 0
+
+
+def _ensure_outdir(outdir: str) -> Path:
+    path = Path(outdir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # ---------------------------------------------------------------------------
-# Per-analysis table builders (shared by the simple subcommands and panel)
+# Per-year and cross-year steps, shared by the single subcommands and panel
+
+_SUMMARY_HEADER = ["year", "N", "L", "rho", "W", "mean_w", "w_max", "w_max_over_W"]
+_RICHCLUB_SERIES_HEADER = ["year", "S_RC", "club_size", "N"]
 
 
-def _summary_header_row(net):
+def _summary_year(outdir: Path, net, config: RunConfig):
+    """Write ``<year>_summary``; returns its file name and its row."""
     s = summarize(net)
-    header = ["year", "N", "L", "rho", "W", "mean_w", "w_max", "w_max_over_W"]
     row = [s.year, s.n_nodes, s.n_links, s.rho, s.total_trade,
            s.mean_weight, s.max_weight, s.max_weight_share]
-    return header, row
+    return _emit_table(outdir, f"{net.year}_summary", _SUMMARY_HEADER, zip(row),
+                       config.output_format), row
 
 
-def _metrics_columns(net, flow: str):
-    header = ["country", "k", "k_exp", "k_imp", "s", "Y"]
-    return header, [net.nodes, *node_metric_columns(net, flow).lists()]
+def _metrics_year(outdir: Path, net, config: RunConfig) -> str:
+    """Write ``<year>_metrics``; returns its file name."""
+    columns = [net.nodes, *node_metric_columns(net, config.flow).lists()]
+    return _emit_table(outdir, f"{net.year}_metrics", ["country", "k", "k_exp", "k_imp", "s", "Y"],
+                       columns, config.output_format)
 
 
-def _percolation_columns(net, orders, emit_every: int):
-    """Every ``emit_every``-th point of each order's curve, and the last."""
-    header = ["order", "f", "giant_fraction", "gap"]
-    order_col, f, giant = [], [], []
-    curves = {}
-    for order in orders:
-        curve = percolate(net, order)
-        curves[order] = curve
-        emit = np.arange(1, len(curve.f) + 1) % emit_every == 0
-        emit[-1] = True
-        order_col += [order] * int(emit.sum())
-        f.append(curve.f[emit])
-        giant.append(curve.giant[emit])
-    giant = np.concatenate(giant)
-    return header, [order_col, np.concatenate(f), giant, 1.0 - giant], curves
+def _disparity(outdir: Path, config: RunConfig, nets, name: str):
+    """Write the disparity curve pooled over ``nets`` as table ``name``;
+    returns the curve and the file name."""
+    binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
+    curve = disparity_curve(nets, config.flow, binning)
+    return curve, _emit_table(outdir, name, ["k_center", "mean_kY", "count"],
+                              zip(*curve.points), config.output_format)
 
 
-def _percolation_fits(curves, fit_range) -> dict:
-    fits = {}
-    for order, curve in curves.items():
-        try:
-            ef = fit_exponential_approach(curve, fit_range)
-            fits[order] = {"rate": ef.rate, "fit_range": list(ef.fit_range),
-                           "r_squared": ef.r_squared}
-        except TradeNetError as exc:
-            fits[order] = {"error": str(exc)}
-    return fits
-
-
-def _richclub_columns(net):
-    curve = rich_club_curve(net)
-    header = ["s_over_smax", "f_w", "club_size"]
-    return header, list(zip(*curve.points)), curve
+def _metrics_disparity(outdir: Path, config: RunConfig, nets, results, errors) -> None:
+    if not nets:
+        return
+    try:
+        curve, _ = _disparity(outdir, config, list(nets.values()), "disparity_curve")
+    except InsufficientDataError as exc:
+        print(f"warning: disparity curve skipped: {exc}", file=sys.stderr)
+        return
+    _write_json(outdir, "disparity_fit.json", {
+        "flow": curve.flow, "exponent": curve.exponent, "exponent_stderr": curve.exponent_stderr,
+        "bins_per_decade": config.disparity_bins_per_decade,
+        "min_count": config.disparity_min_count})
 
 
 def _weight_fits(weights, config: RunConfig):
@@ -342,79 +357,18 @@ def _weight_fits(weights, config: RunConfig):
     return hist, fits, collapse
 
 
-# ---------------------------------------------------------------------------
-# Simple subcommands
+def _fit_files(outdir: Path, prefix: str, fitted, config: RunConfig) -> None:
+    """Write a _weight_fits result: the histogram, the collapse and the fits."""
+    hist, fits, collapse = fitted
+    _emit_table(outdir, f"{prefix}_weight_hist", ["bin_lo", "bin_hi", "count", "density"],
+                [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities],
+                config.output_format)
+    _emit_table(outdir, f"{prefix}_collapse", ["x", "y"], zip(*collapse), config.output_format)
+    _write_json(outdir, f"{prefix}_fits.json", fits)
 
 
-def _cmd_summary(args) -> int:
-    nets, errors = _load_networks(args.input, _parse_years(args.years),
-                                  args.format, args.on_duplicate, args.missing)
-    outdir = _ensure_outdir(args.outdir)
-    for year, net in sorted(nets.items()):
-        header, row = _summary_header_row(net)
-        _emit_table(outdir, f"{year}_summary", header, zip(row), args.output_format)
-    _report_year_errors(errors)
-    return 1 if errors else 0
-
-
-def _cmd_metrics(args) -> int:
-    binning = LogBinSpec(args.disparity_bins_per_decade, args.disparity_min_count)
-    nets, errors = _load_networks(args.input, _parse_years(args.years),
-                                  args.format, args.on_duplicate, args.missing)
-    outdir = _ensure_outdir(args.outdir)
-    for year, net in sorted(nets.items()):
-        header, columns = _metrics_columns(net, args.flow)
-        _emit_table(outdir, f"{year}_metrics", header, columns, args.output_format)
-    if nets:
-        try:
-            curve = disparity_curve([nets[y] for y in sorted(nets)], args.flow, binning)
-            _emit_table(outdir, "disparity_curve", ["k_center", "mean_kY", "count"],
-                        zip(*curve.points), args.output_format)
-            _write_json(outdir / "disparity_fit.json", {
-                "flow": curve.flow,
-                "exponent": curve.exponent,
-                "exponent_stderr": curve.exponent_stderr,
-                "bins_per_decade": binning.bins_per_decade,
-                "min_count": binning.min_count,
-            })
-        except InsufficientDataError as exc:
-            print(f"warning: disparity curve skipped: {exc}", file=sys.stderr)
-    _report_year_errors(errors)
-    return 1 if errors else 0
-
-
-def _cmd_fit(args) -> int:
-    config = _config_from_args(args)
-    _check_weight_fit_settings(config)
-    years = _parse_years(config.years)
-    if args.weights:
-        weights = _read_weight_list(args.weights)
-        _emit_fit_files(_ensure_outdir(args.outdir), "weights", weights, config,
-                        args.output_format)
-        return 0
-    nets, errors = _load_networks(args.input, years, args.format, args.on_duplicate,
-                                  args.missing)
-    outdir = _ensure_outdir(args.outdir)
-    for year, net in sorted(nets.items()):
-        _emit_fit_files(outdir, str(year), net.w, config, args.output_format)
-    _report_year_errors(errors)
-    return 1 if errors else 0
-
-
-def _emit_fit_files(outdir: Path, prefix: str, weights, config: RunConfig,
-                    output_format: str) -> list[str]:
-    hist, fits, collapse = _weight_fits(weights, config)
-    files = []
-    files.append(_emit_table(
-        outdir, f"{prefix}_weight_hist", ["bin_lo", "bin_hi", "count", "density"],
-        [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities],
-        output_format))
-    files.append(_emit_table(outdir, f"{prefix}_collapse", ["x", "y"],
-                             zip(*collapse), output_format))
-    name = f"{prefix}_fits.json"
-    _write_json(outdir / name, fits)
-    files.append(name)
-    return files
+def _fit_year(outdir: Path, net, config: RunConfig) -> None:
+    _fit_files(outdir, str(net.year), _weight_fits(net.w, config), config)
 
 
 def _read_weight_list(path: str) -> list[float]:
@@ -430,40 +384,85 @@ def _read_weight_list(path: str) -> list[float]:
     return weights
 
 
+def _percolation_year(outdir: Path, net, config: RunConfig, orders):
+    """Write every ``emit_every``-th point of each order's curve, and the
+    last, as ``<year>_percolation``; returns its file name and the curves by
+    order."""
+    order_col, f, giant = [], [], []
+    curves = {}
+    for order in orders:
+        curve = curves[order] = percolate(net, order)
+        emit = np.arange(1, len(curve.f) + 1) % config.emit_every == 0
+        emit[-1] = True
+        order_col += [order] * int(emit.sum())
+        f.append(curve.f[emit])
+        giant.append(curve.giant[emit])
+    giant = np.concatenate(giant)
+    return _emit_table(outdir, f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],
+                       [order_col, np.concatenate(f), giant, 1.0 - giant],
+                       config.output_format), curves
+
+
+def _percolation_fits(curves, fit_range) -> dict:
+    fits = {}
+    for order, curve in curves.items():
+        try:
+            ef = fit_exponential_approach(curve, fit_range)
+            fits[order] = {"rate": ef.rate, "fit_range": list(ef.fit_range),
+                           "r_squared": ef.r_squared}
+        except TradeNetError as exc:
+            fits[order] = {"error": str(exc)}
+    return fits
+
+
+def _richclub_year(outdir: Path, net, config: RunConfig):
+    """Write ``<year>_richclub``; returns its file name and the year's row
+    of the rich-club series."""
+    curve = rich_club_curve(net)
+    name = _emit_table(outdir, f"{net.year}_richclub", ["s_over_smax", "f_w", "club_size"],
+                       list(zip(*curve.points)), config.output_format)
+    club_size, s_rc = rich_club_size(curve, net, config.threshold)
+    return name, [net.year, s_rc, club_size, net.n_nodes]
+
+
+def _richclub_series(outdir: Path, config: RunConfig, nets, results, errors) -> None:
+    if results:
+        _emit_table(outdir, "richclub_series", _RICHCLUB_SERIES_HEADER,
+                    zip(*(row for _, row in results.values())), config.output_format)
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+
+
+def _years_command(year_step, panel_step=None):
+    """The function of a subcommand that is one _run_years call."""
+    return lambda args: _run_years(_config_from_args(args), year_step, panel_step)
+
+
+def _cmd_fit(args) -> int:
+    if args.weights is None:
+        return _run_years(_config_from_args(args), _fit_year)
+    args.input_path = ""  # the weight list stands in for --input
+    config = _config_from_args(args)
+    _check_config(config)
+    # Fitted before the outdir is made: a list log_histogram rejects leaves none.
+    fitted = _weight_fits(_read_weight_list(args.weights), config)
+    _fit_files(_ensure_outdir(config.outdir), "weights", fitted, config)
+    return 0
+
+
 def _cmd_percolate(args) -> int:
     fit_range = _parse_float_range(args.fit)
-    _check_emit_every(args.emit_every)
-    nets, errors = _load_networks(args.input, _parse_years(args.years),
-                                  args.format, args.on_duplicate, args.missing)
-    outdir = _ensure_outdir(args.outdir)
-    orders = {"desc": ("descending",), "asc": ("ascending",),
-              "both": ("descending", "ascending")}[args.order]
-    for year, net in sorted(nets.items()):
-        header, columns, curves = _percolation_columns(net, orders, args.emit_every)
-        _emit_table(outdir, f"{year}_percolation", header, columns, args.output_format)
+    orders = {"desc": ("descending",), "asc": ("ascending",), "both": ORDERS}[args.order]
+
+    def year_step(outdir, net, config):
+        _, curves = _percolation_year(outdir, net, config, orders)
         if fit_range is not None:
-            _write_json(outdir / f"{year}_percolation_fit.json",
+            _write_json(outdir, f"{net.year}_percolation_fit.json",
                         _percolation_fits(curves, fit_range))
-    _report_year_errors(errors)
-    return 1 if errors else 0
 
-
-def _cmd_richclub(args) -> int:
-    _check_threshold(args.threshold)
-    nets, errors = _load_networks(args.input, _parse_years(args.years),
-                                  args.format, args.on_duplicate, args.missing)
-    outdir = _ensure_outdir(args.outdir)
-    series_rows = []
-    for year, net in sorted(nets.items()):
-        header, columns, curve = _richclub_columns(net)
-        _emit_table(outdir, f"{year}_richclub", header, columns, args.output_format)
-        club_size, s_rc = rich_club_size(curve, net, args.threshold)
-        series_rows.append([year, s_rc, club_size, net.n_nodes])
-    if series_rows:
-        _emit_table(outdir, "richclub_series", ["year", "S_RC", "club_size", "N"],
-                    zip(*series_rows), args.output_format)
-    _report_year_errors(errors)
-    return 1 if errors else 0
+    return _run_years(_config_from_args(args), year_step)
 
 
 def _cmd_synth(args) -> int:
@@ -513,10 +512,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# panel (run_analyze)
-
-
 def run_analyze(config: RunConfig) -> int:
     """Run the full per-year pipeline plus cross-year series and fits.
 
@@ -525,115 +520,62 @@ def run_analyze(config: RunConfig) -> int:
     year is analyzed, and a manifest listing every artifact and every
     parameter.  Returns the process exit code.
     """
-    years = _parse_years(config.years)
-    _check_emit_every(config.emit_every)
-    _check_threshold(config.threshold)
-    _check_weight_fit_settings(config)
-    binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
-    nets, errors = _load_networks(config.input_path, years,
-                                  config.input_format, config.on_duplicate,
-                                  config.missing)
-    outdir = _ensure_outdir(config.outdir)
-    warnings: list[str] = []
-    year_entries: dict[str, dict] = {
-        str(year): {"error": message} for year, message in errors.items()}
-
-    ordered_years = sorted(nets)
-    summary_rows = []
-    richclub_rows = []
-    scaling_points = []
-    for year in ordered_years:
-        files, summary_row, rc_row, degree_stats = _analyze_year(nets[year], config, outdir)
-        year_entries[str(year)] = {"files": files}
-        summary_rows.append(summary_row)
-        richclub_rows.append(rc_row)
-        scaling_points.append(degree_stats)
-
-    panel_files: list[str] = []
-    if len(ordered_years) >= 2:
-        panel_files.append(_emit_table(
-            outdir, "panel_summary",
-            ["year", "N", "L", "rho", "W", "mean_w", "w_max", "w_max_over_W"],
-            zip(*summary_rows), config.output_format))
-        panel_files.append(_emit_table(
-            outdir, "panel_richclub", ["year", "S_RC", "club_size", "N"],
-            zip(*richclub_rows), config.output_format))
-        panel_files.extend(_emit_panel_fits(
-            outdir, [nets[y] for y in ordered_years], scaling_points, binning, config,
-            warnings))
-
-    manifest = {
-        "tool": "tradenet",
-        "version": __version__,
-        "input": config.input_path,
-        "config": _config_dict(config),
-        "years": year_entries,
-        "panel_files": panel_files,
-        "warnings": warnings,
-    }
-    _write_json(outdir / "manifest.json", manifest)
-    _report_year_errors(errors)
-    return 1 if errors else 0
+    return _run_years(config, _panel_year, _panel_files)
 
 
-def _analyze_year(net, config: RunConfig, outdir: Path):
-    year = net.year
-    files = []
-
-    header, row = _summary_header_row(net)
-    files.append(_emit_table(outdir, f"{year}_summary", header, zip(row),
+def _panel_year(outdir: Path, net, config: RunConfig):
+    """Every per-year analysis; returns the sorted file names, the summary
+    row and the rich-club series row."""
+    summary_file, summary_row = _summary_year(outdir, net, config)
+    files = [summary_file, _metrics_year(outdir, net, config)]
+    _, fits, collapse = _weight_fits(net.w, config)
+    files.append(_emit_table(outdir, f"{net.year}_collapse", ["x", "y"], zip(*collapse),
                              config.output_format))
-    summary_row = row
-
-    header, columns = _metrics_columns(net, config.flow)
-    files.append(_emit_table(outdir, f"{year}_metrics", header, columns,
-                             config.output_format))
-    degree_stats = (net.n_nodes, 2.0 * net.n_links / net.n_nodes, int(net.degrees.max()))
-
-    hist, fits, collapse = _weight_fits(net.w, config)
-    files.append(_emit_table(outdir, f"{year}_collapse", ["x", "y"], zip(*collapse),
-                             config.output_format))
-
-    header, columns, curves = _percolation_columns(net, ORDERS, config.emit_every)
-    files.append(_emit_table(outdir, f"{year}_percolation", header, columns,
-                             config.output_format))
+    percolation_file, curves = _percolation_year(outdir, net, config, ORDERS)
     fits["percolation"] = _percolation_fits(curves, config.exp_fit_range)
-    name = f"{year}_fits.json"
-    _write_json(outdir / name, fits)
-    files.append(name)
-
-    header, columns, curve = _richclub_columns(net)
-    files.append(_emit_table(outdir, f"{year}_richclub", header, columns,
-                             config.output_format))
-    club_size, s_rc = rich_club_size(curve, net, config.threshold)
-    richclub_row = [year, s_rc, club_size, net.n_nodes]
-
-    return sorted(files), summary_row, richclub_row, degree_stats
+    files += [percolation_file, _write_json(outdir, f"{net.year}_fits.json", fits)]
+    richclub_file, richclub_row = _richclub_year(outdir, net, config)
+    return sorted(files + [richclub_file]), summary_row, richclub_row
 
 
-def _emit_panel_fits(outdir: Path, nets, scaling_points, binning: LogBinSpec,
-                     config: RunConfig, warnings: list[str]) -> list[str]:
+def _panel_files(outdir: Path, config: RunConfig, nets, results, errors) -> None:
+    """Write the cross-year tables and fits when two years or more were
+    analysed, and the manifest."""
+    warnings: list[str] = []
+    panel_files: list[str] = []
+    if len(results) >= 2:
+        _, summary_rows, richclub_rows = zip(*results.values())
+        panel_files = [
+            _emit_table(outdir, "panel_summary", _SUMMARY_HEADER, zip(*summary_rows),
+                        config.output_format),
+            _emit_table(outdir, "panel_richclub", _RICHCLUB_SERIES_HEADER, zip(*richclub_rows),
+                        config.output_format),
+            *_panel_fits(outdir, config, list(nets.values()), warnings)]
+    years = {str(year): {"error": message} for year, message in errors.items()}
+    years.update((str(year), {"files": result[0]}) for year, result in results.items())
+    _write_json(outdir, "manifest.json", {
+        "tool": "tradenet", "version": __version__, "input": config.input_path,
+        # two runs into different directories must match
+        "config": {k: v for k, v in asdict(config).items() if k != "outdir"},
+        "years": years, "panel_files": panel_files, "warnings": warnings})
+
+
+def _panel_fits(outdir: Path, config: RunConfig, nets, warnings: list[str]) -> list[str]:
     files = []
     panel_fits: dict[str, object] = {}
+    points = [(net.n_nodes, 2.0 * net.n_links / net.n_nodes, int(net.degrees.max()))
+              for net in nets]
+    for key, label, column in (("mean_degree_vs_n", "mean-degree", 1),
+                               ("max_degree_vs_n", "max-degree", 2)):
+        try:
+            fit = scaling_regression([(p[0], p[column]) for p in points])
+            panel_fits[key] = {"exponent": fit.exponent, "prefactor": fit.prefactor}
+        except TradeNetError as exc:
+            warnings.append(f"{label} scaling fit skipped: {exc}")
 
     try:
-        mean_k = scaling_regression([(n, mk) for n, mk, _ in scaling_points])
-        panel_fits["mean_degree_vs_n"] = {"exponent": mean_k.exponent,
-                                          "prefactor": mean_k.prefactor}
-    except TradeNetError as exc:
-        warnings.append(f"mean-degree scaling fit skipped: {exc}")
-    try:
-        max_k = scaling_regression([(n, km) for n, _, km in scaling_points])
-        panel_fits["max_degree_vs_n"] = {"exponent": max_k.exponent,
-                                         "prefactor": max_k.prefactor}
-    except TradeNetError as exc:
-        warnings.append(f"max-degree scaling fit skipped: {exc}")
-
-    try:
-        curve = disparity_curve(nets, config.flow, binning)
-        files.append(_emit_table(outdir, "panel_disparity_curve",
-                                 ["k_center", "mean_kY", "count"], zip(*curve.points),
-                                 config.output_format))
+        curve, name = _disparity(outdir, config, nets, "panel_disparity_curve")
+        files.append(name)
         panel_fits["disparity"] = {"flow": curve.flow, "exponent": curve.exponent,
                                    "exponent_stderr": curve.exponent_stderr}
     except TradeNetError as exc:
@@ -652,76 +594,66 @@ def _emit_panel_fits(outdir: Path, nets, scaling_points, binning: LogBinSpec,
     except TradeNetError as exc:
         warnings.append(f"degree survival fit skipped: {exc}")
 
-    _write_json(outdir / "panel_fits.json", panel_fits)
-    files.append("panel_fits.json")
+    files.append(_write_json(outdir, "panel_fits.json", panel_fits))
     return files
-
-
-def _cmd_panel(args) -> int:
-    return run_analyze(_config_from_args(args))
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        input_path=getattr(args, "input", "") or "",
-        outdir=args.outdir,
-        years=getattr(args, "years", None),
-        input_format=getattr(args, "format", "csv"),
-        output_format=args.output_format,
-        on_duplicate=getattr(args, "on_duplicate", "mean"),
-        missing=getattr(args, "missing", "zero"),
-        flow=getattr(args, "flow", "total"),
-        bins_per_decade=getattr(args, "bins_per_decade", 10),
-        fit_decades=getattr(args, "fit_decades", 2.5),
-        fit_range=_parse_float_range(getattr(args, "fit_range", None)),
-        collapse_bins_per_decade=getattr(args, "collapse_bins_per_decade",
-                                         COLLAPSE_BINS_PER_DECADE),
-        collapse_window=getattr(args, "collapse_window", 2.0),
-        disparity_bins_per_decade=getattr(args, "disparity_bins_per_decade", 8),
-        disparity_min_count=getattr(args, "disparity_min_count", 3),
-        exp_fit_range=_parse_float_range(getattr(args, "exp_fit_range", None))
-        or (0.05, 0.9),
-        emit_every=getattr(args, "emit_every", 1),
-        threshold=getattr(args, "threshold", 0.5),
-        degree_fit_range=_parse_float_range(getattr(args, "degree_fit_range", None)),
-    )
-
-
-def _config_dict(config: RunConfig) -> dict:
-    doc = asdict(config)
-    doc.pop("outdir", None)  # two runs into different directories must match
-    return doc
-
-
-def _ensure_outdir(outdir: str) -> Path:
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+_ANALYSES = ("summary", "metrics", "fit", "percolate", "richclub", "panel")
+_DISPARITY = ("metrics", "panel")
+_WEIGHT_FIT = ("fit", "panel")
 
-def _add_io_arguments(parser, needs_input=True):
-    if needs_input:
-        parser.add_argument("--input", required=True,
-                            help="dyadic CSV/TSV file, snapshot JSON, or snapshot directory")
-        parser.add_argument("--format", choices=("csv", "tsv"), default="csv",
-                            help="delimiter of dyadic record files")
-        parser.add_argument("--years", default=None,
-                            help="year selection: all (default), 1950, 1948:1960, or "
-                                 "1948,1950; a range selects the years it holds")
-        parser.add_argument("--on-duplicate", dest="on_duplicate",
-                            choices=("mean", "first", "max"), default="mean",
-                            help="how to resolve duplicate reports of one directed flow")
-        parser.add_argument("--missing", choices=("zero", "copy"), default="zero",
-                            help="how a one-sided flow report enters the symmetrizing average")
-    parser.add_argument("--outdir", default=os.environ.get(OUTDIR_ENV, "."),
-                        help=f"output directory (default: ${OUTDIR_ENV} or cwd)")
-    parser.add_argument("--output-format", dest="output_format",
-                        choices=("csv", "json"), default="csv",
-                        help="format of tabular result files")
+# The analysis options, one row per RunConfig field: its flag, the subcommands
+# that take it and further add_argument keywords.  An option left out keeps
+# the field's default, and so does a ``*_range`` field given as "" (else LO:HI).
+_OPTIONS = {
+    "input_path": ("--input", _ANALYSES,
+                   {"metavar": "INPUT",
+                    "help": "dyadic CSV/TSV file, snapshot JSON, or snapshot directory"}),
+    "input_format": ("--format", _ANALYSES,
+                     {"choices": ("csv", "tsv"), "help": "delimiter of dyadic record files"}),
+    "years": ("--years", _ANALYSES,
+              {"help": "year selection: all (default), 1950, 1948:1960, or 1948,1950; "
+                       "a range selects the years it holds"}),
+    "on_duplicate": ("--on-duplicate", _ANALYSES,
+                     {"choices": ("mean", "first", "max"),
+                      "help": "how to resolve duplicate reports of one directed flow"}),
+    "missing": ("--missing", _ANALYSES,
+                {"choices": ("zero", "copy"),
+                 "help": "how a one-sided flow report enters the symmetrizing average"}),
+    "outdir": ("--outdir", _ANALYSES,
+               {"help": f"output directory (default: ${OUTDIR_ENV} or cwd)"}),
+    "output_format": ("--output-format", _ANALYSES,
+                      {"choices": ("csv", "json"), "help": "format of tabular result files"}),
+    "flow": ("--flow", _DISPARITY, {"choices": ("total", "export", "import")}),
+    "disparity_bins_per_decade": ("--disparity-bins-per-decade", _DISPARITY, {"type": int}),
+    "disparity_min_count": ("--disparity-min-count", _DISPARITY, {"type": int}),
+    "bins_per_decade": ("--bins-per-decade", _WEIGHT_FIT, {"type": int}),
+    "fit_range": ("--fit-range", _WEIGHT_FIT, {"help": "power-law fit window, LO:HI"}),
+    "fit_decades": ("--fit-decades", _WEIGHT_FIT,
+                    {"type": float, "help": "width of the default fit window in decades"}),
+    "collapse_bins_per_decade": ("--collapse-bins-per-decade", _WEIGHT_FIT, {"type": int}),
+    "collapse_window": ("--collapse-window", _WEIGHT_FIT,
+                        {"type": float,
+                         "help": "central region half-width in sigmas for collapse_mse"}),
+    "exp_fit_range": ("--exp-fit-range", ("panel",),
+                      {"help": "f range for the percolation exponential fit"}),
+    "emit_every": ("--emit-every", ("percolate", "panel"),
+                   {"type": int, "help": "write every n-th point of the curve"}),
+    "threshold": ("--threshold", ("richclub", "panel"),
+                  {"type": float, "help": "fraction of world trade defining the club"}),
+    "degree_fit_range": ("--degree-fit-range", ("panel",),
+                         {"help": "k range for the pooled degree survival fit"}),
+}
+
+
+def _config_from_args(args) -> RunConfig:
+    """The RunConfig of the _OPTIONS values given on the command line."""
+    given = {field: _parse_float_range(value) if field.endswith("_range") else value
+             for field, value in vars(args).items() if field in _OPTIONS}
+    return RunConfig(**{field: value for field, value in given.items() if value is not None})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -730,6 +662,24 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _analysis_parser(sub, command: str, help: str, func):
+    """The parser of an analysis subcommand, with its _OPTIONS rows."""
+    p = sub.add_parser(command, help=help)
+    p.set_defaults(func=func)
+    inputs = p
+    if command == "fit":  # which reads exactly one of --input and --weights
+        inputs = p.add_mutually_exclusive_group(required=True)
+        inputs.add_argument("--weights", default=None,
+                            help="plain text file of weights (one per line) instead of --input")
+    for field, (flag, commands, kwargs) in _OPTIONS.items():
+        if command in commands:
+            default = os.environ.get(OUTDIR_ENV, ".") if field == "outdir" else argparse.SUPPRESS
+            (inputs if field == "input_path" else p).add_argument(
+                flag, dest=field, default=default,
+                required=field == "input_path" and inputs is p, **kwargs)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -741,49 +691,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("summary", help="whole-network summary per year")
-    _add_io_arguments(p)
-    p.set_defaults(func=_cmd_summary)
-
-    p = sub.add_parser("metrics", help="per-node metrics and disparity curve")
-    _add_io_arguments(p)
-    p.add_argument("--flow", choices=("total", "export", "import"), default="total")
-    p.add_argument("--disparity-bins-per-decade", type=int, default=8)
-    p.add_argument("--disparity-min-count", type=int, default=3)
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("fit", help="weight histogram, power-law and log-normal fits")
-    _add_io_arguments(p)
-    p.add_argument("--weights", default=None,
-                   help="plain text file of weights (one per line) instead of --input")
-    p.add_argument("--bins-per-decade", type=int, default=10)
-    p.add_argument("--fit-range", default=None, help="power-law fit window, LO:HI")
-    p.add_argument("--fit-decades", type=float, default=2.5,
-                   help="width of the default fit window in decades")
-    p.add_argument("--collapse-bins-per-decade", type=int,
-                   default=COLLAPSE_BINS_PER_DECADE)
-    p.add_argument("--collapse-window", type=float, default=2.0,
-                   help="central region half-width in sigmas for collapse_mse")
-    p.set_defaults(func=_cmd_fit)
-    # --input is only required when --weights is absent; enforced in _cmd_fit.
-    for action in p._actions:
-        if action.dest == "input":
-            action.required = False
-
-    p = sub.add_parser("percolate", help="weight-ordered giant-component growth")
-    _add_io_arguments(p)
+    _analysis_parser(sub, "summary", "whole-network summary per year",
+                     _years_command(_summary_year))
+    _analysis_parser(sub, "metrics", "per-node metrics and disparity curve",
+                     _years_command(_metrics_year, _metrics_disparity))
+    _analysis_parser(sub, "fit", "weight histogram, power-law and log-normal fits", _cmd_fit)
+    p = _analysis_parser(sub, "percolate", "weight-ordered giant-component growth",
+                         _cmd_percolate)
     p.add_argument("--order", choices=("desc", "asc", "both"), default="both")
-    p.add_argument("--emit-every", type=int, default=1,
-                   help="write every n-th point of the curve")
     p.add_argument("--fit", default=None,
                    help="also fit the exponential approach over f range LO:HI")
-    p.set_defaults(func=_cmd_percolate)
-
-    p = sub.add_parser("richclub", help="rich-club curve and series")
-    _add_io_arguments(p)
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="fraction of world trade defining the club")
-    p.set_defaults(func=_cmd_richclub)
+    _analysis_parser(sub, "richclub", "rich-club curve and series",
+                     _years_command(_richclub_year, _richclub_series))
 
     p = sub.add_parser("synth", help="generate gravity-model synthetic data")
     p.add_argument("--countries", type=int, required=True)
@@ -806,33 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-year snapshot JSON files here")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("panel", help="full pipeline over all requested years")
-    _add_io_arguments(p)
-    p.add_argument("--flow", choices=("total", "export", "import"), default="total")
-    p.add_argument("--bins-per-decade", type=int, default=10)
-    p.add_argument("--fit-range", default=None)
-    p.add_argument("--fit-decades", type=float, default=2.5)
-    p.add_argument("--collapse-bins-per-decade", type=int,
-                   default=COLLAPSE_BINS_PER_DECADE)
-    p.add_argument("--collapse-window", type=float, default=2.0)
-    p.add_argument("--disparity-bins-per-decade", type=int, default=8)
-    p.add_argument("--disparity-min-count", type=int, default=3)
-    p.add_argument("--exp-fit-range", default="0.05:0.9",
-                   help="f range for the percolation exponential fit")
-    p.add_argument("--emit-every", type=int, default=1)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--degree-fit-range", default=None,
-                   help="k range for the pooled degree survival fit")
-    p.set_defaults(func=_cmd_panel)
-
+    _analysis_parser(sub, "panel", "full pipeline over all requested years",
+                     lambda args: run_analyze(_config_from_args(args)))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fit" and not args.weights and not args.input:
-        parser.error("fit needs --input or --weights")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TradeNetError, OSError) as exc:

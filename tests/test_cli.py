@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import shlex
 import shutil
 import tempfile
 import time
@@ -356,6 +357,20 @@ class TestAnalysisCommands:
             main(["fit", "--outdir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("empty_input", [False, True])
+    def test_fit_takes_one_of_input_and_weights(self, tmp_path, capsys, empty_input):
+        data = "" if empty_input else str(synth_csv(tmp_path, years="1990:1990", countries=12))
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1\n2\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--input", data, "--weights", str(wfile),
+                  "--outdir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "not allowed" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_percolate_emit_every(self, tmp_path):
         data = synth_csv(tmp_path)
         out_all = tmp_path / "all"
@@ -391,6 +406,10 @@ class TestAnalysisCommands:
 
 
 CSV_HEADER = b"year,reporter,partner,export,import\n"
+# Weight lists that log_histogram rejects, by test id.
+BAD_WEIGHT_LISTS = {"weights-empty": "\n", "weights-zero": "1\n0\n",
+                    "weights-negative": "2\n-1\n", "weights-nan": "1\nnan\n",
+                    "weights-inf": "inf\n3\n"}
 
 
 class TestErrorPaths:
@@ -399,10 +418,15 @@ class TestErrorPaths:
                      "--outdir", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("command", ["summary", "metrics", "fit", "percolate",
-                                         "richclub", "panel"])
+                                         "richclub", "panel", *BAD_WEIGHT_LISTS])
     def test_input_error_leaves_no_outdir(self, tmp_path, command):
         out = tmp_path / "out"
-        assert main([command, "--input", str(tmp_path / "nope.csv"), "--outdir", str(out)]) == 2
+        argv = [command, "--input", str(tmp_path / "nope.csv")]
+        if command in BAD_WEIGHT_LISTS:
+            weights = tmp_path / "weights.txt"
+            weights.write_text(BAD_WEIGHT_LISTS[command])
+            argv = ["fit", "--weights", str(weights)]
+        assert main(argv + ["--outdir", str(out)]) == 2
         assert not out.exists()
 
     def test_malformed_csv(self, tmp_path):
@@ -542,3 +566,20 @@ class TestPanel:
                          "--outdir", str(out)]) == 0
             for p in sorted(out.glob(f"{year}_*")):
                 assert p.read_bytes() == (out_all / p.name).read_bytes(), p.name
+
+
+def test_readme_cli_lines_parse():
+    """Every ``tradenet`` line of README's CLI example parses with the
+    parser as built, and the options of each one that reads --input pass
+    _check_config."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("tradenet ")]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv[1:])  # an unknown option exits 2
+        assert args.command == argv[1]
+        if "--input" in argv:
+            cli._check_config(cli._config_from_args(args))

@@ -10,9 +10,10 @@ CSV quoting (a comma, a doubled quote, a newline) or hold an inner space or
 a non-ASCII letter, ``metrics`` for export and import flows, ``fit`` on
 the synth panel with a fixed window and on a hand-written weight list,
 ``percolate`` with its exponential fits and with one order thinned,
-``richclub`` at a non-default threshold and on one year, and ``summary`` under every ``--on-duplicate`` x ``--missing`` combination on a
-hand-built file with duplicates, one-sided reports, zeros, shuffled rows and
-one year whose flows are all zero.
+``richclub`` at a non-default threshold and on one year, and ``summary``
+under every ``--on-duplicate`` x ``--missing`` combination on a hand-built
+file with duplicates, one-sided reports, zeros, shuffled rows and one year
+whose flows are all zero.
 
 A change that alters outputs on purpose regenerates the goldens with
 
