@@ -8,6 +8,7 @@ Weights are million USD stored as 64-bit floats.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -273,8 +274,27 @@ def snapshot_loads(text: str) -> AnnualTradeNetwork:
 
     The document is checked as CSV ingest checks its input: every edge is
     a canonical pair listed once, with finite non-negative flow weights and
-    a positive total.
+    a positive total.  The year must be a JSON integer, every country code
+    a JSON string and every weight a JSON number: a value of another JSON
+    type is rejected, not converted.
     """
+    # json.loads makes one list per edge, and every few hundred new lists
+    # would start a pass of the cyclic garbage collector over the lists built
+    # so far.  The document holds only lists, strs and numbers, so it can
+    # form no reference cycle, and reference counting frees it.  The
+    # collector resumes only once _snapshot_network has returned and the
+    # document is freed, so no pass ever traverses it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _snapshot_network(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _snapshot_network(text: str) -> AnnualTradeNetwork:
+    """The body of snapshot_loads, which pauses the collector around it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -284,18 +304,27 @@ def snapshot_loads(text: str) -> AnnualTradeNetwork:
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValidationError(f"unsupported snapshot version {doc.get('version')!r}")
     try:
-        year = int(doc["year"])
+        year = doc["year"]
+        if type(year) is not int:
+            raise ValueError(f"year {year!r} is not a JSON integer")
         entries = doc["edges"]
         if set(map(len, entries)) - {4}:
             raise ValueError("an edge entry is not [a, b, w_exp, w_imp]")
-        a, b, w_exp, w_imp = zip(*entries) if entries else ((),) * 4
+        a = [entry[0] for entry in entries]
+        b = [entry[1] for entry in entries]
+        w_exp = [entry[2] for entry in entries]
+        w_imp = [entry[3] for entry in entries]
+        for column, types, problem in ((a, {str}, "country code {!r} is not a JSON string"),
+                                       (b, {str}, "country code {!r} is not a JSON string"),
+                                       (w_exp, {int, float}, "edge weight {!r} is not a JSON number"),
+                                       (w_imp, {int, float}, "edge weight {!r} is not a JSON number")):
+            if not set(map(type, column)) <= types:
+                raise ValueError(problem.format(next(v for v in column if type(v) not in types)))
         w_exp = np.array(w_exp, dtype=np.float64)
         w_imp = np.array(w_imp, dtype=np.float64)
-        if w_exp.ndim != 1 or w_imp.ndim != 1:
-            raise ValueError("edge weights must be numbers")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed snapshot document: {exc}") from None
-    net = AnnualTradeNetwork(year, list(map(str, a)), list(map(str, b)), w_exp, w_imp)
+    net = AnnualTradeNetwork(year, a, b, w_exp, w_imp)
     if list(net.nodes) != doc.get("nodes"):
         raise ValidationError("snapshot node list does not match edge endpoints")
     return net

@@ -139,7 +139,9 @@ def fit_exponential_approach(curve: PercolationCurve,
     usable = (curve.f >= f_lo) & (curve.f <= f_hi) & (curve.giant < 1.0)
     xs = curve.f[usable]
     # math.log, not np.log: the two differ in the last bit on some inputs.
-    ys = [math.log(gap) for gap in (1.0 - curve.giant[usable]).tolist()]
+    # The gap takes at most N distinct values, so each is logged once.
+    gaps, index = np.unique(1.0 - curve.giant[usable], return_inverse=True)
+    ys = np.array([math.log(gap) for gap in gaps.tolist()])[index]
     if len(xs) < 3:
         raise InsufficientDataError(
             f"only {len(xs)} usable points inside ({f_lo:g}, {f_hi:g}); need 3")

@@ -1,4 +1,6 @@
+import gc
 import io
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +184,55 @@ class TestSnapshot:
                 f'"nodes":["A","B","C"],"edges":[["A","B",1.0,2.0],["A","C",1.0,1.0],{edge}]}}')
         with pytest.raises(ValidationError):
             snapshot_loads(text)
+
+    @pytest.mark.parametrize("year, edge, problem", [
+        ("2000", '["A","B","1.5",2.0]', "edge weight '1.5' is not a JSON number"),
+        ("2000", '["A","B",1.0," 1_0 "]', "edge weight ' 1_0 ' is not a JSON number"),
+        ("2000", '["A","B",true,2.0]', "edge weight True is not a JSON number"),
+        ("2000", '["A","B",1.0,null]', "edge weight None is not a JSON number"),
+        ("2000", '["A","B",[1.0],2.0]', "edge weight [1.0] is not a JSON number"),
+        ("2000", '["A","B",1' + "0" * 400 + ',2.0]', "too large"),
+        ("1990.7", '["A","B",1.0,2.0]', "year 1990.7 is not a JSON integer"),
+        ("2000.0", '["A","B",1.0,2.0]', "year 2000.0 is not a JSON integer"),
+        ("true", '["A","B",1.0,2.0]', "year True is not a JSON integer"),
+        ('"1990"', '["A","B",1.0,2.0]', "year '1990' is not a JSON integer"),
+        ("2000", '["A",2,1.0,2.0]', "country code 2 is not a JSON string"),
+        ("2000", '[1,"B",1.0,2.0]', "country code 1 is not a JSON string"),
+    ], ids=["weight-str", "weight-padded-str", "weight-bool", "weight-null", "weight-list",
+            "weight-huge-int", "year-float", "year-integral-float", "year-bool", "year-str",
+            "code-int-b", "code-int-a"])
+    def test_rejects_values_of_other_json_types(self, year, edge, problem):
+        text = ('{"format":"trade-network-snapshot","version":1,'
+                f'"year":{year},"nodes":["A","B"],"edges":[{edge}]}}')
+        with pytest.raises(ValidationError, match=re.escape(problem)):
+            snapshot_loads(text)
+
+    def test_reads_int_weights_as_floats(self):
+        text = ('{"format":"trade-network-snapshot","version":1,"year":2000,'
+                '"nodes":["A","B"],"edges":[["A","B",3,0]]}')
+        assert snapshot_loads(text) == make_network(2000, [("A", "B", 3.0, 0.0)])
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("text, raises", [
+        (None, None),
+        ("{not json", ParseError),
+        ('{"format":"trade-network-snapshot","version":1,"year":2000,"nodes":["A","B"],'
+         '"edges":[["A","B",1.0]]}', ValidationError),
+        ('{"format":"trade-network-snapshot","version":1,"year":2000,"nodes":[],"edges":[]}',
+         EmptyNetworkError),
+    ], ids=["loaded", "parse-error", "validation-error", "empty-network"])
+    def test_leaves_the_collector_as_it_found_it(self, rng, collecting, text, raises):
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if raises is None:
+                snapshot_loads(snapshot_dumps(random_network(rng, 10)))
+            else:
+                with pytest.raises(raises):
+                    snapshot_loads(text)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_rejects_node_mismatch(self):
         text = ('{"format":"trade-network-snapshot","version":1,"year":2000,'

@@ -5,6 +5,7 @@ import pytest
 
 from analysis_oracle import edge_dict
 from conftest import make_network, random_network
+from tradenet.distributions import linear_fit
 from tradenet.errors import DomainError, InsufficientDataError
 from tradenet.percolation import (PercolationCurve, UnionFind,
                                   fit_exponential_approach, percolate)
@@ -119,14 +120,49 @@ class TestPercolate:
         assert ordered_edges(net, "ascending") == [("A", "B"), ("A", "C"), ("B", "C")]
 
 
+def reference_fit(curve, fit_range):
+    """(rate, r_squared) of the exponential fit with math.log called once
+    per in-range point, or None for fewer than 3 points."""
+    f_lo, f_hi = fit_range
+    xs, ys = [], []
+    for f, giant in curve.points:
+        if f_lo <= f <= f_hi and giant < 1.0:
+            xs.append(f)
+            ys.append(math.log(1.0 - giant))
+    if len(xs) < 3:
+        return None
+    slope, _, _, r_squared = linear_fit(xs, ys)
+    return -slope, r_squared
+
+
+def synthetic_curve():
+    fs = np.linspace(0.05, 1.0, 20)
+    return curve_of([(float(f), float(1.0 - math.exp(-5.0 * f))) for f in fs])
+
+
 class TestExponentialFit:
     def test_exact_synthetic_curve(self):
-        fs = np.linspace(0.05, 1.0, 20)
-        points = [(float(f), float(1.0 - math.exp(-5.0 * f))) for f in fs]
-        curve = curve_of(points)
-        fit = fit_exponential_approach(curve, (0.0, 1.0))
+        fit = fit_exponential_approach(synthetic_curve(), (0.0, 1.0))
         assert fit.rate == pytest.approx(5.0, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("order", ["descending", "ascending"])
+    def test_matches_per_point_logs_bit_for_bit(self, rng, order):
+        cases = [(synthetic_curve(), (0.0, 1.0))]
+        for _ in range(20):
+            net = random_network(rng, int(rng.integers(4, 40)))
+            cases.append((percolate(net, order), (0.0, float(rng.uniform(0.3, 1.0)))))
+        fitted = 0
+        for curve, fit_range in cases:
+            want = reference_fit(curve, fit_range)
+            if want is None:
+                with pytest.raises(InsufficientDataError):
+                    fit_exponential_approach(curve, fit_range)
+                continue
+            fit = fit_exponential_approach(curve, fit_range)
+            assert (fit.rate, fit.r_squared) == want
+            fitted += 1
+        assert fitted >= 15
 
     def test_saturated_curve_is_insufficient(self):
         points = [(0.2, 1.0), (0.5, 1.0), (0.8, 1.0), (1.0, 1.0)]

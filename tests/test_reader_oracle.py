@@ -138,10 +138,7 @@ def test_block_reader_matches_csv_reader(data, fmt, block_size, block_rows, fiel
 
 
 H = ",".join(HEADER) + "\n"
-
-
-@pytest.mark.parametrize("block_size", [1, 3, 1 << 16])
-@pytest.mark.parametrize("text, field_limit", [
+EDGE_CASES = [
     (H + "\n\n1990,A,B,1,2\n1990,A, ,1,1\n", None),  # blank lines, then a bad row
     (H + "\r1990,A,B,1,2\n1990,A,A,1,1\n", None),  # a blank line ended by a lone \r
     (H + "1990,A,B,1\n2,1990,C,D,1,2\n", None),  # 3 and 5 delimiters on two lines
@@ -150,6 +147,50 @@ H = ",".join(HEADER) + "\n"
     (H + "1990,A,B,1,2\x1c1990,C,D,1,2\n", None),  # not a line end for csv.reader
     (" year , reporter,partner,export,import \n1990,A,B,1,2\n", None),
     ('"year","reporter","partner","export","import"\n1990,A,B,1,2\n', None),
-])
+]
+
+
+@pytest.mark.parametrize("block_size", [1, 3, 1 << 16])
+@pytest.mark.parametrize("text, field_limit", EDGE_CASES)
 def test_edge_cases_match_csv_reader(text, field_limit, block_size):
     assert_same(text, block_size=block_size, field_limit=field_limit)
+
+
+def float_per_cell():
+    """read_columns as it runs where numpy fails the flow parse probe."""
+    return mock.patch.object(ingest, "_numpy_parses_like_float", lambda: False)
+
+
+@pytest.mark.parametrize("block_size", [1, 1 << 16])
+@pytest.mark.parametrize("text, field_limit", EDGE_CASES)
+def test_float_per_cell_edge_cases_match_csv_reader(text, field_limit, block_size):
+    with float_per_cell():
+        assert_same(text, block_size=block_size, field_limit=field_limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(sorted(FORMATS)), st.sampled_from([1, 7, 1 << 16]))
+def test_float_per_cell_matches_csv_reader(data, fmt, block_size):
+    text = data.draw(texts(FORMATS[fmt]))
+    with float_per_cell():
+        assert_same(text, fmt, block_size)
+
+
+def test_parse_probe_rejects_a_numpy_that_parses_otherwise():
+    real = np.array
+
+    def flushing(cells, dtype=None):  # subnormals read as zero
+        return real([0.0 if cell == "5e-324" else float(cell) for cell in cells], dtype)
+
+    def strict(cells, dtype=None):  # no digit separators
+        if "1_0" in cells:
+            raise ValueError("could not convert string to float: '1_0'")
+        return real(cells, dtype)
+
+    for numpy_parse in (flushing, strict):
+        ingest._numpy_parses_like_float.cache_clear()
+        try:
+            with mock.patch.object(np, "array", numpy_parse):
+                assert not ingest._numpy_parses_like_float()
+        finally:
+            ingest._numpy_parses_like_float.cache_clear()
