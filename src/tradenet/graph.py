@@ -269,6 +269,12 @@ def _snapshot_text(net: AnnualTradeNetwork, weights: list[str]) -> str:
     return f'{head[:-1]},"nodes":[{",".join(node.tolist())}],"edges":{edges}}}\n'
 
 
+# The JSON types of a snapshot's edge endpoints and weights, and the problem
+# a value of another type is reported as.
+_CODE = ({str}, "country code {!r} is not a JSON string")
+_WEIGHT = ({int, float}, "edge weight {!r} is not a JSON number")
+
+
 def snapshot_loads(text: str) -> AnnualTradeNetwork:
     """Parse a snapshot document back into a network.
 
@@ -314,10 +320,8 @@ def _snapshot_network(text: str) -> AnnualTradeNetwork:
         b = [entry[1] for entry in entries]
         w_exp = [entry[2] for entry in entries]
         w_imp = [entry[3] for entry in entries]
-        for column, types, problem in ((a, {str}, "country code {!r} is not a JSON string"),
-                                       (b, {str}, "country code {!r} is not a JSON string"),
-                                       (w_exp, {int, float}, "edge weight {!r} is not a JSON number"),
-                                       (w_imp, {int, float}, "edge weight {!r} is not a JSON number")):
+        for column, (types, problem) in zip((a, b, w_exp, w_imp),
+                                            (_CODE, _CODE, _WEIGHT, _WEIGHT)):
             if not set(map(type, column)) <= types:
                 raise ValueError(problem.format(next(v for v in column if type(v) not in types)))
         w_exp = np.array(w_exp, dtype=np.float64)
