@@ -25,8 +25,7 @@ from .ingest import (DyadicColumns, PairedColumns, pair_columns, read_columns,
                      write_network_records)
 from .metrics import (DisparityCurve, LogBinSpec, NodeMetricColumns, disparity_curve,
                       node_metric_columns)
-from .percolation import (ExponentialFit, PercolationCurve, UnionFind,
-                          fit_exponential_approach, percolate)
+from .percolation import ExponentialFit, PercolationCurve, fit_exponential_approach, percolate
 from .richclub import (RichClubCurve, RichClubSeries, rich_club_curve,
                        rich_club_series, rich_club_size)
 from .synth import (GravityParams, GrowthSchedule, country_codes, gdp_draws,

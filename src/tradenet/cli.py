@@ -22,14 +22,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .distributions import (COLLAPSE_BINS_PER_DECADE, collapse_transform,
-                            degree_distribution_from_degrees, fit_lognormal,
+from .distributions import (COLLAPSE_BINS_PER_DECADE, degree_distribution, fit_lognormal,
                             fit_power_law, intermediate_range, log_histogram,
                             scaling_regression)
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
@@ -76,17 +75,8 @@ class RunConfig:
 # Output helpers
 
 
-def _plain(value):
-    """Coerce numpy scalars so CSV/JSON serialization stays canonical."""
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_table(fh, header, columns, output_format: str) -> None:
@@ -195,6 +185,10 @@ def _check_config(config: RunConfig):
             raise DomainError(f"{option} must be positive and finite, got {value}")
     if not 0.0 < config.threshold < 1.0:
         raise DomainError(f"--threshold must lie strictly between 0 and 1, got {config.threshold}")
+    for option, window in (("--fit-range", config.fit_range),
+                           ("--degree-fit-range", config.degree_fit_range)):
+        if window is not None and not window[0] > 0.0:
+            raise DomainError(f"{option} LO must be positive, got {window[0]}")
     LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
     return _parse_years(config.years)
 
@@ -349,8 +343,7 @@ def _weight_fits(weights, config: RunConfig):
                             config.collapse_window)
         fits["lognormal"] = {"w0": lnf.w0, "sigma": lnf.sigma,
                              "collapse_mse": lnf.collapse_mse}
-        collapse = collapse_transform(weights, lnf.w0, lnf.sigma,
-                                      config.collapse_bins_per_decade)
+        collapse = lnf.collapse
     except TradeNetError as exc:
         fits["lognormal"] = {"error": str(exc)}
         collapse = []
@@ -468,28 +461,22 @@ def _cmd_percolate(args) -> int:
 def _cmd_synth(args) -> int:
     if not args.dyadic and not args.snapshot_dir:
         raise DomainError("synth needs --dyadic and/or --snapshot-dir")
-    params = GravityParams(
-        n_countries=args.countries,
-        gdp_logmean=args.gdp_logmean,
-        gdp_logsd=args.gdp_logsd,
-        coupling_exponent=args.coupling,
-        link_density_target=args.density,
-        noise_logsd=args.noise_logsd,
-        seed=args.seed,
-    )
+    given = vars(args)  # an option left out keeps its dataclass field's default
+    params, growth = (cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
+                      for cls in (GravityParams, GrowthSchedule))
     if args.years is not None:
         selection = _parse_years(args.years)
         if selection is None:
             raise DomainError("synth --years must be explicit")
         singles, ranges = selection
         years = sorted(singles.union(*(range(lo, hi + 1) for lo, hi in ranges)))
-        n_mult = args.n_multiplier
-        gdp_mult = args.gdp_multiplier
         if args.n_final is not None:
-            n_mult = multiplier_for(args.countries, args.n_final, len(years))
+            growth = replace(growth, n_multiplier=multiplier_for(params.n_countries,
+                                                                 args.n_final, len(years)))
         if args.gdp_scale_final is not None:
-            gdp_mult = multiplier_for(1.0, args.gdp_scale_final, len(years))
-        nets = generate_panel(params, years, GrowthSchedule(n_mult, gdp_mult))
+            growth = replace(growth, gdp_multiplier=multiplier_for(1.0, args.gdp_scale_final,
+                                                                   len(years)))
+        nets = generate_panel(params, years, growth)
     else:
         nets = [generate_network(params, args.year)]
     if args.dyadic:
@@ -581,13 +568,8 @@ def _panel_fits(outdir: Path, config: RunConfig, nets, warnings: list[str]) -> l
     except TradeNetError as exc:
         warnings.append(f"disparity curve skipped: {exc}")
 
-    degrees = [k for net in nets for k in net.degrees.tolist()]
-    degree_range = config.degree_fit_range
-    if degree_range is None:
-        ks = sorted(degrees)
-        degree_range = (float(ks[len(ks) // 5]), float(ks[(9 * len(ks)) // 10]))
     try:
-        dd = degree_distribution_from_degrees(degrees, degree_range)
+        dd = degree_distribution(nets, config.degree_fit_range)
         panel_fits["degree"] = {"gamma": dd.gamma, "fit_range": list(dd.fit_range)}
         files.append(_emit_table(outdir, "panel_degree_survival", ["k", "P_ge_k"],
                                  zip(*dd.survival), config.output_format))
@@ -631,7 +613,9 @@ _OPTIONS = {
     "disparity_bins_per_decade": ("--disparity-bins-per-decade", _DISPARITY, {"type": int}),
     "disparity_min_count": ("--disparity-min-count", _DISPARITY, {"type": int}),
     "bins_per_decade": ("--bins-per-decade", _WEIGHT_FIT, {"type": int}),
-    "fit_range": ("--fit-range", _WEIGHT_FIT, {"help": "power-law fit window, LO:HI"}),
+    "fit_range": ("--fit-range", _WEIGHT_FIT,
+                  {"help": "power-law fit window LO:HI, LO > 0 (default: --fit-decades wide, "
+                           "centred on the log-binned weights' geometric mean)"}),
     "fit_decades": ("--fit-decades", _WEIGHT_FIT,
                     {"type": float, "help": "width of the default fit window in decades"}),
     "collapse_bins_per_decade": ("--collapse-bins-per-decade", _WEIGHT_FIT, {"type": int}),
@@ -645,7 +629,8 @@ _OPTIONS = {
     "threshold": ("--threshold", ("richclub", "panel"),
                   {"type": float, "help": "fraction of world trade defining the club"}),
     "degree_fit_range": ("--degree-fit-range", ("panel",),
-                         {"help": "k range for the pooled degree survival fit"}),
+                         {"help": "k window LO:HI, LO > 0, of the pooled degree survival fit "
+                                  "(default: the pooled degrees' 20th to 90th percentile)"}),
 }
 
 
@@ -705,17 +690,16 @@ def build_parser() -> argparse.ArgumentParser:
                      _years_command(_richclub_year, _richclub_series))
 
     p = sub.add_parser("synth", help="generate gravity-model synthetic data")
-    p.add_argument("--countries", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--gdp-logmean", type=float, default=0.0)
-    p.add_argument("--gdp-logsd", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--noise-logsd", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--countries", dest="n_countries", type=int, required=True)
+    # The GravityParams and GrowthSchedule fields; their defaults are the dataclasses'.
+    for flag, field in (("density", "link_density_target"), ("gdp-logmean", "gdp_logmean"),
+                        ("gdp-logsd", "gdp_logsd"), ("coupling", "coupling_exponent"),
+                        ("noise-logsd", "noise_logsd"), ("seed", "seed"),
+                        ("n-multiplier", "n_multiplier"), ("gdp-multiplier", "gdp_multiplier")):
+        p.add_argument(f"--{flag}", dest=field, type=int if field == "seed" else float,
+                       default=argparse.SUPPRESS)
     p.add_argument("--year", type=int, default=2000)
     p.add_argument("--years", default=None, help="panel years, e.g. 1948:2000")
-    p.add_argument("--n-multiplier", type=float, default=1.0)
-    p.add_argument("--gdp-multiplier", type=float, default=1.0)
     p.add_argument("--n-final", type=int, default=None,
                    help="grow the country count to this value by the last year")
     p.add_argument("--gdp-scale-final", type=float, default=None,

@@ -60,6 +60,7 @@ class LogNormalFit:
     w0: float
     sigma: float
     collapse_mse: float
+    collapse: list[tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -127,17 +128,22 @@ def linear_fit(x, y) -> tuple[float, float, float, float]:
     return slope, intercept, stderr, r_squared
 
 
+def _positive_sample(values, empty: str, name: str = "weights") -> np.ndarray:
+    """``values`` as a float array, checked to be non-empty, positive and finite."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    if arr.size == 0:
+        raise EmptyInputError(empty)
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise DomainError(f"{name} must be positive and finite")
+    return arr
+
+
 def log_histogram(values, bins_per_decade: int = 10) -> LogHistogram:
     """Density estimate of a positive sample on geometric bins.
 
     Densities are per unit x and integrate to 1 over the occupied bins.
     """
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                     dtype=float)
-    if arr.size == 0:
-        raise EmptyInputError("no values to histogram")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("histogram values must be positive and finite")
+    arr = _positive_sample(values, "no values to histogram", "histogram values")
     edges = geometric_edges(float(arr.min()), float(arr.max()), bins_per_decade)
     idx = np.searchsorted(edges, arr, side="right") - 1
     counts = np.bincount(idx, minlength=len(edges) - 1)
@@ -172,37 +178,31 @@ def fit_power_law(hist: LogHistogram, fit_range: tuple[float, float]) -> PowerLa
             f"only {int(mask.sum())} occupied bins inside ({w_lo:g}, {w_hi:g}); need 3")
     slope, _, stderr, r_squared = linear_fit(np.log(centers[mask]),
                                              np.log(hist.densities[mask]))
-    return PowerLawFit(tau=-slope, tau_stderr=stderr,
-                       fit_range=(w_lo, w_hi), r_squared=r_squared)
+    return PowerLawFit(tau=-slope, tau_stderr=stderr, fit_range=(w_lo, w_hi), r_squared=r_squared)
 
 
 def fit_lognormal(weights, bins_per_decade: int = COLLAPSE_BINS_PER_DECADE,
                   central_sigmas: float = 2.0) -> LogNormalFit:
     """Fit a log-normal by moments of ln(w) and score the scaling collapse.
 
-    ``collapse_mse`` is the mean squared deviation of the collapsed points
-    from the universal parabola y = x**2 over the central region
-    ``|x| <= central_sigmas * sigma`` (the extremes are known to stray).
+    ``collapse`` holds the collapse_transform points, ``collapse_mse`` their
+    mean squared deviation from the universal parabola y = x**2 over the
+    central region ``|x| <= central_sigmas * sigma`` (the extremes are known
+    to stray).
     """
-    arr = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                     dtype=float)
-    if arr.size == 0:
-        raise EmptyInputError("no weights to fit")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("weights must be positive and finite")
+    arr = _positive_sample(weights, "no weights to fit")
     logs = np.log(arr)
     w0 = math.exp(float(logs.mean()))
     sigma = float(logs.std())
     if sigma == 0.0:
         raise DegenerateDataError("all weights identical: sigma = 0, collapse undefined")
     points = collapse_transform(arr, w0, sigma, bins_per_decade)
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    xs, ys = np.array(points).T
     central = np.abs(xs) <= central_sigmas * sigma
     if not central.any():
         central = np.abs(xs) == np.abs(xs).min()
     dev = ys[central] - xs[central] ** 2
-    return LogNormalFit(w0=w0, sigma=sigma, collapse_mse=float(np.mean(dev**2)))
+    return LogNormalFit(w0=w0, sigma=sigma, collapse_mse=float(np.mean(dev**2)), collapse=points)
 
 
 def collapse_transform(weights, w0: float, sigma: float,
@@ -218,12 +218,7 @@ def collapse_transform(weights, w0: float, sigma: float,
         raise DomainError("sigma must be positive")
     if bins_per_decade < 1:
         raise DomainError("bins_per_decade must be >= 1")
-    arr = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights,
-                     dtype=float)
-    if arr.size == 0:
-        raise EmptyInputError("no weights to transform")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("weights must be positive and finite")
+    arr = _positive_sample(weights, "no weights to transform")
     logs = np.log(arr)
     width = math.log(10.0) / bins_per_decade
     j_lo = math.floor(float(logs.min()) / width)
@@ -280,17 +275,21 @@ def degree_distribution_from_degrees(degrees, fit_range: tuple[float, float]) ->
     if len(in_range) < 3:
         raise InsufficientDataError(
             f"only {len(in_range)} distinct degrees inside ({k_lo:g}, {k_hi:g}); need 3")
-    ks = np.array([k for k, _ in in_range], dtype=float)
-    ps = np.array([p for _, p in in_range])
+    ks, ps = np.array(in_range, dtype=float).T
     slope, _, _, _ = linear_fit(np.log(ks), np.log(ps))
     return DegreeDistFit(survival=survival, gamma=1.0 - slope, fit_range=(k_lo, k_hi))
 
 
-def degree_distribution(nets, fit_range: tuple[float, float]) -> DegreeDistFit:
-    """Pool total degrees over the given networks and fit the survival tail."""
+def degree_distribution(nets, fit_range=None) -> DegreeDistFit:
+    """Pool total degrees over the given networks and fit the survival tail
+    over ``fit_range``, by default from the 20th to the 90th percentile of
+    the n pooled degrees (sorted positions ``n // 5`` and ``9 * n // 10``)."""
     degrees = [k for net in nets for k in net.degrees.tolist()]
     if not degrees:
         raise EmptyInputError("no networks given")
+    if fit_range is None:
+        ks = sorted(degrees)
+        fit_range = (float(ks[len(ks) // 5]), float(ks[(9 * len(ks)) // 10]))
     return degree_distribution_from_degrees(degrees, fit_range)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import geometric_edges, linear_fit
+from .distributions import linear_fit, log_histogram
 from .errors import DomainError, InsufficientDataError
 from .graph import AnnualTradeNetwork
 
@@ -141,11 +141,10 @@ def disparity_curve(nets, flow: str = "total",
         raise InsufficientDataError("no disparity samples in the given networks")
     ks = np.concatenate([k for k, _ in pooled]).astype(float)
     kys = np.concatenate([ky for _, ky in pooled])
-    edges = geometric_edges(float(ks.min()), float(ks.max()), binning.bins_per_decade)
-    idx = np.searchsorted(edges, ks, side="right") - 1
-    counts = np.bincount(idx, minlength=len(edges) - 1)
-    sums = np.bincount(idx, weights=kys, minlength=len(edges) - 1)
-    centers = np.sqrt(edges[:-1] * edges[1:])
+    hist = log_histogram(ks, binning.bins_per_decade)
+    counts, centers = hist.counts, hist.centers
+    sums = np.bincount(np.searchsorted(hist.bin_edges, ks, side="right") - 1, weights=kys,
+                       minlength=len(counts))
     occupied = counts > 0
     if int(occupied.sum()) < 3:
         raise InsufficientDataError(

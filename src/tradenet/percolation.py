@@ -20,64 +20,36 @@ from .distributions import linear_fit
 ORDERS = ("descending", "ascending")
 
 
-class UnionFind:
-    """Disjoint sets over range(n) with union by size and path compression."""
+def _largest_after_unions(n: int, a: list[int], b: list[int]) -> list[int]:
+    """Union a[m] with b[m] for m = 0, 1, ... in disjoint sets over range(n)
+    (union by size, path halving) and return the largest set size after
+    each union.
 
-    def __init__(self, n: int):
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self._parent
+    Stops once one set holds every element, so the result is shorter than
+    ``a`` when later unions cannot change it.
+    """
+    parent = list(range(n))
+    size = [1] * n
+    largest = 1
+    out = []
+    for x, y in zip(a, b):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of a and b; returns the resulting set size."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return self._size[ra]
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return self._size[ra]
-
-    def size(self, x: int) -> int:
-        return self._size[self.find(x)]
-
-    def largest_after_unions(self, a: list[int], b: list[int]) -> list[int]:
-        """Union a[m] with b[m] for m = 0, 1, ... and return the largest set
-        size after each union.
-
-        Stops once one set holds every element, so the result is shorter
-        than ``a`` when later unions cannot change it.  This is union() in
-        a loop, inlined because percolation calls it once per link.
-        """
-        parent, size = self._parent, self._size
-        n = len(parent)
-        largest = max(size, default=0)
-        out = []
-        for x, y in zip(a, b):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x != y:
-                if size[x] < size[y]:
-                    x, y = y, x
-                parent[y] = x
-                size[x] += size[y]
-                if size[x] > largest:
-                    largest = size[x]
-            out.append(largest)
-            if largest == n:
-                break
-        return out
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            size[x] += size[y]
+            if size[x] > largest:
+                largest = size[x]
+        out.append(largest)
+        if largest == n:
+            break
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +90,7 @@ def percolate(net: AnnualTradeNetwork, order: str = "descending") -> Percolation
     ranked = np.argsort(-net.w if order == "descending" else net.w, kind="stable")
     n = net.n_nodes
     n_links = net.n_links
-    sizes = UnionFind(n).largest_after_unions(net.a[ranked].tolist(),
-                                              net.b[ranked].tolist())
+    sizes = _largest_after_unions(n, net.a[ranked].tolist(), net.b[ranked].tolist())
     giant = np.full(n_links, n)
     giant[:len(sizes)] = sizes
     return PercolationCurve(order=order, f=np.arange(1, n_links + 1) / n_links,

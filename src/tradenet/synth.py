@@ -79,15 +79,8 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
     rng = SplitMix64(derive_seed(params.seed, year))
     log_gdp = params.gdp_logmean + params.gdp_logsd * rng.normal(n)
 
-    n_pairs = n * (n - 1) // 2
-    ii = np.empty(n_pairs, dtype=int)
-    jj = np.empty(n_pairs, dtype=int)
-    pos = 0
-    for i in range(n - 1):
-        count = n - 1 - i
-        ii[pos:pos + count] = i
-        jj[pos:pos + count] = np.arange(i + 1, n)
-        pos += count
+    ii, jj = np.triu_indices(n, 1)  # the pairs i < j in canonical order
+    n_pairs = ii.size
     log_mass = params.coupling_exponent * (log_gdp[ii] + log_gdp[jj])
     propensity = log_mass + params.noise_logsd * rng.normal(n_pairs)
     weights = np.exp(log_mass + params.noise_logsd * rng.normal(n_pairs))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from tradenet import cli
 from tradenet.cli import main
 from tradenet.graph import load_snapshot
-from tradenet.synth import GravityParams, generate_network
+from tradenet.synth import GravityParams, GrowthSchedule, generate_network, generate_panel
 
 
 def read_csv(path):
@@ -66,6 +66,40 @@ class TestSynthCommand:
             assert net.n_links == max(1, round(0.5 * n_t * (n_t - 1) / 2))
 
 
+class TestSynthDefaults:
+    """Each GravityParams and GrowthSchedule default is written once, in the
+    dataclass: synth given only --countries generates with the field
+    defaults, and each option given reaches its field."""
+
+    def test_one_year_gets_the_field_defaults(self, tmp_path):
+        with mock.patch.object(cli, "generate_network", wraps=generate_network) as gen:
+            assert main(["synth", "--countries", "7", "--dyadic", str(tmp_path / "d.csv")]) == 0
+        gen.assert_called_once_with(GravityParams(7), 2000)
+
+    def test_panel_gets_the_field_defaults(self, tmp_path):
+        with mock.patch.object(cli, "generate_panel", wraps=generate_panel) as gen:
+            assert main(["synth", "--countries", "7", "--years", "2000:2001",
+                         "--dyadic", str(tmp_path / "d.csv")]) == 0
+        gen.assert_called_once_with(GravityParams(7), [2000, 2001], GrowthSchedule())
+
+    def test_every_option_reaches_its_field(self, tmp_path):
+        with mock.patch.object(cli, "generate_panel", wraps=generate_panel) as gen:
+            assert main(["synth", "--countries", "7", "--density", "0.3", "--gdp-logmean", "1",
+                         "--gdp-logsd", "2", "--coupling", "0.5", "--noise-logsd", "0.7",
+                         "--seed", "9", "--n-multiplier", "1.1", "--gdp-multiplier", "1.2",
+                         "--years", "2000:2001", "--dyadic", str(tmp_path / "d.csv")]) == 0
+        gen.assert_called_once_with(GravityParams(7, 1.0, 2.0, 0.5, 0.3, 0.7, 9), [2000, 2001],
+                                    GrowthSchedule(1.1, 1.2))
+
+    def test_final_values_replace_the_multipliers(self, tmp_path):
+        with mock.patch.object(cli, "generate_panel", wraps=generate_panel) as gen:
+            assert main(["synth", "--countries", "10", "--years", "2000:2004", "--n-final", "20",
+                         "--gdp-scale-final", "3", "--gdp-multiplier", "5",
+                         "--dyadic", str(tmp_path / "d.csv")]) == 0
+        gen.assert_called_once_with(GravityParams(10), [2000, 2001, 2002, 2003, 2004],
+                                    GrowthSchedule(2 ** (1 / 4), 3 ** (1 / 4)))
+
+
 REVERSED_RANGES = [["percolate", "--fit", "0.9:0.1"], ["percolate", "--fit", "0.5:0.5"],
                    ["panel", "--exp-fit-range", "0.9:0.1"], ["panel", "--fit-range", "10:1"],
                    ["panel", "--degree-fit-range", "20:5"], ["fit", "--fit-range", "nan:1"]]
@@ -73,6 +107,10 @@ BAD_BIN_SPECS = [["metrics", "--disparity-bins-per-decade", "0"],
                  ["metrics", "--disparity-min-count", "0"],
                  ["panel", "--disparity-bins-per-decade", "0"],
                  ["panel", "--disparity-min-count", "-1"]]
+# Weights and degrees are positive: a window that starts at or below 0 cannot fit.
+LOW_WINDOWS = [["fit", "--fit-range=0:10"], ["fit", "--fit-range=-5:10"],
+               ["panel", "--fit-range=0:1"], ["panel", "--degree-fit-range=0:10"],
+               ["panel", "--degree-fit-range=-1:5"]]
 BAD_FIT_SETTINGS = [["panel", "--bins-per-decade", "0"], ["fit", "--bins-per-decade", "-2"],
                     ["panel", "--collapse-bins-per-decade", "0"],
                     ["fit", "--collapse-bins-per-decade", "0"], ["fit", "--fit-decades", "0"],
@@ -85,7 +123,8 @@ class TestArgumentErrors:
     """A bad argument value exits 2 with one error line, before any input is
     read or any file is written."""
 
-    @pytest.mark.parametrize("argv", REVERSED_RANGES + BAD_BIN_SPECS + BAD_FIT_SETTINGS)
+    @pytest.mark.parametrize("argv",
+                             REVERSED_RANGES + LOW_WINDOWS + BAD_BIN_SPECS + BAD_FIT_SETTINGS)
     def test_checked_before_input_is_read(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         rc = main(argv[:1] + ["--input", str(tmp_path / "absent.csv"), "--outdir", str(out)]
@@ -107,6 +146,7 @@ class TestArgumentErrors:
         (["richclub", "--threshold", "1.5"], "threshold"),
         (["richclub", "--threshold", "0"], "threshold"),
         *((argv, "range") for argv in REVERSED_RANGES),
+        *((argv, "LO must be positive") for argv in LOW_WINDOWS),
         *((argv, "bin spec") for argv in BAD_BIN_SPECS),
         *((argv, argv[1]) for argv in BAD_FIT_SETTINGS),
     ])
@@ -141,7 +181,11 @@ COUNTS = (["1", "3", "10", "1000"], ["-1", "0", "1.5", "x"])
 POSITIVE = (["0.5", "2.5", "1e-300", "1e300"], ["-1", "0", "inf", "nan", "x"])
 RANGES = (["0.05:0.9", "1:1e6", "0:1", "-1:5", "1:inf", "0.3:0.31"],
           ["0.9:0.1", "nan:1", "1", "x:y"])
-WEIGHT_FIT_OPTIONS = {"--bins-per-decade": COUNTS, "--fit-range": RANGES, "--fit-decades": POSITIVE,
+# The weight and degree fit windows must also start above 0.
+WINDOWS = (["0.05:0.9", "1:1e6", "1:inf", "0.3:0.31"],
+           ["0.9:0.1", "nan:1", "1", "x:y", "0:1", "-1:5"])
+WEIGHT_FIT_OPTIONS = {"--bins-per-decade": COUNTS, "--fit-range": WINDOWS,
+                      "--fit-decades": POSITIVE,
                       "--collapse-bins-per-decade": COUNTS, "--collapse-window": POSITIVE}
 DISPARITY_OPTIONS = {"--flow": (["total", "export", "import"], ["net"]),
                      "--disparity-bins-per-decade": COUNTS, "--disparity-min-count": COUNTS}
@@ -154,7 +198,7 @@ COMMAND_OPTIONS = {
                   "--fit": RANGES},
     "richclub": {"--threshold": THRESHOLD},
     "panel": {**WEIGHT_FIT_OPTIONS, **DISPARITY_OPTIONS, "--exp-fit-range": RANGES,
-              "--emit-every": COUNTS, "--threshold": THRESHOLD, "--degree-fit-range": RANGES},
+              "--emit-every": COUNTS, "--threshold": THRESHOLD, "--degree-fit-range": WINDOWS},
 }
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,10 @@ from tradenet.distributions import (LogHistogram, collapse_from_log_density,
                                     linear_fit, log_histogram, scaling_regression)
 from tradenet.errors import (DegenerateDataError, DomainError, EmptyInputError,
                              InsufficientDataError)
+from tradenet.graph import build_network
+from tradenet.ingest import pair_columns, read_columns
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sample_power_law(rng, tau, wmax, n, wmin=1.0):
@@ -217,6 +223,14 @@ class TestCollapse:
         mse_line = float(np.mean((ys - (intercept + slope * xs)) ** 2))
         assert mse_parabola < mse_line
 
+    @pytest.mark.parametrize("bpd", [1, 3, 9, 40])
+    def test_fit_holds_the_collapse_points_bit_for_bit(self, bpd):
+        rng = np.random.default_rng(bpd)
+        for w in (np.exp(3.0 + 1.5 * rng.standard_normal(2_000)),
+                  sample_power_law(rng, 2.0, 1e5, 500), rng.random(50) + 0.5):
+            fit = fit_lognormal(w, bpd)
+            assert repr(fit.collapse) == repr(collapse_transform(w, fit.w0, fit.sigma, bpd))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             collapse_transform([1.0, 2.0], 1.0, 0.0)
@@ -249,6 +263,19 @@ class TestDegreeDistribution:
         twice = degree_distribution([net, net], (2.0, 20.0))
         assert once.survival == twice.survival
         assert once.gamma == twice.gamma
+
+    def test_default_window_is_the_20th_to_90th_percentile(self, rng):
+        nets = [random_network(rng, 40), random_network(rng, 30, edge_prob=0.6)]
+        ks = sorted(k for net in nets for k in net.degrees.tolist())
+        fit = degree_distribution(nets)
+        assert fit.fit_range == (float(ks[len(ks) // 5]), float(ks[(9 * len(ks)) // 10]))
+        assert fit == degree_distribution(nets, fit.fit_range)
+
+    def test_default_window_on_the_golden_panel(self):
+        paired = pair_columns(read_columns(GOLDEN / "synth" / "out" / "panel.csv"))
+        nets = [build_network(paired, year) for year in (2001, 2002, 2003)]
+        fits = json.loads((GOLDEN / "panel_csv" / "out" / "panel_fits.json").read_text())
+        assert list(degree_distribution(nets).fit_range) == fits["degree"]["fit_range"]
 
     def test_insufficient_distinct_degrees(self):
         net = make_network(2000, [("A", "B", 1.0, 1.0)])

@@ -7,8 +7,8 @@ from analysis_oracle import edge_dict
 from conftest import make_network, random_network
 from tradenet.distributions import linear_fit
 from tradenet.errors import DomainError, InsufficientDataError
-from tradenet.percolation import (PercolationCurve, UnionFind,
-                                  fit_exponential_approach, percolate)
+from tradenet.percolation import (ORDERS, PercolationCurve, fit_exponential_approach,
+                                  percolate)
 
 
 def bfs_largest_component(nodes, edges):
@@ -49,17 +49,6 @@ def curve_of(points):
     return PercolationCurve("descending", f, giant)
 
 
-class TestUnionFind:
-    def test_union_and_sizes(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1) == 2
-        assert uf.union(1, 2) == 3
-        assert uf.union(0, 2) == 3
-        assert uf.size(3) == 1
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(3) != uf.find(0)
-
-
 class TestPercolate:
     def test_path_graph_descending(self):
         net = make_network(2000, [("A", "B", 3.0, 0.0), ("B", "C", 1.0, 0.0)])
@@ -95,6 +84,20 @@ class TestPercolate:
                     inserted.append(key)
                     expected = bfs_largest_component(net.nodes, inserted) / net.n_nodes
                     assert giant == expected
+
+    def test_giant_spanning_before_the_last_link_matches_bfs_oracle(self, rng):
+        # A complete graph spans its nodes after a few of its links; the union
+        # loop stops there and percolate fills in the rest of the curve.
+        codes = [f"C{i}" for i in range(7)]
+        net = make_network(2000, [(a, b, float(rng.uniform(1.0, 10.0)), 0.0)
+                                  for i, a in enumerate(codes) for b in codes[i + 1:]])
+        for order in ORDERS:
+            curve = percolate(net, order)
+            assert len(curve.points) == net.n_links
+            assert curve.giant.tolist().index(1.0) < net.n_links - 10
+            inserted = ordered_edges(net, order)
+            for m, (_, giant) in enumerate(curve.points, start=1):
+                assert giant == bfs_largest_component(net.nodes, inserted[:m]) / net.n_nodes
 
     def test_monotone_and_deterministic(self, rng):
         net = random_network(rng, 40, edge_prob=0.2)

@@ -22,11 +22,12 @@ GOLDEN_PANEL = ROOT / "tests" / "golden" / "synth" / "out" / "panel.csv"
 
 # Library calls of ``panel --emit-every 4`` on the three-year golden panel.
 PANEL_CALLS = {
-    "distributions.collapse_from_log_density": 6, "distributions.collapse_transform": 6,
+    "distributions.collapse_from_log_density": 3, "distributions.collapse_transform": 3,
+    "distributions.degree_distribution": 1,
     "distributions.degree_distribution_from_degrees": 1, "distributions.degree_survival": 1,
     "distributions.fit_lognormal": 3, "distributions.fit_power_law": 3,
     "distributions.geometric_edges": 4, "distributions.intermediate_range": 3,
-    "distributions.linear_fit": 13, "distributions.log_histogram": 3,
+    "distributions.linear_fit": 13, "distributions.log_histogram": 4,
     "distributions.scaling_regression": 2, "graph.build_network": 3, "graph.summarize": 3,
     "ingest.pair_columns": 1, "ingest.read_columns": 1, "metrics.disparity_curve": 1,
     "metrics.node_metric_columns": 9, "percolation.fit_exponential_approach": 6,
