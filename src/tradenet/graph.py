@@ -101,7 +101,15 @@ class AnnualTradeNetwork:
         that is not canonical or repeats, or for weights that are not
         finite, negative or sum to a non-positive total.
         """
-        self._set(year, *_validated(year, a_codes, b_codes, w_exp, w_imp))
+        if not len(a_codes):
+            raise EmptyNetworkError(f"no edges for year {year}")
+        w_exp = np.asarray(w_exp, dtype=np.float64)
+        w_imp = np.asarray(w_imp, dtype=np.float64)
+        if not len(a_codes) == len(b_codes) == len(w_exp) == len(w_imp):
+            raise ValidationError("edge lists of unequal length")
+        nodes = tuple(sorted(set(a_codes).union(b_codes)))
+        a, b = _node_indices(nodes, a_codes, b_codes)
+        self._set(year, nodes, *_sorted_edges(nodes, a, b, w_exp, w_imp))
 
     def _set(self, year, nodes, a, b, w_exp, w_imp) -> None:
         with np.errstate(invalid="ignore"):  # inf + -inf: rejected as non-finite below
@@ -171,31 +179,35 @@ class AnnualTradeNetwork:
         return f"AnnualTradeNetwork(year={self.year}, N={self.n_nodes}, L={self.n_links})"
 
 
-def _validated(year, a_codes, b_codes, w_exp, w_imp):
-    """Nodes and edge arrays sorted by (a, b) from edge lists in any order,
-    with a pair that is not canonical or repeats rejected."""
-    if not len(a_codes):
-        raise EmptyNetworkError(f"no edges for year {year}")
-    w_exp = np.asarray(w_exp, dtype=np.float64)
-    w_imp = np.asarray(w_imp, dtype=np.float64)
-    if not len(a_codes) == len(b_codes) == len(w_exp) == len(w_imp):
-        raise ValidationError("edge lists of unequal length")
-    nodes = tuple(sorted(set(a_codes).union(b_codes)))
-    position = {c: i for i, c in enumerate(nodes)}
-    a = np.fromiter(map(position.__getitem__, a_codes), np.int32, len(a_codes))
-    b = np.fromiter(map(position.__getitem__, b_codes), np.int32, len(b_codes))
+def _node_indices(nodes: tuple, a_codes, b_codes) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``nodes`` of the edge endpoints; KeyError for an
+    endpoint that is not in ``nodes``."""
+    position = dict(zip(nodes, range(len(nodes))))
+    return (np.fromiter(map(position.__getitem__, a_codes), np.int32, len(a_codes)),
+            np.fromiter(map(position.__getitem__, b_codes), np.int32, len(b_codes)))
+
+
+def _sorted_edges(nodes: tuple, a, b, w_exp, w_imp):
+    """Edge arrays sorted by (a, b) from edges in any order that index the
+    sorted ``nodes``, with a pair that is not canonical or repeats rejected.
+
+    Edges already in strictly increasing (a, b) order are returned as they
+    are, without a sort.
+    """
     bad = (a >= b) | ((a == 0) & (nodes[0] == ""))
     if bad.any():
         k = int(np.argmax(bad))
         raise ValidationError(
-            f"edge key ({a_codes[k]!r}, {b_codes[k]!r}) is not a canonical pair")
-    order = np.argsort(a.astype(np.int64) * len(nodes) + b, kind="stable")
-    a, b = a[order], b[order]
-    repeated = (a[1:] == a[:-1]) & (b[1:] == b[:-1])
-    if repeated.any():
-        k = int(np.argmax(repeated))
-        raise ValidationError(f"duplicate edge ({nodes[a[k]]}, {nodes[b[k]]})")
-    return nodes, a, b, w_exp[order], w_imp[order]
+            f"edge key ({nodes[a[k]]!r}, {nodes[b[k]]!r}) is not a canonical pair")
+    key = a.astype(np.int64) * len(nodes) + b
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        a, b, key, w_exp, w_imp = a[order], b[order], key[order], w_exp[order], w_imp[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            k = int(np.argmax(repeated))
+            raise ValidationError(f"duplicate edge ({nodes[a[k]]}, {nodes[b[k]]})")
+    return a, b, w_exp, w_imp
 
 
 def _check_weights(nodes, a, b, w_exp, w_imp, w) -> None:
@@ -274,6 +286,8 @@ def _snapshot_text(net: AnnualTradeNetwork, weights: list[str]) -> str:
 _CODE = ({str}, "country code {!r} is not a JSON string")
 _WEIGHT = ({int, float}, "edge weight {!r} is not a JSON number")
 
+_NODE_MISMATCH = "snapshot node list does not match edge endpoints"
+
 
 def snapshot_loads(text: str) -> AnnualTradeNetwork:
     """Parse a snapshot document back into a network.
@@ -282,7 +296,9 @@ def snapshot_loads(text: str) -> AnnualTradeNetwork:
     a canonical pair listed once, with finite non-negative flow weights and
     a positive total.  The year must be a JSON integer, every country code
     a JSON string and every weight a JSON number: a value of another JSON
-    type is rejected, not converted.
+    type is rejected, not converted.  The node list must hold the endpoint
+    codes in increasing order, each once.  Edges out of (a, b) order are
+    sorted.
     """
     # json.loads makes one list per edge, and every few hundred new lists
     # would start a pass of the cyclic garbage collector over the lists built
@@ -316,11 +332,11 @@ def _snapshot_network(text: str) -> AnnualTradeNetwork:
         entries = doc["edges"]
         if set(map(len, entries)) - {4}:
             raise ValueError("an edge entry is not [a, b, w_exp, w_imp]")
-        a = [entry[0] for entry in entries]
-        b = [entry[1] for entry in entries]
+        a_codes = [entry[0] for entry in entries]
+        b_codes = [entry[1] for entry in entries]
         w_exp = [entry[2] for entry in entries]
         w_imp = [entry[3] for entry in entries]
-        for column, (types, problem) in zip((a, b, w_exp, w_imp),
+        for column, (types, problem) in zip((a_codes, b_codes, w_exp, w_imp),
                                             (_CODE, _CODE, _WEIGHT, _WEIGHT)):
             if not set(map(type, column)) <= types:
                 raise ValueError(problem.format(next(v for v in column if type(v) not in types)))
@@ -328,9 +344,24 @@ def _snapshot_network(text: str) -> AnnualTradeNetwork:
         w_imp = np.array(w_imp, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed snapshot document: {exc}") from None
-    net = AnnualTradeNetwork(year, a, b, w_exp, w_imp)
-    if list(net.nodes) != doc.get("nodes"):
-        raise ValidationError("snapshot node list does not match edge endpoints")
+    if not entries:
+        raise EmptyNetworkError(f"no edges for year {year}")
+    # The network keeps the document's own node strs, not the ones made for
+    # the edge entries: those lie all through the decoded document, and
+    # holding some of them would keep its memory from being handed back.
+    nodes = doc.get("nodes")
+    if type(nodes) is not list or not set(map(type, nodes)) <= {str} or (
+            nodes != sorted(set(nodes))):
+        raise ValidationError(_NODE_MISMATCH)
+    nodes = tuple(nodes)
+    try:
+        a, b = _node_indices(nodes, a_codes, b_codes)
+    except KeyError:
+        raise ValidationError(_NODE_MISMATCH) from None
+    net = AnnualTradeNetwork.__new__(AnnualTradeNetwork)
+    net._set(year, nodes, *_sorted_edges(nodes, a, b, w_exp, w_imp))
+    if np.count_nonzero(np.bincount(np.concatenate([a, b]), minlength=len(nodes))) < len(nodes):
+        raise ValidationError(_NODE_MISMATCH)  # a node that no edge joins
     return net
 
 

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import re
 
 import numpy as np
@@ -239,6 +240,49 @@ class TestSnapshot:
                 '"nodes":["A","B","C"],"edges":[["A","B",1.0,2.0]]}')
         with pytest.raises(ValidationError):
             snapshot_loads(text)
+
+    @pytest.mark.parametrize("nodes, edges, raises, message", [
+        (["A", "B"], None, ValidationError, "snapshot node list does not match edge endpoints"),
+        (["A", "B", "C", "D"], None, ValidationError,
+         "snapshot node list does not match edge endpoints"),
+        (["A", "C", "B"], None, ValidationError,
+         "snapshot node list does not match edge endpoints"),
+        (["A", "B", "B", "C"], None, ValidationError,
+         "snapshot node list does not match edge endpoints"),
+        (["", "A", "B", "C"], [["", "A", 1.0, 0.0]], ValidationError,
+         "edge key ('', 'A') is not a canonical pair"),
+        (None, [["B", "A", 1.0, 0.0]], ValidationError,
+         "edge key ('B', 'A') is not a canonical pair"),
+        (None, [["C", "C", 1.0, 0.0]], ValidationError,
+         "edge key ('C', 'C') is not a canonical pair"),
+        (None, [["A", "B", 1.0, 0.0]], ValidationError, "duplicate edge (A, B)"),
+        ([], [], EmptyNetworkError, "no edges for year 2000"),
+    ], ids=["endpoint-not-a-node", "unused-node", "unsorted-nodes", "repeated-node",
+            "empty-code", "reversed-pair", "self-pair", "repeated-edge", "no-edges"])
+    def test_rejects_a_single_fault(self, nodes, edges, raises, message):
+        # One fault in a valid three-node document; ``edges`` are appended
+        # to its edges (an empty list replaces them).
+        doc = {"format": "trade-network-snapshot", "version": 1, "year": 2000,
+               "nodes": ["A", "B", "C"],
+               "edges": [["A", "B", 1.0, 2.0], ["A", "C", 1.0, 1.0], ["B", "C", 0.5, 0.0]]}
+        if nodes is not None:
+            doc["nodes"] = nodes
+        if edges == []:
+            doc["edges"] = []
+        elif edges is not None:
+            doc["edges"] += edges
+        with pytest.raises(raises) as exc:
+            snapshot_loads(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_loads_edges_out_of_canonical_order(self, rng):
+        for _ in range(20):
+            net = random_network(rng, int(rng.integers(2, 20)))
+            doc = json.loads(snapshot_dumps(net))
+            rng.shuffle(doc["edges"])
+            back = snapshot_loads(json.dumps(doc))
+            assert back == net
+            assert back.nodes == net.nodes
 
     def test_dyadic_rows_rebuild_exactly(self, rng):
         for _ in range(20):
