@@ -34,8 +34,8 @@ from .distributions import (COLLAPSE_BINS_PER_DECADE, degree_distribution, fit_l
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
 from .graph import _snapshot_text, build_network, load_snapshot, summarize
-from .ingest import (HEADER, _edge_text, _read_utf8, _write_columns, _write_network_rows,
-                     pair_columns, read_columns)
+from .ingest import (HEADER, _Coded, _edge_text, _read_utf8, _write_columns,
+                     _write_network_rows, pair_columns, read_columns)
 from .metrics import LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import rich_club_curve, rich_club_size
@@ -82,15 +82,22 @@ def _json_text(obj) -> str:
 def _write_table(fh, header, columns, output_format: str) -> None:
     """Write a table given as columns to ``fh`` as CSV or JSON.
 
-    A column is a numpy array or a sequence of Python ints, floats, strs and
-    Nones.  CSV writes a float as its repr and None as an empty cell; JSON
-    writes a float as its repr and None as null.
+    A column is a numpy array, an ingest._Coded column or a sequence of
+    Python ints, floats, strs and Nones.  CSV writes a float as its repr and
+    None as an empty cell; JSON writes a float as its repr and None as null.
     """
     if output_format == "json":
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        columns = list(map(_column_values, columns))
         fh.write(_json_text([dict(zip(header, row)) for row in zip(*columns)]))
     else:
         _write_columns(fh, header, columns)
+
+
+def _column_values(column):
+    """The values of a table column as Python objects."""
+    if isinstance(column, _Coded):
+        return np.array(_column_values(column.values), dtype=object)[column.index].tolist()
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 @contextlib.contextmanager
@@ -381,19 +388,20 @@ def _percolation_year(outdir: Path, net, config: RunConfig, orders):
     """Write every ``emit_every``-th point of each order's curve, and the
     last, as ``<year>_percolation``; returns its file name and the curves by
     order."""
-    order_col, f, giant = [], [], []
-    curves = {}
-    for order in orders:
-        curve = curves[order] = percolate(net, order)
-        emit = np.arange(1, len(curve.f) + 1) % config.emit_every == 0
-        emit[-1] = True
-        order_col += [order] * int(emit.sum())
-        f.append(curve.f[emit])
-        giant.append(curve.giant[emit])
-    giant = np.concatenate(giant)
+    curves = {order: percolate(net, order) for order in orders}
+    emit = np.arange(1, net.n_links + 1) % config.emit_every == 0
+    emit[-1] = True
+    rows = np.arange(np.count_nonzero(emit))
+    # Every order emits the same f = m/L, and a giant fraction is s/N for a
+    # component size s, so each column is written from its distinct values.
+    giant = np.arange(net.n_nodes + 1) / net.n_nodes
+    size = np.concatenate([np.searchsorted(giant, curve.giant[emit])
+                           for curve in curves.values()])
+    columns = [_Coded(list(orders), np.repeat(np.arange(len(orders)), len(rows))),
+               _Coded(curves[orders[0]].f[emit], np.tile(rows, len(orders))),
+               _Coded(giant, size), _Coded(1.0 - giant, size)]
     return _emit_table(outdir, f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],
-                       [order_col, np.concatenate(f), giant, 1.0 - giant],
-                       config.output_format), curves
+                       columns, config.output_format), curves
 
 
 def _percolation_fits(curves, fit_range) -> dict:

@@ -25,7 +25,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -234,14 +234,23 @@ def _write_network_rows(fh, net, weights: list[str], delimiter: str = ",") -> No
 # then rows are joined into lines and written in blocks of _BLOCK_ROWS.
 
 
+class _Coded(NamedTuple):
+    """A table column whose row ``i`` holds ``values[index[i]]``, so that each
+    of ``values`` is formatted once however many rows repeat it.  ``values``
+    is a column as the writers take it."""
+
+    values: object
+    index: np.ndarray
+
+
 def _write_columns(fh, header, columns, delimiter: str = ",") -> None:
     """Write a header row and a table given as columns to ``fh``, byte for
     byte as ``csv.writer(fh, delimiter=delimiter, lineterminator="\n")``
     writes the header and then the rows.
 
-    A column is a numpy array or a sequence of cells; rows stop at the
-    shortest column.  Float arrays are written as the repr of each value
-    and int arrays as its str.  Other cells are written as csv.writer
+    A column is a numpy array, a _Coded column or a sequence of cells; rows
+    stop at the shortest column.  Float arrays are written as the repr of
+    each value and int arrays as its str.  Other cells are written as csv.writer
     writes them: None as an empty cell and anything else as its str(),
     quoted as csv.writer quotes it.  The text of the whole table is never
     held at once.
@@ -262,6 +271,9 @@ def _write_lines(fh, cells: list[list[str]], delimiter: str) -> None:
 
 def _cells(column, delimiter: str, width: int) -> list[str]:
     """One column of a ``width``-column table as csv.writer writes its cells."""
+    if isinstance(column, _Coded):
+        cells = np.array(_cells(column.values, delimiter, width), dtype=object)
+        return cells[column.index].tolist()
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             return _float_cells(column)
