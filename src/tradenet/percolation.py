@@ -86,8 +86,12 @@ def percolate(net: AnnualTradeNetwork, order: str = "descending") -> Percolation
     """
     if order not in ORDERS:
         raise DomainError(f"unknown order {order!r}; expected one of {ORDERS}")
-    # A stable sort of edges held in (a, b) order breaks ties by (a, b).
-    ranked = np.argsort(-net.w if order == "descending" else net.w, kind="stable")
+    key = -net.w if order == "descending" else net.w
+    ranked = np.argsort(key)
+    ranked_key = key[ranked]
+    if (ranked_key[1:] == ranked_key[:-1]).any():
+        # A stable sort of edges held in (a, b) order breaks ties by (a, b).
+        ranked = np.argsort(key, kind="stable")
     n = net.n_nodes
     n_links = net.n_links
     sizes = _largest_after_unions(n, net.a[ranked].tolist(), net.b[ranked].tolist())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import analysis_oracle as oracle
 from analysis_oracle import edge_dict
 from conftest import make_network, random_network
 from tradenet.distributions import linear_fit
@@ -121,6 +122,25 @@ class TestPercolate:
                                   ("B", "C", 1.0, 0.0)])
         assert ordered_edges(net, "descending") == [("A", "B"), ("A", "C"), ("B", "C")]
         assert ordered_edges(net, "ascending") == [("A", "B"), ("A", "C"), ("B", "C")]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_tied_weights_rank_as_the_stable_sort(self, rng, order):
+        # Weights of three values tie on most links.  numpy's default sort
+        # orders the ties of arrays this long otherwise than a stable sort,
+        # so percolate must fall back to the stable one to keep pair order.
+        unstable = 0
+        for _ in range(10):
+            codes = [f"C{i:02d}" for i in range(int(rng.integers(30, 60)))]
+            edges = [(a, b, float(rng.choice([1.0, 2.5, 4.0])), 0.0)
+                     for i, a in enumerate(codes) for b in codes[i + 1:] if rng.random() < 0.3]
+            net = make_network(2000, edges)
+            key = -net.w if order == "descending" else net.w
+            unstable += not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
+            f, giant = np.array(oracle.percolate(edge_dict(net), order)).T
+            curve = percolate(net, order)
+            assert curve.f.tobytes() == f.tobytes()
+            assert curve.giant.tobytes() == giant.tobytes()
+        assert unstable
 
 
 def reference_fit(curve, fit_range):
