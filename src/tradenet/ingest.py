@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import collections
 import csv
-import functools
 import io
 import itertools
 import math
@@ -600,46 +599,18 @@ def _interner() -> collections.defaultdict:
 
 
 def _flows(cells) -> np.ndarray:
-    """Float64 flows with NaN for empty cells; _Unclean unless every other
-    cell is a finite number >= 0.
-
-    numpy parses the cells in bulk when it parses strs as float() does
-    (_numpy_parses_like_float); otherwise each cell goes through float().
-    """
+    """Float64 flows with NaN for empty cells, each other cell read by
+    float(); _Unclean unless every other cell is a finite number >= 0."""
     n_empty = cells.count("")
     if n_empty:
         cells = [cell or "nan" for cell in cells]
     try:
-        if _numpy_parses_like_float():
-            values = np.array(cells, dtype=np.float64)
-        else:
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         raise _Unclean from None
     if np.count_nonzero(~((values >= 0) & (values < math.inf))) != n_empty:
         raise _Unclean  # a nan, infinite or negative cell
     return values
-
-
-# Flow cells that float() reads in ways a str-to-float parser may not: digit
-# separators, non-ASCII digits, spelled-out and overflowing infinities,
-# negative zero, the least subnormal, padding, and the "nan" of an empty cell.
-_PROBE_FLOWS = ("1_0", "\u0661", "infinity", "1e500", "-0", "5e-324", " 2 ", "\t1.5\n",
-                "nan", "0.1")
-
-
-@functools.cache
-def _numpy_parses_like_float() -> bool:
-    """Whether numpy parses every _PROBE_FLOWS cell to float()'s bits.
-
-    Checked once per process, on the first flows parsed.  The reader
-    oracle test runs read_columns both ways.
-    """
-    try:
-        parsed = np.array(_PROBE_FLOWS, dtype=np.float64)
-    except ValueError:
-        return False
-    return parsed.tobytes() == np.fromiter(map(float, _PROBE_FLOWS), np.float64).tobytes()
 
 
 def _parse_row(row: list[str], lineno: int) -> list[str]:
