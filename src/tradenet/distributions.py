@@ -114,15 +114,18 @@ def linear_fit(x, y) -> tuple[float, float, float, float]:
     n = x.size
     if n < 2:
         raise InsufficientDataError("need at least 2 points for a line fit")
+    # Products summed by numpy, not np.dot: BLAS dot products round
+    # differently with the CPU kernel and the thread count.
     dx = x - x.mean()
-    sxx = float(np.dot(dx, dx))
+    dy = y - y.mean()
+    sxx = float((dx * dx).sum())
     if sxx == 0.0:
         raise DomainError("x values are all identical")
-    slope = float(np.dot(dx, y - y.mean())) / sxx
+    slope = float((dx * dy).sum()) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
     resid = y - (intercept + slope * x)
-    ssr = float(np.dot(resid, resid))
-    sst = float(np.dot(y - y.mean(), y - y.mean()))
+    ssr = float((resid * resid).sum())
+    sst = float((dy * dy).sum())
     r_squared = 1.0 - ssr / sst if sst > 0.0 else 1.0
     stderr = math.sqrt(max(ssr, 0.0) / (n - 2) / sxx) if n > 2 else 0.0
     return slope, intercept, stderr, r_squared

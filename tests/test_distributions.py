@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from tradenet.graph import build_network
 from tradenet.ingest import pair_columns, read_columns
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def sample_power_law(rng, tau, wmax, n, wmin=1.0):
@@ -323,3 +327,45 @@ class TestLinearFit:
         resid = y - (intercept + slope * x)
         expected = math.sqrt(resid @ resid / 28 / ((x - x.mean()) @ (x - x.mean())))
         assert stderr == pytest.approx(expected, rel=1e-12)
+
+
+# A fit of 100,000 points, large enough for OpenBLAS to split a dot product
+# over threads, printed as the repr of linear_fit's result.
+FIT_SCRIPT = """
+import numpy as np
+from tradenet.distributions import linear_fit
+rng = np.random.default_rng(20260808)
+x = rng.normal(size=100_000)
+print(repr(linear_fit(x, 2.0 * x + 1.0 + rng.normal(size=x.size))))
+"""
+
+
+def blas_configuration() -> str:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('openblas configuration', blas.get('version'))}"
+
+
+def fit_in_child(**setting) -> str:
+    """FIT_SCRIPT's output in a child process with no OPENBLAS_ variable
+    set but ``setting``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    env.update(PYTHONPATH=str(SRC), **setting)
+    return subprocess.run([sys.executable, "-c", FIT_SCRIPT], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.fixture(scope="module")
+def default_blas_fit():
+    return fit_in_child()
+
+
+@pytest.mark.parametrize("setting", [{"OPENBLAS_NUM_THREADS": "1"},
+                                     {"OPENBLAS_NUM_THREADS": "2"},
+                                     {"OPENBLAS_CORETYPE": "Prescott"}],
+                         ids=["one-thread", "two-threads", "prescott-kernel"])
+def test_linear_fit_bits_do_not_depend_on_blas(setting, default_blas_fit):
+    if "OPENBLAS_CORETYPE" in setting and "DYNAMIC_ARCH" not in blas_configuration():
+        pytest.skip(f"numpy links {blas_configuration()}, not a DYNAMIC_ARCH OpenBLAS: "
+                    "OPENBLAS_CORETYPE selects no kernel, so only the thread counts "
+                    "were compared")
+    assert fit_in_child(**setting) == default_blas_fit
