@@ -341,8 +341,11 @@ print(repr(linear_fit(x, 2.0 * x + 1.0 + rng.normal(size=x.size))))
 
 
 def blas_configuration() -> str:
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return f"{blas.get('name')} {blas.get('openblas configuration', blas.get('version'))}"
+    """numpy's BLAS as its build configuration names it."""
+    config = getattr(np.__config__, "CONFIG", {})  # numpy >= 1.26
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return " ".join(str(blas[key]) for key in ("name", "openblas configuration")
+                    if key in blas) or "an unnamed BLAS"
 
 
 def fit_in_child(**setting) -> str:
