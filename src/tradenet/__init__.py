@@ -26,9 +26,8 @@ from .ingest import (DyadicColumns, PairedColumns, pair_columns, read_columns,
 from .metrics import (DisparityCurve, LogBinSpec, NodeMetricColumns, disparity_curve,
                       node_metric_columns)
 from .percolation import ExponentialFit, PercolationCurve, fit_exponential_approach, percolate
-from .richclub import (RichClubCurve, RichClubSeries, rich_club_curve,
-                       rich_club_series, rich_club_size)
-from .synth import (GravityParams, GrowthSchedule, country_codes, gdp_draws,
-                    generate_network, generate_panel, multiplier_for)
+from .richclub import RichClubCurve, rich_club_curve, rich_club_size
+from .synth import (GravityParams, GrowthSchedule, country_codes, generate_network,
+                    generate_panel, multiplier_for)
 
 __version__ = "0.1.0"

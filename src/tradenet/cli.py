@@ -28,17 +28,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distributions import (COLLAPSE_BINS_PER_DECADE, degree_distribution, fit_lognormal,
-                            fit_power_law, intermediate_range, log_histogram,
-                            scaling_regression)
+from .distributions import (BINS_PER_DECADE, COLLAPSE_BINS_PER_DECADE, COLLAPSE_WINDOW,
+                            FIT_DECADES, degree_distribution, fit_lognormal, fit_power_law,
+                            intermediate_range, log_histogram, scaling_regression)
 from .errors import (DomainError, EmptyInputError, InsufficientDataError,
                      ParseError, TradeNetError, ValidationError)
-from .graph import _snapshot_text, build_network, load_snapshot, summarize
-from .ingest import (HEADER, _Coded, _edge_text, _read_utf8, _write_columns,
-                     _write_network_rows, pair_columns, read_columns)
-from .metrics import LogBinSpec, disparity_curve, node_metric_columns
+from .graph import (MISSING_FLOW_POLICIES, _snapshot_text, build_network, load_snapshot,
+                    summarize)
+from .ingest import (_BLOCK_ROWS, _DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text,
+                     _read_utf8, _write_columns, _write_network_rows, pair_columns,
+                     read_columns)
+from .metrics import FLOWS, LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
-from .richclub import rich_club_curve, rich_club_size
+from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
 from .synth import (GravityParams, GrowthSchedule, generate_network,
                     generate_panel, multiplier_for)
 
@@ -47,7 +49,8 @@ OUTDIR_ENV = "TRADENET_OUTDIR"
 
 @dataclass
 class RunConfig:
-    """The options of the analysis subcommands, each default written once;
+    """The options of the analysis subcommands, each default written once:
+    here, or in the library where a library function has the same default.
     panel records it verbatim (but the outdir) in its manifest."""
 
     input_path: str
@@ -58,16 +61,16 @@ class RunConfig:
     on_duplicate: str = "mean"
     missing: str = "zero"
     flow: str = "total"
-    bins_per_decade: int = 10
-    fit_decades: float = 2.5
+    bins_per_decade: int = BINS_PER_DECADE
+    fit_decades: float = FIT_DECADES
     fit_range: tuple[float, float] | None = None
     collapse_bins_per_decade: int = COLLAPSE_BINS_PER_DECADE
-    collapse_window: float = 2.0
-    disparity_bins_per_decade: int = 8
-    disparity_min_count: int = 3
+    collapse_window: float = COLLAPSE_WINDOW
+    disparity_bins_per_decade: int = LogBinSpec.bins_per_decade
+    disparity_min_count: int = LogBinSpec.min_count
     exp_fit_range: tuple[float, float] = (0.05, 0.9)
     emit_every: int = 1
-    threshold: float = 0.5
+    threshold: float = CLUB_THRESHOLD
     degree_fit_range: tuple[float, float] | None = None
 
 
@@ -84,20 +87,34 @@ def _write_table(fh, header, columns, output_format: str) -> None:
 
     A column is a numpy array, an ingest._Coded column or a sequence of
     Python ints, floats, strs and Nones.  CSV writes a float as its repr and
-    None as an empty cell; JSON writes a float as its repr and None as null.
+    None as an empty cell.  JSON is written byte for byte as
+    ``_json_text([dict(zip(header, row)) for row in zip(*columns)])`` for
+    distinct ``header`` names: each cell is json.dumps of its value, and
+    rows are joined from one row template, _BLOCK_ROWS rows per write, so
+    the text of the whole table is never held at once.
     """
-    if output_format == "json":
-        columns = list(map(_column_values, columns))
-        fh.write(_json_text([dict(zip(header, row)) for row in zip(*columns)]))
-    else:
+    if output_format != "json":
         _write_columns(fh, header, columns)
+        return
+    keyed = sorted(zip(header, columns), key=lambda item: item[0])
+    cells = [_json_cells(column) for _, column in keyed]
+    template = "  {" + ",".join(f"\n    {json.dumps(key).replace('%', '%%')}: %s"
+                                for key, _ in keyed) + "\n  }"
+    n_rows = min(map(len, cells), default=0)
+    separator = "[\n"
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        rows = zip(*(column[lo:lo + _BLOCK_ROWS] for column in cells))
+        fh.write(separator + ",\n".join(map(template.__mod__, rows)))
+        separator = ",\n"
+    fh.write("\n]\n" if n_rows else "[]\n")
 
 
-def _column_values(column):
-    """The values of a table column as Python objects."""
+def _json_cells(column) -> list[str]:
+    """The JSON text of each value of a table column; a _Coded column's
+    values are each formatted once."""
     if isinstance(column, _Coded):
-        return np.array(_column_values(column.values), dtype=object)[column.index].tolist()
-    return column.tolist() if isinstance(column, np.ndarray) else column
+        return np.array(_json_cells(column.values), dtype=object)[column.index].tolist()
+    return list(map(json.dumps, column.tolist() if isinstance(column, np.ndarray) else column))
 
 
 @contextlib.contextmanager
@@ -603,21 +620,21 @@ _OPTIONS = {
                    {"metavar": "INPUT",
                     "help": "dyadic CSV/TSV file, snapshot JSON, or snapshot directory"}),
     "input_format": ("--format", _ANALYSES,
-                     {"choices": ("csv", "tsv"), "help": "delimiter of dyadic record files"}),
+                     {"choices": tuple(_DELIMITERS), "help": "delimiter of dyadic record files"}),
     "years": ("--years", _ANALYSES,
               {"help": "year selection: all (default), 1950, 1948:1960, or 1948,1950; "
                        "a range selects the years it holds"}),
     "on_duplicate": ("--on-duplicate", _ANALYSES,
-                     {"choices": ("mean", "first", "max"),
+                     {"choices": DUPLICATE_POLICIES,
                       "help": "how to resolve duplicate reports of one directed flow"}),
     "missing": ("--missing", _ANALYSES,
-                {"choices": ("zero", "copy"),
+                {"choices": MISSING_FLOW_POLICIES,
                  "help": "how a one-sided flow report enters the symmetrizing average"}),
     "outdir": ("--outdir", _ANALYSES,
                {"help": f"output directory (default: ${OUTDIR_ENV} or cwd)"}),
     "output_format": ("--output-format", _ANALYSES,
                       {"choices": ("csv", "json"), "help": "format of tabular result files"}),
-    "flow": ("--flow", _DISPARITY, {"choices": ("total", "export", "import")}),
+    "flow": ("--flow", _DISPARITY, {"choices": FLOWS}),
     "disparity_bins_per_decade": ("--disparity-bins-per-decade", _DISPARITY, {"type": int}),
     "disparity_min_count": ("--disparity-min-count", _DISPARITY, {"type": int}),
     "bins_per_decade": ("--bins-per-decade", _WEIGHT_FIT, {"type": int}),

@@ -25,8 +25,14 @@ import numpy as np
 from .errors import (DegenerateDataError, DomainError, EmptyInputError,
                      InsufficientDataError)
 
+#: Geometric bins per decade of a weight histogram.
+BINS_PER_DECADE = 10
+#: Width in decades of the default power-law fit window.
+FIT_DECADES = 2.5
 #: ln-space bin width ln(10)/9 ~= 0.256 for the collapse histogram.
 COLLAPSE_BINS_PER_DECADE = 9
+#: Half-width in sigmas of the central region that collapse_mse scores.
+COLLAPSE_WINDOW = 2.0
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,6 @@ class LogHistogram:
     def centers(self) -> np.ndarray:
         """Geometric bin centers."""
         return np.sqrt(self.bin_edges[:-1] * self.bin_edges[1:])
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.bin_edges)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _positive_sample(values, empty: str, name: str = "weights") -> np.ndarray:
     return arr
 
 
-def log_histogram(values, bins_per_decade: int = 10) -> LogHistogram:
+def log_histogram(values, bins_per_decade: int = BINS_PER_DECADE) -> LogHistogram:
     """Density estimate of a positive sample on geometric bins.
 
     Densities are per unit x and integrate to 1 over the occupied bins.
@@ -154,7 +156,7 @@ def log_histogram(values, bins_per_decade: int = 10) -> LogHistogram:
     return LogHistogram(edges, densities, counts)
 
 
-def intermediate_range(hist: LogHistogram, decades: float = 2.5) -> tuple[float, float]:
+def intermediate_range(hist: LogHistogram, decades: float = FIT_DECADES) -> tuple[float, float]:
     """Default power-law fit window: ``decades`` wide, centered on the
     count-weighted geometric mean of the histogrammed sample."""
     occupied = hist.counts > 0
@@ -185,7 +187,7 @@ def fit_power_law(hist: LogHistogram, fit_range: tuple[float, float]) -> PowerLa
 
 
 def fit_lognormal(weights, bins_per_decade: int = COLLAPSE_BINS_PER_DECADE,
-                  central_sigmas: float = 2.0) -> LogNormalFit:
+                  central_sigmas: float = COLLAPSE_WINDOW) -> LogNormalFit:
     """Fit a log-normal by moments of ln(w) and score the scaling collapse.
 
     ``collapse`` holds the collapse_transform points, ``collapse_mse`` their

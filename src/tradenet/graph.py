@@ -9,6 +9,7 @@ Weights are million USD stored as 64-bit floats.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,22 +102,43 @@ class AnnualTradeNetwork:
         that is not canonical or repeats, or for weights that are not
         finite, negative or sum to a non-positive total.
         """
-        if not len(a_codes):
-            raise EmptyNetworkError(f"no edges for year {year}")
         w_exp = np.asarray(w_exp, dtype=np.float64)
         w_imp = np.asarray(w_imp, dtype=np.float64)
         if not len(a_codes) == len(b_codes) == len(w_exp) == len(w_imp):
             raise ValidationError("edge lists of unequal length")
         nodes = tuple(sorted(set(a_codes).union(b_codes)))
-        a, b = _node_indices(nodes, a_codes, b_codes)
-        self._set(year, nodes, *_sorted_edges(nodes, a, b, w_exp, w_imp))
+        self._build(year, nodes, *_node_indices(nodes, a_codes, b_codes), w_exp, w_imp)
 
-    def _set(self, year, nodes, a, b, w_exp, w_imp) -> None:
+    @classmethod
+    def _from_indices(cls, year: int, codes: tuple, a, b, w_exp, w_imp) -> AnnualTradeNetwork:
+        """Network of the edges ``(codes[a[e]], codes[b[e]])``; see _build."""
+        net = cls.__new__(cls)
+        net._build(year, codes, a, b, w_exp, w_imp)
+        return net
+
+    def _build(self, year: int, codes: tuple, a, b, w_exp, w_imp) -> None:
+        """Set up the network of edges in any order that index the sorted,
+        distinct ``codes``, every network's one build path.
+
+        A pair that is not canonical or repeats is rejected, edges are sorted
+        by (a, b) only when they are out of order, codes that no edge uses
+        are dropped and the weights are checked.
+        """
+        if not len(a):
+            raise EmptyNetworkError(f"no edges for year {year}")
+        a, b, w_exp, w_imp = _sorted_edges(codes, a, b, w_exp, w_imp)
+        used = np.zeros(len(codes), dtype=bool)
+        used[a] = used[b] = True
+        if not used.all():
+            codes = tuple(itertools.compress(codes, used.tolist()))
+            rank = np.cumsum(used) - 1
+            a, b = rank[a], rank[b]
+        a, b = a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
         with np.errstate(invalid="ignore"):  # inf + -inf: rejected as non-finite below
             w = w_exp + w_imp
-        _check_weights(nodes, a, b, w_exp, w_imp, w)
+        _check_weights(codes, a, b, w_exp, w_imp, w)
         self.year = year
-        self.nodes = nodes
+        self.nodes = codes
         self.a = a
         self.b = b
         self.w_exp = w_exp
@@ -124,23 +146,6 @@ class AnnualTradeNetwork:
         self.w = w
         self._adjacency = None
         self._metric_columns = {}
-
-    @classmethod
-    def _from_canonical(cls, year: int, codes, a, b, w_exp, w_imp) -> AnnualTradeNetwork:
-        """Network from edge arrays that need no sort.
-
-        ``a`` and ``b`` index the sorted ``codes`` with ``a < b``, the
-        edges are sorted by (a, b) and no pair repeats.
-        """
-        if not len(a):
-            raise EmptyNetworkError(f"no edges for year {year}")
-        used = np.unique(np.concatenate([a, b]))
-        nodes = tuple(codes[i] for i in used.tolist())
-        a = np.searchsorted(used, a).astype(np.int32)
-        b = np.searchsorted(used, b).astype(np.int32)
-        net = cls.__new__(cls)
-        net._set(year, nodes, a, b, w_exp, w_imp)
-        return net
 
     @property
     def n_nodes(self) -> int:
@@ -233,7 +238,7 @@ def build_network(paired: PairedColumns, year: int, missing: str = "zero") -> An
         lo, hi = np.searchsorted(paired.year, [k, k + 1])
     w_exp, w_imp = _symmetrized(paired.flows[lo:hi], missing)
     keep = w_exp + w_imp != 0.0
-    return AnnualTradeNetwork._from_canonical(
+    return AnnualTradeNetwork._from_indices(
         year, paired.codes, paired.a[lo:hi][keep], paired.b[lo:hi][keep],
         w_exp[keep], w_imp[keep])
 
@@ -358,9 +363,8 @@ def _snapshot_network(text: str) -> AnnualTradeNetwork:
         a, b = _node_indices(nodes, a_codes, b_codes)
     except KeyError:
         raise ValidationError(_NODE_MISMATCH) from None
-    net = AnnualTradeNetwork.__new__(AnnualTradeNetwork)
-    net._set(year, nodes, *_sorted_edges(nodes, a, b, w_exp, w_imp))
-    if np.count_nonzero(np.bincount(np.concatenate([a, b]), minlength=len(nodes))) < len(nodes):
+    net = AnnualTradeNetwork._from_indices(year, nodes, a, b, w_exp, w_imp)
+    if net.n_nodes < len(nodes):
         raise ValidationError(_NODE_MISMATCH)  # a node that no edge joins
     return net
 

@@ -287,14 +287,9 @@ def _cells(column, delimiter: str, width: int) -> list[str]:
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
-    """The repr of each float, formatted once per distinct value.
-
-    Values are keyed by their bits, so -0.0 keeps its sign.
-    """
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+    """The repr of each float of an array.  A column that repeats values
+    is a _Coded column, which formats each of its values once."""
+    return list(map(repr, values.tolist()))
 
 
 class _Rows(list):

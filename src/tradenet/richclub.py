@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .graph import AnnualTradeNetwork
 from .metrics import node_metric_columns
+
+#: Fraction of world trade that the rich club keeps among its members.
+CLUB_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -26,13 +29,6 @@ class RichClubCurve:
 
     points: list[tuple[float, float, int]]
     s_max: float
-
-
-@dataclass(frozen=True)
-class RichClubSeries:
-    """(year, S_RC) entries, ordered by year."""
-
-    entries: list[tuple[int, float]]
 
 
 def rich_club_curve(net: AnnualTradeNetwork) -> RichClubCurve:
@@ -67,7 +63,7 @@ def rich_club_curve(net: AnnualTradeNetwork) -> RichClubCurve:
 
 
 def rich_club_size(curve: RichClubCurve, net: AnnualTradeNetwork,
-                   threshold: float = 0.5) -> tuple[int, float]:
+                   threshold: float = CLUB_THRESHOLD) -> tuple[int, float]:
     """Smallest strength-ordered club whose internal trade is at least
     ``threshold`` of the total; returns (club size, club size / N)."""
     if not 0.0 < threshold < 1.0:
@@ -79,16 +75,3 @@ def rich_club_size(curve: RichClubCurve, net: AnnualTradeNetwork,
         else:
             break
     return club_size, club_size / net.n_nodes
-
-
-def rich_club_series(nets, threshold: float = 0.5) -> RichClubSeries:
-    """Fractional rich-club size per year over a panel of networks."""
-    nets = list(nets)
-    years = [net.year for net in nets]
-    if len(set(years)) != len(years):
-        raise ValidationError("duplicate years in rich-club series input")
-    entries = []
-    for net in sorted(nets, key=lambda n: n.year):
-        _, s_rc = rich_club_size(rich_club_curve(net), net, threshold)
-        entries.append((net.year, s_rc))
-    return RichClubSeries(entries=entries)

@@ -45,27 +45,21 @@ class GravityParams:
 
 @dataclass(frozen=True)
 class GrowthSchedule:
-    """Per-year multipliers applied along a panel."""
+    """Per-year multipliers applied along a panel, each positive and finite."""
 
     n_multiplier: float = 1.0
     gdp_multiplier: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 < self.n_multiplier < math.inf and 0.0 < self.gdp_multiplier < math.inf):
+            raise DomainError("growth multipliers must be positive and finite, got "
+                              f"{self.n_multiplier} and {self.gdp_multiplier}")
 
 
 def country_codes(n: int) -> list[str]:
     """Synthetic country codes whose string order matches index order."""
     width = max(3, len(str(n - 1)))
     return [f"C{i:0{width}d}" for i in range(n)]
-
-
-def gdp_draws(params: GravityParams, year: int) -> np.ndarray:
-    """The GDP values generate_network(params, year) assigns to its countries.
-
-    This is the first block of the year's random stream, exposed so tests
-    and callers can correlate node outcomes with the underlying sizes.
-    """
-    _validate(params)
-    rng = SplitMix64(derive_seed(params.seed, year))
-    return np.exp(params.gdp_logmean + params.gdp_logsd * rng.normal(params.n_countries))
 
 
 def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
@@ -95,8 +89,8 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
     w = weights[chosen]
     w_exp = rng.uniform(n_links) * w
     w_imp = w - w_exp
-    return AnnualTradeNetwork._from_canonical(year, country_codes(n), ii[chosen], jj[chosen],
-                                              w_exp, w_imp)
+    return AnnualTradeNetwork._from_indices(year, tuple(country_codes(n)), ii[chosen], jj[chosen],
+                                            w_exp, w_imp)
 
 
 def generate_panel(params: GravityParams, years: Iterable[int],
@@ -111,8 +105,6 @@ def generate_panel(params: GravityParams, years: Iterable[int],
     years = list(years)
     if not years:
         raise EmptyInputError("panel needs at least one year")
-    if growth.n_multiplier <= 0 or growth.gdp_multiplier <= 0:
-        raise DomainError("growth multipliers must be positive")
     nets = []
     for t, year in enumerate(years):
         n_t = round(params.n_countries * growth.n_multiplier**t)
@@ -128,8 +120,8 @@ def generate_panel(params: GravityParams, years: Iterable[int],
 def multiplier_for(initial: float, final: float, steps: int) -> float:
     """Per-step multiplier that compounds ``initial`` to ``final`` over
     ``steps`` panel entries (steps - 1 applications)."""
-    if initial <= 0 or final <= 0:
-        raise DomainError("endpoints must be positive")
+    if not (0.0 < initial < math.inf and 0.0 < final < math.inf):
+        raise DomainError("endpoints must be positive and finite")
     if steps < 2:
         return 1.0
     return (final / initial) ** (1.0 / (steps - 1))

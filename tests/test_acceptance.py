@@ -21,7 +21,7 @@ from tradenet.ingest import (PairedColumns, pair_columns, read_columns,
                              write_network_records)
 from tradenet.metrics import node_metric_columns
 from tradenet.percolation import percolate
-from tradenet.richclub import rich_club_curve, rich_club_series, rich_club_size
+from tradenet.richclub import rich_club_curve, rich_club_size
 from tradenet.synth import GravityParams, generate_network
 
 
@@ -289,7 +289,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
             edges.setdefault((a, b), (0.5, 0.5))
         (a, b), (w_exp, w_imp) = zip(*edges), zip(*edges.values())
         nets.append(AnnualTradeNetwork(1990 + t, a, b, w_exp, w_imp))
-    values = [s_rc for _, s_rc in rich_club_series(nets).entries]
+    values = [rich_club_size(rich_club_curve(net), net)[1] for net in nets]
     non_increasing = all(p >= q for p, q in zip(values, values[1:]))
 
     elapsed = time.perf_counter() - start

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from tradenet import cli
 from tradenet.cli import main
 from tradenet.graph import load_snapshot
+from tradenet.richclub import rich_club_curve, rich_club_size
 from tradenet.synth import GravityParams, GrowthSchedule, generate_network, generate_panel
 
 
@@ -46,6 +47,16 @@ class TestSynthCommand:
 
     def test_requires_an_output(self, tmp_path):
         assert main(["synth", "--countries", "5"]) == 2
+
+    @pytest.mark.parametrize("option", ["--n-multiplier", "--gdp-multiplier", "--gdp-scale-final"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_growth_exits_2(self, tmp_path, capsys, option, value):
+        snap_dir = tmp_path / "snaps"
+        assert main(["synth", "--countries", "5", "--years", "2000:2001", option, value,
+                     "--snapshot-dir", str(snap_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "positive and finite" in err, err
+        assert not snap_dir.exists()
 
     def test_deterministic_files(self, tmp_path):
         a = synth_csv(tmp_path, "a.csv")
@@ -190,6 +201,18 @@ WEIGHT_FIT_OPTIONS = {"--bins-per-decade": COUNTS, "--fit-range": WINDOWS,
 DISPARITY_OPTIONS = {"--flow": (["total", "export", "import"], ["net"]),
                      "--disparity-bins-per-decade": COUNTS, "--disparity-min-count": COUNTS}
 THRESHOLD = (["0.5", "0.99", "1e-300"], ["-1", "0", "1", "1.5", "nan", "x"])
+MULTIPLIERS = (["1", "0.5", "1.5", "1e-300"], ["0", "-1", "nan", "inf", "-inf"])
+# At most 10 countries and 3 years, and no multiplier that grows the country
+# count past 23, so that every synth run stays small.
+SYNTH_OPTIONS = {
+    "--countries": (["2", "5", "10"], ["1", "0", "-3", "x"]),
+    "--years": (["2000", "2000:2001", "1999:2001", "2001,1999"], ["", "x", "2001:2000", "all"]),
+    "--density": (["0.5", "1", "1e-300"], ["0", "1.5", "nan"]),
+    "--n-multiplier": MULTIPLIERS,
+    "--gdp-multiplier": MULTIPLIERS,
+    "--n-final": (["2", "10"], ["0", "-1", "x"]),
+    "--gdp-scale-final": (["1", "0.5", "10"], MULTIPLIERS[1]),
+}
 COMMAND_OPTIONS = {
     "summary": {},
     "metrics": DISPARITY_OPTIONS,
@@ -199,6 +222,7 @@ COMMAND_OPTIONS = {
     "richclub": {"--threshold": THRESHOLD},
     "panel": {**WEIGHT_FIT_OPTIONS, **DISPARITY_OPTIONS, "--exp-fit-range": RANGES,
               "--emit-every": COUNTS, "--threshold": THRESHOLD, "--degree-fit-range": WINDOWS},
+    "synth": SYNTH_OPTIONS,
 }
 
 
@@ -210,20 +234,28 @@ def test_any_argument_values_keep_the_exit_code_contract(data):
     outdir behind.
 
     Each option is left out, given a value to run with or, at a share of
-    the draws fixed per example, a value to reject."""
+    the draws fixed per example, a value to reject.  synth is always given
+    --countries and --years, because its growth options act only on a
+    panel of years."""
     command = data.draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     bad_share = data.draw(st.sampled_from([0, 0, 5, 30]), label="bad share in 100")
-    argv = [command, "--input", str(GOLDEN_PANEL)]
+    if command == "synth":
+        argv, options, output = [command], SYNTH_OPTIONS, "--snapshot-dir"
+        always = {"--countries", "--years"}
+    else:
+        argv = [command, "--input", str(GOLDEN_PANEL)]
+        options, output = {**INPUT_OPTIONS, **COMMAND_OPTIONS[command]}, "--outdir"
+        always = set()
     rejected = False
-    for option, (good, bad) in {**INPUT_OPTIONS, **COMMAND_OPTIONS[command]}.items():
-        if data.draw(st.booleans(), label=f"{option} given"):
+    for option, (good, bad) in options.items():
+        if option in always or data.draw(st.booleans(), label=f"{option} given"):
             bad_draw = data.draw(st.sampled_from(range(100))) < bad_share
             rejected = rejected or bad_draw
             argv.append(f"{option}={data.draw(st.sampled_from(bad if bad_draw else good))}")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         out = Path(tmp) / "out"
         try:
-            rc = main(argv + ["--outdir", str(out)])
+            rc = main(argv + [output, str(out)])
         except SystemExit as exc:
             assert exc.code == 2
             rc = 2
@@ -238,9 +270,10 @@ ANALYSES = ["summary", "metrics", "fit", "percolate", "richclub", "panel"]
 
 
 class TestConfigFromArgs:
-    """Each RunConfig default is written once, in RunConfig: an analysis
-    subcommand given only --input and --outdir runs with every field's
-    default, and so does a LO:HI range given as the empty string."""
+    """Each RunConfig default is written once, in RunConfig or the library
+    function that shares it: an analysis subcommand given only --input and
+    --outdir runs with every field's default, and so does a LO:HI range
+    given as the empty string."""
 
     @pytest.mark.parametrize("command", ANALYSES)
     def test_defaults_are_the_field_defaults(self, command):
@@ -442,9 +475,12 @@ class TestAnalysisCommands:
         out = tmp_path / "out"
         assert main(["richclub", "--input", str(data), "--threshold", "0.5",
                      "--outdir", str(out)]) == 0
-        series = read_csv(out / "richclub_series.csv")
-        assert series[0] == ["year", "S_RC", "club_size", "N"]
-        assert len(series) == 4
+        # One row per year, from that year's network alone.
+        series = [["year", "S_RC", "club_size", "N"]]
+        for net in generate_panel(GravityParams(n_countries=30, seed=3), range(1990, 1993)):
+            club_size, s_rc = rich_club_size(rich_club_curve(net), net, 0.5)
+            series.append([str(net.year), repr(s_rc), str(club_size), str(net.n_nodes)])
+        assert read_csv(out / "richclub_series.csv") == series
         curve = read_csv(out / "1990_richclub.csv")
         assert curve[1][1] == "1.0" and curve[-1][1] == "0.0"
 

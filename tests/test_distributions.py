@@ -61,7 +61,7 @@ class TestLogHistogram:
         hist = log_histogram([7.0, 7.0, 7.0], 10)
         occupied = hist.counts > 0
         assert occupied.sum() == 1
-        dens_width = hist.densities[occupied] * hist.widths[occupied]
+        dens_width = hist.densities[occupied] * np.diff(hist.bin_edges)[occupied]
         assert dens_width[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_bin_per_decade(self):
@@ -93,7 +93,7 @@ class TestLogHistogram:
            st.integers(1, 20))
     def test_density_integrates_to_one(self, values, bpd):
         hist = log_histogram(values, bpd)
-        total = float(np.sum(hist.densities * hist.widths))
+        total = float(np.sum(hist.densities * np.diff(hist.bin_edges)))
         assert total == pytest.approx(1.0, abs=1e-9)
 
 

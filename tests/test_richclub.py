@@ -4,9 +4,9 @@ import pytest
 
 from analysis_oracle import edge_dict
 from conftest import make_network, random_network, rescaled
-from tradenet.errors import DomainError, ValidationError
+from tradenet.errors import DomainError
 from tradenet.metrics import node_metric_columns
-from tradenet.richclub import (rich_club_curve, rich_club_series, rich_club_size)
+from tradenet.richclub import rich_club_curve, rich_club_size
 
 
 def strengths(net):
@@ -127,40 +127,30 @@ class TestRichClubSize:
         assert rich_club_size(base_curve, net) == rich_club_size(big_curve, scaled)
 
 
-class TestRichClubSeries:
-    def test_single_network(self, rng):
-        net = random_network(rng, 10, year=1995)
-        series = rich_club_series([net])
-        (year, s_rc) = series.entries[0]
-        assert year == 1995
-        assert s_rc == rich_club_size(rich_club_curve(net), net)[1]
+def s_rc(net):
+    """The fractional rich-club size of one network: its S_RC series entry."""
+    return rich_club_size(rich_club_curve(net), net)[1]
 
+
+class TestRichClubSeries:
     def test_identical_networks_identical_values(self, rng):
         net1 = random_network(rng, 10, year=1990)
         net2 = rescaled(net1, 1.0, year=1991)
-        series = rich_club_series([net2, net1])
-        assert series.entries[0][0] == 1990
-        assert series.entries[0][1] == series.entries[1][1]
-
-    def test_duplicate_years_rejected(self, rng):
-        net = random_network(rng, 5, year=1990)
-        with pytest.raises(ValidationError):
-            rich_club_series([net, net])
+        assert s_rc(net1) == s_rc(net2)
 
     def test_gravity_shapes_show_shrinking_club(self):
         # wider GDP spread on a larger network concentrates trade, so the
         # half-of-trade club is a smaller fraction of countries
         from tradenet.synth import GravityParams, generate_network
 
-        def s_rc(n, gdp_logsd, seed, year):
+        def gravity_s_rc(n, gdp_logsd, seed, year):
             params = GravityParams(n_countries=n, gdp_logsd=gdp_logsd,
                                    link_density_target=0.52, noise_logsd=1.0,
                                    seed=seed)
-            net = generate_network(params, year)
-            return rich_club_size(rich_club_curve(net), net, 0.5)[1]
+            return s_rc(generate_network(params, year))
 
-        early = [s_rc(76, 0.5, seed, 1948) for seed in range(5)]
-        late = [s_rc(187, 2.0, seed, 2000) for seed in range(5)]
+        early = [gravity_s_rc(76, 0.5, seed, 1948) for seed in range(5)]
+        late = [gravity_s_rc(187, 2.0, seed, 2000) for seed in range(5)]
         assert min(early) > max(late)
 
     def test_hub_concentration_panel_non_increasing(self):
@@ -181,7 +171,6 @@ class TestRichClubSeries:
                     a, b = b, a
                 edges.setdefault((a, b), (0.5, 0.5))
             nets.append(make_network(1990 + t, [key + w for key, w in edges.items()]))
-        series = rich_club_series(nets)
-        values = [s for _, s in series.entries]
+        values = list(map(s_rc, nets))
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]

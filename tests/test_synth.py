@@ -8,8 +8,7 @@ from tradenet.graph import snapshot_dumps, summarize
 from tradenet.metrics import disparity_curve, node_metric_columns
 from tradenet.rng import SplitMix64, derive_seed, mix64
 from tradenet.synth import (GravityParams, GrowthSchedule, country_codes,
-                            gdp_draws, generate_network, generate_panel,
-                            multiplier_for)
+                            generate_network, generate_panel, multiplier_for)
 
 
 class TestRng:
@@ -90,7 +89,9 @@ class TestGenerateNetwork:
         for seed in range(5):
             params = GravityParams(n_countries=40, seed=seed)
             net = generate_network(params, 1970)
-            gdp = gdp_draws(params, 1970)
+            # The first draws of the year's stream are the standard normals of
+            # the log GDPs, which rank the countries as their GDPs do.
+            gdp = SplitMix64(derive_seed(params.seed, 1970)).normal(params.n_countries)
             present = [i for i, c in enumerate(codes) if c in net.nodes]
             assert len(present) >= 20
             strength = node_metric_columns(net).s
@@ -162,6 +163,14 @@ class TestGeneratePanel:
         params = GravityParams(n_countries=3, seed=0)
         with pytest.raises(DomainError):
             generate_panel(params, range(2000, 2010), GrowthSchedule(0.5, 1.0))
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, float("nan"), float("inf")])
+    def test_multiplier_not_positive_and_finite_rejected(self, multiplier):
+        for growth in ((multiplier, 1.0), (1.0, multiplier)):
+            with pytest.raises(DomainError, match="positive and finite"):
+                GrowthSchedule(*growth)
+        with pytest.raises(DomainError, match="positive and finite"):
+            multiplier_for(1.0, multiplier, 3)
 
     def test_empty_years_rejected(self):
         with pytest.raises(EmptyInputError):

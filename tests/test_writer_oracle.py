@@ -3,10 +3,12 @@
 Random networks go through write_network_records and snapshot_dumps, and
 through the per-network steps synth shares between the two formats (one
 weight-text list for a network's rows and then its snapshot); random
-tables through the CLI's table writer and the column writer under it.  Codes and cells hold delimiters, quotes, line
-breaks and non-ASCII letters; weights and cells hold zeros, -0.0, 5e-324,
-1e16 and 1e22; list cells hold None and numpy scalars.  Rows are written in
-blocks, so the block size is drawn small as well.
+tables through the CLI's table writer, in CSV and JSON, and the column
+writer under it.  Codes and cells hold delimiters, quotes, line breaks and
+non-ASCII letters; weights and cells hold zeros, -0.0, 5e-324, 1e16 and
+1e22; list cells hold None and numpy scalars, and JSON cells also nan, ±inf
+and an int 0 among floats.  Rows are written in blocks, so the block size
+is drawn small as well.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from hypothesis import strategies as st
 
 from tradenet import cli, graph, ingest
 from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
-from tradenet.ingest import write_network_records
-from writer_oracle import network_records_text, snapshot_text, table_text
+from tradenet.ingest import _Coded, write_network_records
+from writer_oracle import json_table_text, network_records_text, snapshot_text, table_text
 
 FORMATS = {"csv": ",", "tsv": "\t"}
 ODD_CHARS = list('Ab1 ,"\'\n\r\t;é')
@@ -90,6 +92,43 @@ def test_tables_match_csv_writer(table, fmt, block):
             assert got.getvalue() == want
 
 
+# JSON cells: every float json.dumps writes (NaN and Infinity too) and the
+# int 0 that a degenerate node's strength cell holds among floats; keys hold
+# "%", which the row template must escape.
+json_keys = st.text(alphabet=st.sampled_from(ODD_CHARS + ["%", "\\"]), max_size=5)
+json_cell = st.one_of(st.none(), text, st.just(0), ints, floats, floats.map(np.float64))
+
+
+@st.composite
+def json_columns(draw, n_rows):
+    """A table column for the writer, and its cells as the oracle takes them."""
+    n = n_rows + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["float", "int", "str", "list", "coded"]))
+    if kind == "coded":
+        values, cells = draw(json_columns(draw(st.integers(1, 3))))
+        index = draw(st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n))
+        return _Coded(values, np.array(index, dtype=np.intp)), [cells[i] for i in index]
+    if kind == "list":
+        cells = draw(st.lists(json_cell, min_size=n, max_size=n))
+        return cells, cells
+    column = np.array(draw(st.lists({"float": floats, "int": ints, "str": text}[kind],
+                                    min_size=n, max_size=n)),
+                      dtype={"float": np.float64, "int": np.int64, "str": str}[kind])
+    return column, column.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), block_rows)
+def test_tables_match_json_dumps(data, block):
+    n_rows = data.draw(st.integers(0, 8))
+    header = data.draw(st.lists(json_keys, max_size=4, unique=True))
+    columns = [data.draw(json_columns(n_rows)) for _ in header]
+    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+        got = io.StringIO()
+        cli._write_table(got, header, (column for column, _ in columns), "json")
+    assert got.getvalue() == json_table_text(header, zip(*(cells for _, cells in columns)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(networks(), max_size=3), st.sampled_from(sorted(FORMATS)), block_rows)
 def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
@@ -131,3 +170,11 @@ def test_explicit_cases():
     got = io.StringIO()
     cli._write_table(got, *table, "csv")
     assert got.getvalue() == table_text(*table) == 'only\n""\n""\n0.1\n3\n-0.0\n1e+22\n'
+    got = io.StringIO()
+    cli._write_table(got, ["s", "Y"], [[0, 2.5], [None, -0.0]], "json")
+    assert got.getvalue() == json_table_text(["s", "Y"], [[0, None], [2.5, -0.0]]) == (
+        '[\n  {\n    "Y": null,\n    "s": 0\n  },\n  {\n    "Y": -0.0,\n    "s": 2.5\n  }\n]\n')
+    for columns in ([], [[]], [np.empty(0), [1.0]]):
+        got = io.StringIO()
+        cli._write_table(got, ["a", "b"], columns, "json")
+        assert got.getvalue() == "[]\n"

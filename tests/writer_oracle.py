@@ -33,6 +33,11 @@ def table_text(header, columns, delimiter: str = ",") -> str:
     return buf.getvalue()
 
 
+def json_table_text(header, rows) -> str:
+    """A table as the list of one dict per row, keys sorted and indented."""
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+
+
 def records_text(records, delimiter: str = ",") -> str:
     """Dyadic text of (year, reporter, partner, export, import) records; a
     flow of None is an empty cell."""
