@@ -41,8 +41,7 @@ from .ingest import (_BLOCK_ROWS, _DELIMITERS, DUPLICATE_POLICIES, HEADER, _Code
 from .metrics import FLOWS, LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
-from .synth import (GravityParams, GrowthSchedule, generate_network,
-                    generate_panel, multiplier_for)
+from .synth import GravityParams, GrowthSchedule, generate_panel, multiplier_for
 
 OUTDIR_ENV = "TRADENET_OUTDIR"
 
@@ -489,21 +488,20 @@ def _cmd_synth(args) -> int:
     given = vars(args)  # an option left out keeps its dataclass field's default
     params, growth = (cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
                       for cls in (GravityParams, GrowthSchedule))
+    years = [args.year]  # without --years, a one-year panel
     if args.years is not None:
         selection = _parse_years(args.years)
         if selection is None:
             raise DomainError("synth --years must be explicit")
         singles, ranges = selection
         years = sorted(singles.union(*(range(lo, hi + 1) for lo, hi in ranges)))
-        if args.n_final is not None:
-            growth = replace(growth, n_multiplier=multiplier_for(params.n_countries,
-                                                                 args.n_final, len(years)))
-        if args.gdp_scale_final is not None:
-            growth = replace(growth, gdp_multiplier=multiplier_for(1.0, args.gdp_scale_final,
-                                                                   len(years)))
-        nets = generate_panel(params, years, growth)
-    else:
-        nets = [generate_network(params, args.year)]
+    if args.n_final is not None:
+        growth = replace(growth, n_multiplier=multiplier_for(params.n_countries,
+                                                             args.n_final, len(years)))
+    if args.gdp_scale_final is not None:
+        growth = replace(growth, gdp_multiplier=multiplier_for(1.0, args.gdp_scale_final,
+                                                               len(years)))
+    nets = generate_panel(params, years, growth)
     if args.dyadic:
         Path(args.dyadic).parent.mkdir(parents=True, exist_ok=True)
     snap_dir = Path(args.snapshot_dir) if args.snapshot_dir else None

@@ -23,6 +23,11 @@ import csv
 import io
 import itertools
 import math
+import os
+import pickle
+import signal
+import stat
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -46,6 +51,11 @@ _READ_BLOCK = 1 << 16
 # Rows per write of the column-join writer, and per chunk that csv.reader
 # hands to the column builder.
 _BLOCK_ROWS = 4096
+
+# Files smaller than this are read by one process.  On a 2-CPU host, reading
+# in two byte ranges broke even at about 512 KiB and won every time from
+# 1 MiB; forking costs more in a process that holds more memory.
+_SPLIT_MIN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,9 +104,15 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
     the first bad row.  Row order is kept.  The text is read in blocks,
     never held all at once.  A block of plain text is split into columns
     directly; from the first block that is not plain on, csv.reader reads
-    the rest (see _plain_lines).
+    the rest (see _plain_lines).  A path to a large file may be read in
+    byte ranges by several processes (see _read_ranges), to the same
+    columns or, failing that, read again as above.
     """
     delimiter = _delimiter(fmt)
+    if not hasattr(source, "read"):
+        cols = _read_ranges(source, delimiter)
+        if cols is not None:
+            return cols
     fh, owned = _as_readable(source)
     try:
         blocks = _text_blocks(fh)
@@ -104,19 +120,11 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
         if first is None:
             raise ParseError("missing header row", line=1)
         builder = _ColumnBuilder()
-        limit = csv.field_size_limit()
-        lineno = 1  # the line of the block's first row
-        for block in itertools.chain([first], blocks):
-            lines = _plain_lines(block, delimiter, limit)
-            if lines is None:
-                # A quoted field may run on into the next block.
-                _read_csv(builder, _csv_lines(block, blocks), delimiter, lineno)
-                break
-            if lineno == 1:
-                _check_header(lines.pop(0).split(delimiter))
-                lineno = 2
-            _add_lines(builder, lines, delimiter, lineno)
-            lineno += len(lines)
+        rest = _add_plain_blocks(builder, itertools.chain([first], blocks), delimiter, 1)
+        if rest is not None:
+            # A quoted field may run on into the next block.
+            block, lineno = rest
+            _read_csv(builder, _csv_lines(block, blocks), delimiter, lineno)
         return builder.finish()
     finally:
         if owned:
@@ -426,6 +434,24 @@ def _plain_lines(block: str, delimiter: str, limit: int) -> list[str] | None:
     return lines
 
 
+def _add_plain_blocks(builder: _ColumnBuilder, blocks, delimiter: str, lineno: int):
+    """Add the rows of ``blocks`` to ``builder`` up to the first block that
+    is not plain, and return that block with the line of its first row, or
+    None when every block was plain.  The first row is on line ``lineno``;
+    on line 1 it is the header."""
+    limit = csv.field_size_limit()
+    for block in blocks:
+        lines = _plain_lines(block, delimiter, limit)
+        if lines is None:
+            return block, lineno
+        if lineno == 1:
+            _check_header(lines.pop(0).split(delimiter))
+            lineno = 2
+        _add_lines(builder, lines, delimiter, lineno)
+        lineno += len(lines)
+    return None
+
+
 def _add_lines(builder: _ColumnBuilder, lines: list[str], delimiter: str,
                lineno: int) -> None:
     """Add the rows of a plain block, the first on line ``lineno``."""
@@ -638,6 +664,179 @@ def _parse_flow(cell: str, name: str, lineno: int) -> str:
     if not math.isfinite(value) or value < 0:
         raise ValidationError(f"{name} value must be finite and >= 0, got {cell}", line=lineno)
     return repr(value)
+
+
+# ---------------------------------------------------------------------------
+# Byte-range reader: a large file is cut at line ends into one range per
+# usable CPU.  This process reads the first range and a forked child each
+# other one, all by the plain-block loop above; the parts are merged in file
+# order.  A range that is not plain throughout, or holds a bad row, gives up,
+# and the whole file is read again serially, so the csv.reader fallback and
+# every error and line number stay the serial reader's.
+
+
+class _GiveUp(Exception):
+    """A byte range cannot be read apart from the rest of the file."""
+
+
+def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
+    """The columns of the file at ``path``, read in byte ranges, or None
+    when it is not split or a range gives up, or forking or reading fails.
+
+    A file is split when it is a regular file of at least _SPLIT_MIN_BYTES
+    and this process may fork and run on more than one CPU.  It is cut into
+    one range per usable CPU, each at least half _SPLIT_MIN_BYTES long.
+    Every child is reaped before this returns or raises, and killed first
+    if it has not finished.
+    """
+    cpus = _usable_cpus()
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None  # the serial reader raises the error
+    if (len(cpus) < 2 or not stat.S_ISREG(info.st_mode)
+            or info.st_size < _SPLIT_MIN_BYTES):
+        return None
+    n_ranges = min(len(cpus), 2 * info.st_size // _SPLIT_MIN_BYTES)
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        bounds = _range_bounds(fd, info.st_size, n_ranges)
+        if len(bounds) < 3:
+            return None
+        try:
+            for k in range(1, len(bounds) - 1):
+                children.append(_fork_range(fd, bounds[k], bounds[k + 1], delimiter,
+                                            cpus[k], cpus))
+            _place(cpus[0], cpus)
+            parts = [_read_range(fd, 0, bounds[1], delimiter)]
+            while children:
+                pid, pipe = children[0]
+                data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                children.pop(0)
+                pipe.close()
+                if status:
+                    raise _GiveUp
+                parts.append(pickle.loads(data))
+        except (_GiveUp, OSError, ParseError, ValidationError):
+            return None  # the serial reader gives the columns or the error
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return _merged(parts)
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, or none where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _range_bounds(fd: int, size: int, n_ranges: int) -> list[int]:
+    """0, a line start near each k * size / n_ranges for k = 1 .. n_ranges - 1,
+    and ``size``, increasing, so a long line can leave fewer ranges."""
+    bounds = [0]
+    for k in range(1, n_ranges):
+        pos = max(k * size // n_ranges, bounds[-1])
+        while chunk := os.pread(fd, _READ_BLOCK, pos):
+            found = chunk.find(b"\n")
+            if found >= 0:
+                if pos + found + 1 < size:
+                    bounds.append(pos + found + 1)
+                break
+            pos += len(chunk)
+    return bounds + [size]
+
+
+def _fork_range(fd: int, start: int, end: int, delimiter: str, cpu: int,
+                cpus: list[int]):
+    """Fork a child that reads bytes [start, end) of the open file ``fd`` on
+    ``cpu`` and pickles the columns back through a pipe.  Returns (pid, the
+    read end of the pipe as a file).  The child exits through os._exit
+    only, with status 0 once all of its columns are written."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a process with threads (numpy's
+            # BLAS threads) may deadlock the child.  The child calls no BLAS
+            # and leaves through os._exit, running no exit handler.
+            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            _place(cpu, cpus)
+            part = _read_range(fd, start, end, delimiter)
+            with open(w, "wb") as pipe:
+                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _place(cpu: int, cpus: list[int]) -> None:
+    """Move this process onto ``cpu``, then let it run on all of ``cpus``
+    again.  The kernel starts a forked child on its parent's CPU and may
+    leave it there, so the two would take turns on one CPU."""
+    os.sched_setaffinity(0, {cpu})
+    os.sched_setaffinity(0, cpus)
+
+
+def _read_range(fd: int, start: int, end: int, delimiter: str) -> DyadicColumns:
+    """The columns of bytes [start, end) of the open file ``fd``, a range
+    that starts a line; _GiveUp at the first block that is not plain.
+
+    The rows of a range after the first are numbered from line 2, not from
+    their line in the file: an error there is never reported, since the
+    whole file is then read again serially.
+    """
+    builder = _ColumnBuilder()
+    blocks = _text_blocks(_ByteRange(fd, start, end))
+    if _add_plain_blocks(builder, blocks, delimiter, 1 if start == 0 else 2) is not None:
+        raise _GiveUp
+    return builder.finish()
+
+
+class _ByteRange:
+    """Reads bytes [start, end) of the open file ``fd`` with os.pread, so
+    processes that share the descriptor do not share a file offset."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._pos, self._end = fd, start, end
+
+    def read(self, size: int) -> bytes:
+        data = os.pread(self._fd, min(size, self._end - self._pos), self._pos)
+        self._pos += len(data)
+        return data
+
+
+def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
+    """The columns of consecutive parts of one text, in order, with the year
+    and code indices of each mapped onto the sorted union of their tables."""
+    years = sorted(set().union(*(part.years for part in parts)))
+    codes = sorted(set().union(*(part.codes for part in parts)))
+    year_rank = {y: i for i, y in enumerate(years)}
+    code_rank = {c: i for i, c in enumerate(codes)}
+    columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+    for part in parts:
+        year_map = np.array([year_rank[y] for y in part.years], dtype=np.intp)
+        code_map = np.array([code_rank[c] for c in part.codes], dtype=np.intp)
+        for pieces, values in zip(columns, (year_map[part.year], code_map[part.reporter],
+                                            code_map[part.partner], part.exports,
+                                            part.imports)):
+            pieces.append(values)
+    return DyadicColumns(tuple(years), tuple(codes), *map(np.concatenate, columns))
 
 
 def _as_readable(source):

@@ -71,13 +71,15 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
     _validate(params)
     n = params.n_countries
     rng = SplitMix64(derive_seed(params.seed, year))
-    log_gdp = params.gdp_logmean + params.gdp_logsd * rng.normal(n)
-
     ii, jj = np.triu_indices(n, 1)  # the pairs i < j in canonical order
     n_pairs = ii.size
-    log_mass = params.coupling_exponent * (log_gdp[ii] + log_gdp[jj])
-    propensity = log_mass + params.noise_logsd * rng.normal(n_pairs)
-    weights = np.exp(log_mass + params.noise_logsd * rng.normal(n_pairs))
+    # Scales too large for a float give non-finite weights, which the
+    # network's weight check rejects with one error; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_gdp = params.gdp_logmean + params.gdp_logsd * rng.normal(n)
+        log_mass = params.coupling_exponent * (log_gdp[ii] + log_gdp[jj])
+        propensity = log_mass + params.noise_logsd * rng.normal(n_pairs)
+        weights = np.exp(log_mass + params.noise_logsd * rng.normal(n_pairs))
 
     n_links = int(round(params.link_density_target * n_pairs))
     n_links = max(1, min(n_pairs, n_links))
@@ -87,8 +89,9 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
     chosen = np.sort(order[:n_links])
 
     w = weights[chosen]
-    w_exp = rng.uniform(n_links) * w
-    w_imp = w - w_exp
+    with np.errstate(invalid="ignore"):  # inf - inf, rejected with the weights
+        w_exp = rng.uniform(n_links) * w
+        w_imp = w - w_exp
     return AnnualTradeNetwork._from_indices(year, tuple(country_codes(n)), ii[chosen], jj[chosen],
                                             w_exp, w_imp)
 
@@ -100,21 +103,26 @@ def generate_panel(params: GravityParams, years: Iterable[int],
 
     Year t uses ``round(n_countries * n_multiplier**t)`` countries
     (round-half-even) and a GDP log-mean shifted by ``t * ln(gdp_multiplier)``.
-    Seeds derive from the base seed and the year.
+    Seeds derive from the base seed and the year.  Every year's parameters
+    are checked before the first network is generated.
     """
     years = list(years)
     if not years:
         raise EmptyInputError("panel needs at least one year")
-    nets = []
+    schedule = []
     for t, year in enumerate(years):
-        n_t = round(params.n_countries * growth.n_multiplier**t)
+        try:
+            n_t = round(params.n_countries * growth.n_multiplier**t)
+        except OverflowError:  # a count past the largest float
+            raise DomainError(f"country count overflows in year {year}") from None
         if n_t < 2:
             raise DomainError(f"country count shrank below 2 in year {year}")
         params_t = replace(params,
                            n_countries=n_t,
                            gdp_logmean=params.gdp_logmean + t * math.log(growth.gdp_multiplier))
-        nets.append(generate_network(params_t, year))
-    return nets
+        _validate(params_t)
+        schedule.append((params_t, year))
+    return [generate_network(params_t, year) for params_t, year in schedule]
 
 
 def multiplier_for(initial: float, final: float, steps: int) -> float:
@@ -130,6 +138,8 @@ def multiplier_for(initial: float, final: float, steps: int) -> float:
 def _validate(params: GravityParams) -> None:
     if params.n_countries < 2:
         raise DomainError("need at least 2 countries")
+    if params.n_countries * (params.n_countries - 1) // 2 > np.iinfo(np.intp).max:
+        raise DomainError(f"{params.n_countries:.3g} countries have too many pairs to index")
     if params.link_density_target == 0:
         raise EmptyNetworkError("link density target of 0 yields no edges")
     if not 0.0 < params.link_density_target <= 1.0:

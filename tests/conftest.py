@@ -1,12 +1,30 @@
 """Shared test helpers."""
 
+import contextlib
 import io
+import os
 
 import numpy as np
 import pytest
 
 from tradenet.graph import AnnualTradeNetwork, build_network
 from tradenet.ingest import pair_columns, read_columns, write_network_records
+
+
+@contextlib.contextmanager
+def one_cpu_mask():
+    """Let the calling thread run on one CPU only, the lowest it may use, as
+    ``taskset -c`` with one CPU does; a no-op where CPU masks are not
+    available."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def make_network(year, edge_list):

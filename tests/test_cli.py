@@ -6,6 +6,7 @@ import shlex
 import shutil
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -58,6 +59,35 @@ class TestSynthCommand:
         assert err.count("\n") == 1 and "positive and finite" in err, err
         assert not snap_dir.exists()
 
+    @pytest.mark.parametrize("multiplier, error", [
+        ("1e200", "5e+200 countries have too many pairs to index"),
+        ("1e308", "country count overflows in year 2001")])
+    def test_overflowing_country_count_exits_2(self, tmp_path, capsys, multiplier, error):
+        snap_dir = tmp_path / "snaps"
+        assert main(["synth", "--countries", "5", "--years", "2000:2002", "--n-multiplier",
+                     multiplier, "--snapshot-dir", str(snap_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not snap_dir.exists()
+
+    @pytest.mark.parametrize("options", [["--years", "2000:2001", "--gdp-multiplier", "1e300"],
+                                         ["--gdp-logmean", "1e300"]])
+    def test_overflowing_gdp_scale_gives_one_error_line(self, tmp_path, capsys, options):
+        snap_dir = tmp_path / "snaps"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape main
+            assert main(["synth", "--countries", "5", *options,
+                         "--snapshot-dir", str(snap_dir)]) == 2
+        assert capsys.readouterr().err == "error: edge (C000, C001) has a non-finite weight\n"
+        assert not snap_dir.exists()
+
+    @pytest.mark.parametrize("options", [["--gdp-scale-final", "nan", "--n-final", "-4"],
+                                         ["--n-final", "-4"], ["--gdp-scale-final", "0"]])
+    def test_final_values_are_checked_without_years(self, tmp_path, capsys, options):
+        snap_dir = tmp_path / "snaps"
+        assert main(["synth", "--countries", "5", *options, "--snapshot-dir", str(snap_dir)]) == 2
+        assert capsys.readouterr().err == "error: endpoints must be positive and finite\n"
+        assert not snap_dir.exists()
+
     def test_deterministic_files(self, tmp_path):
         a = synth_csv(tmp_path, "a.csv")
         b = synth_csv(tmp_path, "b.csv")
@@ -83,9 +113,9 @@ class TestSynthDefaults:
     defaults, and each option given reaches its field."""
 
     def test_one_year_gets_the_field_defaults(self, tmp_path):
-        with mock.patch.object(cli, "generate_network", wraps=generate_network) as gen:
+        with mock.patch.object(cli, "generate_panel", wraps=generate_panel) as gen:
             assert main(["synth", "--countries", "7", "--dyadic", str(tmp_path / "d.csv")]) == 0
-        gen.assert_called_once_with(GravityParams(7), 2000)
+        gen.assert_called_once_with(GravityParams(7), [2000], GrowthSchedule())
 
     def test_panel_gets_the_field_defaults(self, tmp_path):
         with mock.patch.object(cli, "generate_panel", wraps=generate_panel) as gen:
@@ -235,13 +265,12 @@ def test_any_argument_values_keep_the_exit_code_contract(data):
 
     Each option is left out, given a value to run with or, at a share of
     the draws fixed per example, a value to reject.  synth is always given
-    --countries and --years, because its growth options act only on a
-    panel of years."""
+    --countries; without --years it makes a one-year panel."""
     command = data.draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     bad_share = data.draw(st.sampled_from([0, 0, 5, 30]), label="bad share in 100")
     if command == "synth":
         argv, options, output = [command], SYNTH_OPTIONS, "--snapshot-dir"
-        always = {"--countries", "--years"}
+        always = {"--countries"}
     else:
         argv = [command, "--input", str(GOLDEN_PANEL)]
         options, output = {**INPUT_OPTIONS, **COMMAND_OPTIONS[command]}, "--outdir"

@@ -11,12 +11,20 @@ line end, padded codes, empty flow cells, flows such as ``1_0``, ``nan``,
 TSV.  Blocks and row chunks are drawn tiny, so quoted fields run on into
 the next block, and the csv field size limit is sometimes lowered so long
 lines leave the block path.
+
+The same texts are also written to a file and read by path, with the size
+below which a file is not split lowered to one byte, so that they are read
+in byte ranges by forked children; the columns, or the error, must be the
+serial reader's and the oracle's, and no child may be left behind.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_cpu_mask
 from reader_oracle import oracle_read_columns
 from tradenet import ingest
 from tradenet.errors import ParseError, ValidationError
@@ -182,3 +191,154 @@ def test_float_per_cell_matches_csv_reader(data, fmt, block_size):
     text = data.draw(texts(FORMATS[fmt]))
     with float_per_cell():
         assert_same(text, fmt, block_size)
+
+
+# ---------------------------------------------------------------------------
+# Byte ranges read by forked children.
+
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                reason="byte ranges are read only where a process can fork")
+
+
+def usable_cpus(n):
+    """``n`` CPUs this process may run on, repeating them where it has fewer."""
+    real = sorted(os.sched_getaffinity(0))
+    return [real[k % len(real)] for k in range(n)]
+
+
+def read_by_path(data: bytes, fmt="csv", n_cpus=2, block_size=1 << 16, field_limit=None,
+                 min_bytes=1):
+    """The outcome of read_columns on a file holding ``data``, on ``n_cpus``
+    usable CPUs; afterwards no child of this process may be left."""
+    old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trade.txt"
+            path.write_bytes(data)
+            with mock.patch.object(ingest, "_SPLIT_MIN_BYTES", min_bytes), \
+                    mock.patch.object(ingest, "_usable_cpus", lambda: usable_cpus(n_cpus)), \
+                    mock.patch.object(ingest, "_READ_BLOCK", block_size):
+                got = outcome(lambda: read_columns(path, fmt))
+    finally:
+        csv.field_size_limit(old_limit)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return got
+
+
+def serial(data: bytes, fmt="csv"):
+    return outcome(lambda: read_columns(io.BytesIO(data), fmt))
+
+
+@needs_fork
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(sorted(FORMATS)), st.sampled_from([1, 7, 1 << 16]),
+       st.sampled_from([None, 8, 40]))
+def test_byte_ranges_match_csv_reader(data, fmt, block_size, field_limit):
+    text = data.draw(texts(FORMATS[fmt]))
+    raw = text.encode("utf-8")
+    old_limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+    try:
+        want = outcome(lambda: oracle_read_columns(text, FORMATS[fmt]))
+        assert serial(raw, fmt) == want
+    finally:
+        csv.field_size_limit(old_limit)
+    for n_cpus in (2, 3):
+        assert read_by_path(raw, fmt, n_cpus, block_size, field_limit) == want
+
+
+ROWS = "".join(f"{1990 + k % 3},A{k % 7},B{k % 5},{k}.5,{k}\n" for k in range(60))
+# Each text but the first two ends in a row that no range can read apart from
+# the rest of the file, so it lies in the last range; a bad header lies in
+# the first.
+SPLIT_CASES = {
+    "plain": (H + ROWS).encode(),
+    "blank lines and CRLF": (H + ROWS + "\n\r\n1991,A0,B0,,7\r\n").encode(),
+    "quoted field": (H + ROWS + '1990,"A0,B0",C,1,2\n').encode(),
+    "lone CR": (H + ROWS + "1990,A0,B0,1,2\r1991,A0,B0,1,2\n").encode(),
+    "self-trade": (H + ROWS + "1990,A0,A0,1,2\n").encode(),
+    "bad flow": (H + ROWS + "1990,A0,B0,-1,2\n").encode(),
+    "bad row, then a quoted field": (H + ROWS + '1990,A0\n1990,"A0",B0,1,2\n').encode(),
+    "not UTF-8": (H + ROWS).encode() + b"1990,A\xff,B0,1,2\n",
+    "bad header": (H.replace("import", "imports") + ROWS).encode(),
+}
+SPLIT_ERRORS = {"self-trade", "bad flow", "bad row, then a quoted field", "not UTF-8",
+                "bad header"}
+
+
+@needs_fork
+@pytest.mark.parametrize("n_cpus", [2, 3])
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_cases_match_serial_reader(name, n_cpus):
+    data = SPLIT_CASES[name]
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        got = read_by_path(data, n_cpus=n_cpus)
+    assert fork.call_count == n_cpus - 1
+    assert got == serial(data)
+    if name != "not UTF-8":
+        assert got == outcome(lambda: oracle_read_columns(data.decode("utf-8")))
+    assert (len(got) == 3) == (name in SPLIT_ERRORS)  # an error's type, message and line
+
+
+@needs_fork
+def test_byte_ranges_give_the_serial_columns():
+    """The split path, not the serial fallback, gives a plain file's columns."""
+    data = SPLIT_CASES["plain"]
+    with mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 1), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: usable_cpus(3)), \
+            mock.patch.object(ingest, "_ColumnBuilder", wraps=ingest._ColumnBuilder) as builder, \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trade.csv"
+        path.write_bytes(data)
+        got = outcome(lambda: read_columns(path))
+    assert builder.call_count == 1  # the first range's; no serial read after it
+    assert got == serial(data)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("mask, min_bytes", [("one CPU", 1), ("all CPUs", 1 << 22)])
+def test_no_fork_on_one_cpu_or_a_small_file(tmp_path, mask, min_bytes):
+    path = tmp_path / "trade.csv"
+    path.write_bytes(SPLIT_CASES["plain"])
+    with one_cpu_mask() if mask == "one CPU" else mock.patch.object(
+            ingest, "_usable_cpus", lambda: usable_cpus(2)), \
+            mock.patch.object(ingest, "_SPLIT_MIN_BYTES", min_bytes), \
+            mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert outcome(lambda: read_columns(path)) == serial(SPLIT_CASES["plain"])
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["pickle.dump", "os.fork"])
+def test_a_failed_fork_or_child_falls_back_to_the_serial_reader(failing):
+    """A child that cannot send its part, or a fork refused, leaves the
+    file to the serial reader."""
+    with mock.patch(failing, side_effect=OSError("no room")), \
+            mock.patch.object(ingest, "_ColumnBuilder", wraps=ingest._ColumnBuilder) as builder:
+        got = read_by_path(SPLIT_CASES["plain"])
+    # The first range's builder and the serial reader's, or the serial reader's alone.
+    assert builder.call_count == (2 if failing == "pickle.dump" else 1)
+    assert got == serial(SPLIT_CASES["plain"])
+
+
+@needs_fork
+def test_children_are_killed_and_reaped_when_the_reader_stops(tmp_path):
+    path = tmp_path / "trade.csv"
+    path.write_bytes(SPLIT_CASES["plain"])
+    parent, place = os.getpid(), ingest._place
+
+    def interrupted(cpu, cpus):
+        if os.getpid() == parent:  # the reader, after forking its children
+            raise KeyboardInterrupt
+        place(cpu, cpus)
+
+    with mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 1), \
+            mock.patch.object(ingest, "_usable_cpus", lambda: usable_cpus(3)), \
+            mock.patch.object(ingest, "_place", interrupted), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            pytest.raises(KeyboardInterrupt):
+        read_columns(path)
+    assert fork.call_count == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
