@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,7 @@ from . import __version__
 from .distributions import (BINS_PER_DECADE, COLLAPSE_BINS_PER_DECADE, COLLAPSE_WINDOW,
                             FIT_DECADES, degree_distribution, fit_lognormal, fit_power_law,
                             intermediate_range, log_histogram, scaling_regression)
-from .errors import (DomainError, EmptyInputError, InsufficientDataError,
-                     ParseError, TradeNetError, ValidationError)
+from .errors import DomainError, EmptyInputError, ParseError, TradeNetError, ValidationError
 from .graph import (MISSING_FLOW_POLICIES, _snapshot_text, build_network, load_snapshot,
                     summarize)
 from .ingest import (_BLOCK_ROWS, _DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text,
@@ -118,12 +117,18 @@ def _json_cells(column) -> list[str]:
 
 @contextlib.contextmanager
 def _atomic_file(path: Path):
-    """A text file written under a temporary name and moved to ``path``
-    when its ``with`` block ends without an error."""
+    """A text file written under a temporary name, moved to ``path`` when its
+    ``with`` block ends without an error and removed on an error."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(outdir: Path, name: str, obj) -> str:
@@ -312,9 +317,7 @@ _RICHCLUB_SERIES_HEADER = ["year", "S_RC", "club_size", "N"]
 
 def _summary_year(outdir: Path, net, config: RunConfig):
     """Write ``<year>_summary``; returns its file name and its row."""
-    s = summarize(net)
-    row = [s.year, s.n_nodes, s.n_links, s.rho, s.total_trade,
-           s.mean_weight, s.max_weight, s.max_weight_share]
+    row = astuple(summarize(net))
     return _emit_table(outdir, f"{net.year}_summary", _SUMMARY_HEADER, zip(row),
                        config.output_format), row
 
@@ -326,51 +329,49 @@ def _metrics_year(outdir: Path, net, config: RunConfig) -> str:
                        columns, config.output_format)
 
 
+def _fit_entry(fit, *args, table: str | None = None):
+    """Call ``fit(*args)``; returns the result and its entry in a fits file,
+    the result's fields but ``table``, which is written as a table.  A
+    TradeNetError gives None and ``{"error": message}``."""
+    try:
+        result = fit(*args)
+    except TradeNetError as exc:
+        return None, {"error": str(exc)}
+    return result, {name: value for name, value in vars(result).items() if name != table}
+
+
 def _disparity(outdir: Path, config: RunConfig, nets, name: str):
     """Write the disparity curve pooled over ``nets`` as table ``name``;
-    returns the curve and the file name."""
+    returns its _fit_entry and the file name, None if the curve failed."""
     binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
-    curve = disparity_curve(nets, config.flow, binning)
-    return curve, _emit_table(outdir, name, ["k_center", "mean_kY", "count"],
+    curve, entry = _fit_entry(disparity_curve, nets, config.flow, binning, table="points")
+    if curve is None:
+        return entry, None
+    return entry, _emit_table(outdir, name, ["k_center", "mean_kY", "count"],
                               zip(*curve.points), config.output_format)
 
 
 def _metrics_disparity(outdir: Path, config: RunConfig, nets, results, errors) -> None:
     if not nets:
         return
-    try:
-        curve, _ = _disparity(outdir, config, list(nets.values()), "disparity_curve")
-    except InsufficientDataError as exc:
-        print(f"warning: disparity curve skipped: {exc}", file=sys.stderr)
+    entry, name = _disparity(outdir, config, list(nets.values()), "disparity_curve")
+    if name is None:
+        print(f"warning: disparity curve skipped: {entry['error']}", file=sys.stderr)
         return
     _write_json(outdir, "disparity_fit.json", {
-        "flow": curve.flow, "exponent": curve.exponent, "exponent_stderr": curve.exponent_stderr,
-        "bins_per_decade": config.disparity_bins_per_decade,
+        **entry, "bins_per_decade": config.disparity_bins_per_decade,
         "min_count": config.disparity_min_count})
 
 
 def _weight_fits(weights, config: RunConfig):
     """Power-law and log-normal fits with per-fit error capture."""
-    fits: dict[str, object] = {}
     hist = log_histogram(weights, config.bins_per_decade)
     fit_range = config.fit_range or intermediate_range(hist, config.fit_decades)
-    try:
-        plf = fit_power_law(hist, fit_range)
-        fits["power_law"] = {"tau": plf.tau, "tau_stderr": plf.tau_stderr,
-                             "fit_range": list(plf.fit_range),
-                             "r_squared": plf.r_squared}
-    except TradeNetError as exc:
-        fits["power_law"] = {"error": str(exc)}
-    try:
-        lnf = fit_lognormal(weights, config.collapse_bins_per_decade,
-                            config.collapse_window)
-        fits["lognormal"] = {"w0": lnf.w0, "sigma": lnf.sigma,
-                             "collapse_mse": lnf.collapse_mse}
-        collapse = lnf.collapse
-    except TradeNetError as exc:
-        fits["lognormal"] = {"error": str(exc)}
-        collapse = []
-    return hist, fits, collapse
+    _, power_law = _fit_entry(fit_power_law, hist, fit_range)
+    lnf, lognormal = _fit_entry(fit_lognormal, weights, config.collapse_bins_per_decade,
+                                config.collapse_window, table="collapse")
+    collapse = [] if lnf is None else lnf.collapse
+    return hist, {"power_law": power_law, "lognormal": lognormal}, collapse
 
 
 def _fit_files(outdir: Path, prefix: str, fitted, config: RunConfig) -> None:
@@ -421,15 +422,8 @@ def _percolation_year(outdir: Path, net, config: RunConfig, orders):
 
 
 def _percolation_fits(curves, fit_range) -> dict:
-    fits = {}
-    for order, curve in curves.items():
-        try:
-            ef = fit_exponential_approach(curve, fit_range)
-            fits[order] = {"rate": ef.rate, "fit_range": list(ef.fit_range),
-                           "r_squared": ef.r_squared}
-        except TradeNetError as exc:
-            fits[order] = {"error": str(exc)}
-    return fits
+    return {order: _fit_entry(fit_exponential_approach, curve, fit_range)[1]
+            for order, curve in curves.items()}
 
 
 def _richclub_year(outdir: Path, net, config: RunConfig):
@@ -571,36 +565,27 @@ def _panel_files(outdir: Path, config: RunConfig, nets, results, errors) -> None
 
 
 def _panel_fits(outdir: Path, config: RunConfig, nets, warnings: list[str]) -> list[str]:
-    files = []
-    panel_fits: dict[str, object] = {}
+    """Write the panel's disparity curve, degree survival and fits; a fit
+    that fails is left out with a warning."""
+    entries = {}  # _fit_entry entries by their panel_fits.json key and warning label
     points = [(net.n_nodes, 2.0 * net.n_links / net.n_nodes, int(net.degrees.max()))
               for net in nets]
-    for key, label, column in (("mean_degree_vs_n", "mean-degree", 1),
-                               ("max_degree_vs_n", "max-degree", 2)):
-        try:
-            fit = scaling_regression([(p[0], p[column]) for p in points])
-            panel_fits[key] = {"exponent": fit.exponent, "prefactor": fit.prefactor}
-        except TradeNetError as exc:
-            warnings.append(f"{label} scaling fit skipped: {exc}")
-
-    try:
-        curve, name = _disparity(outdir, config, nets, "panel_disparity_curve")
-        files.append(name)
-        panel_fits["disparity"] = {"flow": curve.flow, "exponent": curve.exponent,
-                                   "exponent_stderr": curve.exponent_stderr}
-    except TradeNetError as exc:
-        warnings.append(f"disparity curve skipped: {exc}")
-
-    try:
-        dd = degree_distribution(nets, config.degree_fit_range)
-        panel_fits["degree"] = {"gamma": dd.gamma, "fit_range": list(dd.fit_range)}
+    for key, label, column in (("mean_degree_vs_n", "mean-degree scaling fit", 1),
+                               ("max_degree_vs_n", "max-degree scaling fit", 2)):
+        entries[key, label] = _fit_entry(scaling_regression, [(p[0], p[column]) for p in points],
+                                         table="points")[1]
+    entries["disparity", "disparity curve"], name = _disparity(outdir, config, nets,
+                                                               "panel_disparity_curve")
+    files = [name] if name else []
+    dd, entries["degree", "degree survival fit"] = _fit_entry(
+        degree_distribution, nets, config.degree_fit_range, table="survival")
+    if dd is not None:
         files.append(_emit_table(outdir, "panel_degree_survival", ["k", "P_ge_k"],
                                  zip(*dd.survival), config.output_format))
-    except TradeNetError as exc:
-        warnings.append(f"degree survival fit skipped: {exc}")
-
-    files.append(_write_json(outdir, "panel_fits.json", panel_fits))
-    return files
+    warnings.extend(f"{label} skipped: {entry['error']}"
+                    for (_, label), entry in entries.items() if "error" in entry)
+    panel_fits = {key: entry for (key, _), entry in entries.items() if "error" not in entry}
+    return files + [_write_json(outdir, "panel_fits.json", panel_fits)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ The work is done on columns: ``read_columns`` streams a file into
 reports at once into ``PairedColumns``; graph.build_network turns one
 year of that into a network.  ``write_network_records`` writes networks
 back as dyadic rows, from the weight text (``_edge_text``) that a
-network's snapshot is joined from too.  Text is written by one column-join
-writer (``_write_columns``), which the CLI's tables and the snapshots use too.
+network's snapshot is joined from too.  Dyadic rows and the CLI's CSV tables
+are written by one column-join writer (``_write_columns``); a snapshot
+(graph._snapshot_text) and a JSON table (cli._write_table) join their own.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class DyadicColumns:
     ``year`` indexes ``years`` and ``reporter``/``partner`` index ``codes``;
     both tables are sorted, so comparing two code indices compares the codes
     in plain string order.  ``exports``/``imports`` are float64 with NaN
-    where the cell was empty.
+    where the cell was empty.  The reader builds them from parts whose tables
+    are not sorted (see _ColumnBuilder.finish and _merged).
     """
 
     years: tuple[int, ...]
@@ -125,7 +127,7 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
             # A quoted field may run on into the next block.
             block, lineno = rest
             _read_csv(builder, _csv_lines(block, blocks), delimiter, lineno)
-        return builder.finish()
+        return _merged([builder.finish()])
     finally:
         if owned:
             fh.close()
@@ -257,10 +259,10 @@ def _write_columns(fh, header, columns, delimiter: str = ",") -> None:
 
     A column is a numpy array, a _Coded column or a sequence of cells; rows
     stop at the shortest column.  Float arrays are written as the repr of
-    each value and int arrays as its str.  Other cells are written as csv.writer
-    writes them: None as an empty cell and anything else as its str(),
-    quoted as csv.writer quotes it.  The text of the whole table is never
-    held at once.
+    each value and int arrays as its str.  Other cells are None, numbers and
+    strs, written as csv.writer writes them: None as an empty cell and
+    anything else as its str(), of which only a str's is ever quoted.  The
+    text of the whole table is never held at once.
     """
     columns = list(columns)
     fh.write(delimiter.join(_cells(header, delimiter, len(header))) + "\n")
@@ -290,6 +292,8 @@ def _cells(column, delimiter: str, width: int) -> list[str]:
             return list(map(str, column.tolist()))
         column = column.tolist()
     text = ["" if value is None else str(value) for value in column]
+    if width > 1 and not any(isinstance(value, str) for value in column):
+        return text  # only a str can need quoting
     fields = _csv_fields(text, delimiter, width)
     return list(map(fields.__getitem__, text))
 
@@ -535,8 +539,8 @@ class _Unclean(Exception):
 
 
 class _ColumnBuilder:
-    """Turns columns of raw cells into DyadicColumns, interning years and
-    codes.
+    """Turns columns of raw cells into a DyadicColumns part (see finish),
+    interning years and codes.
 
     Cells are interned by their raw text; each new raw text is checked and
     mapped once (year to int, code to its stripped form), so ``" USA"`` and
@@ -587,22 +591,14 @@ class _ColumnBuilder:
             pieces.append(values)
 
     def finish(self) -> DyadicColumns:
-        years = sorted(set(self._year_of))
-        codes = sorted(self._country_ids)
-        year_rank = {y: i for i, y in enumerate(years)}
-        code_rank = {c: i for i, c in enumerate(codes)}
-        year_map = np.array([year_rank[y] for y in self._year_of], dtype=np.intp)
-        country_rank = np.array([code_rank[c] for c in self._country_ids], dtype=np.intp)
-        code_map = country_rank[np.array(self._country_of, dtype=np.intp)]
-        # One column at a time, each freeing its pieces, to keep the peak low.
-        year_pieces, reporter_pieces, partner_pieces, export_pieces, import_pieces = self._columns
-        year = year_map[_drain(year_pieces, np.intp)]
-        reporter = code_map[_drain(reporter_pieces, np.intp)]
-        partner = code_map[_drain(partner_pieces, np.intp)]
-        exports = _drain(export_pieces, np.float64)
-        imports = _drain(import_pieces, np.float64)
-        return DyadicColumns(tuple(years), tuple(codes), year, reporter, partner,
-                             exports, imports)
+        """The rows added, as a part for _merged: ``years`` and ``codes`` hold
+        the year and the stripped code of each raw cell text in first-seen
+        order, so a value may repeat, and the index columns index them."""
+        year, reporter, partner, exports, imports = self._columns
+        return DyadicColumns(tuple(self._year_of), tuple(map(str.strip, self._code_ids)),
+                             _drain(year, np.intp), _drain(reporter, np.intp),
+                             _drain(partner, np.intp), _drain(exports, np.float64),
+                             _drain(imports, np.float64))
 
 
 def _drain(pieces: list[np.ndarray], dtype) -> np.ndarray:
@@ -823,7 +819,8 @@ class _ByteRange:
 
 def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
     """The columns of consecutive parts of one text, in order, with the year
-    and code indices of each mapped onto the sorted union of their tables."""
+    and code indices of each mapped onto the sorted union of their tables.
+    A part is a _ColumnBuilder.finish result, so its tables may repeat."""
     years = sorted(set().union(*(part.years for part in parts)))
     codes = sorted(set().union(*(part.codes for part in parts)))
     year_rank = {y: i for i, y in enumerate(years)}

@@ -248,12 +248,15 @@ def test_byte_ranges_match_csv_reader(data, fmt, block_size, field_limit):
 
 
 ROWS = "".join(f"{1990 + k % 3},A{k % 7},B{k % 5},{k}.5,{k}\n" for k in range(60))
-# Each text but the first two ends in a row that no range can read apart from
+# Each text but the first three ends in a row that no range can read apart from
 # the rest of the file, so it lies in the last range; a bad header lies in
 # the first.
 SPLIT_CASES = {
     "plain": (H + ROWS).encode(),
     "blank lines and CRLF": (H + ROWS + "\n\r\n1991,A0,B0,,7\r\n").encode(),
+    # The first and last ranges spell a year and a code two ways each, so the
+    # tables of their parts repeat values.
+    "padded cells": (H + " 1990, A0 ,B0,1,2\n" + ROWS + "1990 ,B0, A0,3,4\n").encode(),
     "quoted field": (H + ROWS + '1990,"A0,B0",C,1,2\n').encode(),
     "lone CR": (H + ROWS + "1990,A0,B0,1,2\r1991,A0,B0,1,2\n").encode(),
     "self-trade": (H + ROWS + "1990,A0,A0,1,2\n").encode(),
