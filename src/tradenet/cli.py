@@ -32,11 +32,10 @@ from .distributions import (BINS_PER_DECADE, COLLAPSE_BINS_PER_DECADE, COLLAPSE_
                             FIT_DECADES, degree_distribution, fit_lognormal, fit_power_law,
                             intermediate_range, log_histogram, scaling_regression)
 from .errors import DomainError, EmptyInputError, ParseError, TradeNetError, ValidationError
-from .graph import (MISSING_FLOW_POLICIES, _snapshot_text, build_network, load_snapshot,
+from .graph import (MISSING_FLOW_POLICIES, _write_snapshot, build_network, load_snapshot,
                     summarize)
-from .ingest import (_BLOCK_ROWS, _DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text,
-                     _read_utf8, _write_columns, _write_network_rows, pair_columns,
-                     read_columns)
+from .ingest import (_DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text, _read_utf8,
+                     _write_network_rows, _write_table, pair_columns, read_columns)
 from .metrics import FLOWS, LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
@@ -80,54 +79,21 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_table(fh, header, columns, output_format: str) -> None:
-    """Write a table given as columns to ``fh`` as CSV or JSON.
-
-    A column is a numpy array, an ingest._Coded column or a sequence of
-    Python ints, floats, strs and Nones.  CSV writes a float as its repr and
-    None as an empty cell.  JSON is written byte for byte as
-    ``_json_text([dict(zip(header, row)) for row in zip(*columns)])`` for
-    distinct ``header`` names: each cell is json.dumps of its value, and
-    rows are joined from one row template, _BLOCK_ROWS rows per write, so
-    the text of the whole table is never held at once.
-    """
-    if output_format != "json":
-        _write_columns(fh, header, columns)
-        return
-    keyed = sorted(zip(header, columns), key=lambda item: item[0])
-    cells = [_json_cells(column) for _, column in keyed]
-    template = "  {" + ",".join(f"\n    {json.dumps(key).replace('%', '%%')}: %s"
-                                for key, _ in keyed) + "\n  }"
-    n_rows = min(map(len, cells), default=0)
-    separator = "[\n"
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        rows = zip(*(column[lo:lo + _BLOCK_ROWS] for column in cells))
-        fh.write(separator + ",\n".join(map(template.__mod__, rows)))
-        separator = ",\n"
-    fh.write("\n]\n" if n_rows else "[]\n")
-
-
-def _json_cells(column) -> list[str]:
-    """The JSON text of each value of a table column; a _Coded column's
-    values are each formatted once."""
-    if isinstance(column, _Coded):
-        return np.array(_json_cells(column.values), dtype=object)[column.index].tolist()
-    return list(map(json.dumps, column.tolist() if isinstance(column, np.ndarray) else column))
-
-
 @contextlib.contextmanager
 def _atomic_file(path: Path):
     """A text file written under a temporary name, moved to ``path`` when its
-    ``with`` block ends without an error and removed on an error."""
+    ``with`` block ends without an error and removed on an error.  An error
+    that names the removed temporary file is raised naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "w", encoding="utf-8", newline="")
     try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -505,14 +471,14 @@ def _cmd_synth(args) -> int:
     # its dyadic rows and its snapshot both.
     with _atomic_file(Path(args.dyadic)) if args.dyadic else contextlib.nullcontext() as dyadic:
         if dyadic is not None:
-            _write_columns(dyadic, HEADER, [])
+            _write_table(dyadic, HEADER, [])
         for net in nets:
             weights = _edge_text(net)
             if dyadic is not None:
                 _write_network_rows(dyadic, net, weights)
             if snap_dir is not None:
                 with _atomic_file(snap_dir / f"{net.year}_network.json") as fh:
-                    fh.write(_snapshot_text(net, weights))
+                    _write_snapshot(fh, net, weights)
     return 0
 
 

@@ -5,24 +5,23 @@ class TradeNetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(TradeNetError):
+class _LineError(TradeNetError):
+    """An error about input; given the 1-based ``line`` N it is about, its
+    message starts with ``line N: ``."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class ParseError(_LineError):
     """Structurally malformed input; carries the 1-based line number."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class ValidationError(TradeNetError):
+class ValidationError(_LineError):
     """Well-formed input that violates a domain invariant."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class EmptyNetworkError(TradeNetError):

@@ -9,6 +9,7 @@ Weights are million USD stored as 64-bit floats.
 from __future__ import annotations
 
 import gc
+import io
 import itertools
 import json
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EmptyNetworkError, ParseError, ValidationError
-from .ingest import PairedColumns, _edge_text, _read_utf8
+from .ingest import PairedColumns, _edge_text, _read_utf8, _write_rows
 
 MISSING_FLOW_POLICIES = ("zero", "copy")
 
@@ -268,22 +269,24 @@ def snapshot_dumps(net: AnnualTradeNetwork) -> str:
     ``snapshot_loads(snapshot_dumps(net)) == net`` holds bit for bit and
     equal networks serialize to identical bytes.
     """
-    return _snapshot_text(net, _edge_text(net))
+    buf = io.StringIO()
+    _write_snapshot(buf, net, _edge_text(net))
+    return buf.getvalue()
 
 
-def _snapshot_text(net: AnnualTradeNetwork, weights: list[str]) -> str:
-    """The snapshot document of ``net``, with its ``_edge_text`` as ``weights``."""
+def _write_snapshot(fh, net: AnnualTradeNetwork, weights: list[str]) -> None:
+    """Write the snapshot document of ``net`` to ``fh``, with its
+    ``_edge_text`` as ``weights``."""
     head = json.dumps({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
                        "year": net.year}, separators=(",", ":"))
     # The rest of json.dumps(doc, separators=(",", ":")) for the "nodes" and
     # "edges" members, joined from each code's JSON text and each weight's
     # repr (json.dumps writes a finite float as its repr).
     node = np.array([json.dumps(code) for code in net.nodes], dtype=object)
+    head = f'{head[:-1]},"nodes":[{",".join(node.tolist())}],"edges":'
     n = net.n_links
-    edges = "],[".join(map(",".join, zip(node[net.a].tolist(), node[net.b].tolist(),
-                                          weights[:n], weights[n:])))
-    edges = f"[[{edges}]]" if n else "[]"
-    return f'{head[:-1]},"nodes":[{",".join(node.tolist())}],"edges":{edges}}}\n'
+    _write_rows(fh, [node[net.a].tolist(), node[net.b].tolist(), weights[:n], weights[n:]],
+                ",".join, "],[", (head + "[[", "]]}\n"), head + "[]}\n")
 
 
 # The JSON types of a snapshot's edge endpoints and weights, and the problem
@@ -371,7 +374,7 @@ def _snapshot_network(text: str) -> AnnualTradeNetwork:
 
 def save_snapshot(net: AnnualTradeNetwork, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(snapshot_dumps(net))
+        _write_snapshot(fh, net, _edge_text(net))
 
 
 def load_snapshot(path) -> AnnualTradeNetwork:

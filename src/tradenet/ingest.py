@@ -12,9 +12,9 @@ The work is done on columns: ``read_columns`` streams a file into
 reports at once into ``PairedColumns``; graph.build_network turns one
 year of that into a network.  ``write_network_records`` writes networks
 back as dyadic rows, from the weight text (``_edge_text``) that a
-network's snapshot is joined from too.  Dyadic rows and the CLI's CSV tables
-are written by one column-join writer (``_write_columns``); a snapshot
-(graph._snapshot_text) and a JSON table (cli._write_table) join their own.
+network's snapshot is joined from too.  Every text file, a CSV, TSV or
+JSON table (``_write_table``), dyadic rows or a snapshot's edge list, is
+written by one block loop (``_write_rows``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import collections
 import csv
 import io
 import itertools
+import json
 import math
 import os
 import pickle
@@ -205,7 +206,7 @@ def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
     delimiter = _delimiter(fmt)
     fh, owned = _as_writable(dest)
     try:
-        _write_columns(fh, HEADER, [], delimiter)
+        _write_table(fh, HEADER, [], fmt)
         for net in nets:
             _write_network_rows(fh, net, _edge_text(net), delimiter)
     finally:
@@ -234,55 +235,74 @@ def _write_network_rows(fh, net, weights: list[str], delimiter: str = ",") -> No
         for i in np.flatnonzero(w == 0.0).tolist():
             cells[i] = ""
     year = [str(net.year)] * (2 * len(a))
-    _write_lines(fh, [year, _interleave(a, b), _interleave(b, a),
-                      _interleave(exp, imp), _interleave(imp, exp)], delimiter)
+    _write_rows(fh, [year, _interleave(a, b), _interleave(b, a),
+                     _interleave(exp, imp), _interleave(imp, exp)], delimiter.join)
 
 
 # ---------------------------------------------------------------------------
 # Column-join text writer: each column is formatted once into cell strings,
-# then rows are joined into lines and written in blocks of _BLOCK_ROWS.
+# then rows are joined from them and written in blocks of _BLOCK_ROWS.
 
 
 class _Coded(NamedTuple):
     """A table column whose row ``i`` holds ``values[index[i]]``, so that each
     of ``values`` is formatted once however many rows repeat it.  ``values``
-    is a column as the writers take it."""
+    is a column as _write_table takes it."""
 
     values: object
     index: np.ndarray
 
 
-def _write_columns(fh, header, columns, delimiter: str = ",") -> None:
-    """Write a header row and a table given as columns to ``fh``, byte for
-    byte as ``csv.writer(fh, delimiter=delimiter, lineterminator="\n")``
-    writes the header and then the rows.
+def _write_table(fh, header, columns, fmt: str = "csv") -> None:
+    """Write a table given as columns to ``fh`` as "csv", "tsv" or "json",
+    byte for byte as csv.writer (``lineterminator="\n"``) writes the header
+    and the rows, or as ``json.dumps([dict(zip(header, row)) for row in
+    rows], indent=2, sort_keys=True) + "\n"`` for distinct ``header`` names.
 
-    A column is a numpy array, a _Coded column or a sequence of cells; rows
-    stop at the shortest column.  Float arrays are written as the repr of
-    each value and int arrays as its str.  Other cells are None, numbers and
-    strs, written as csv.writer writes them: None as an empty cell and
-    anything else as its str(), of which only a str's is ever quoted.  The
-    text of the whole table is never held at once.
+    A column is a numpy array, a _Coded column or a sequence of cells: None,
+    numbers and strs; rows stop at the shortest column.  In CSV a float array
+    cell is the repr of its value, an int array cell its str, None empty and
+    anything else its str(), of which only a str's is ever quoted.  A JSON
+    cell is json.dumps of its value, filled into one row template.
     """
+    if fmt == "json":
+        keyed = sorted(zip(header, columns), key=lambda item: item[0])
+        template = "  {" + ",".join(f"\n    {json.dumps(key).replace('%', '%%')}: %s"
+                                    for key, _ in keyed) + "\n  }"
+        _write_rows(fh, [_cells(column, fmt, len(keyed)) for _, column in keyed],
+                    template.__mod__, ",\n", ("[\n", "\n]\n"), "[]\n")
+        return
+    delimiter = _delimiter(fmt)
     columns = list(columns)
-    fh.write(delimiter.join(_cells(header, delimiter, len(header))) + "\n")
-    _write_lines(fh, [_cells(column, delimiter, len(columns)) for column in columns],
-                 delimiter)
+    fh.write(delimiter.join(_cells(header, fmt, len(header))) + "\n")
+    _write_rows(fh, [_cells(column, fmt, len(columns)) for column in columns], delimiter.join)
 
 
-def _write_lines(fh, cells: list[list[str]], delimiter: str) -> None:
-    """Join columns of cell strings into lines, _BLOCK_ROWS rows per write."""
+def _write_rows(fh, cells: list[list[str]], row, sep: str = "\n",
+                ends: tuple[str, str] = ("", "\n"), empty: str = "") -> None:
+    """Write the rows of ``cells``, columns of cell strings that stop at the
+    shortest, _BLOCK_ROWS rows per write: ``row`` of each row's cells, joined
+    by ``sep`` between the two ``ends``, or ``empty`` for no row."""
     n_rows = min(map(len, cells), default=0)
+    if not n_rows:
+        fh.write(empty)
+        return
+    lead = ends[0]
     for lo in range(0, n_rows, _BLOCK_ROWS):
         rows = zip(*(column[lo:lo + _BLOCK_ROWS] for column in cells))
-        fh.write("\n".join(map(delimiter.join, rows)) + "\n")
+        fh.write(lead + sep.join(map(row, rows)))
+        lead = sep
+    fh.write(ends[1])
 
 
-def _cells(column, delimiter: str, width: int) -> list[str]:
-    """One column of a ``width``-column table as csv.writer writes its cells."""
+def _cells(column, fmt: str, width: int) -> list[str]:
+    """One column of a ``width``-column table of format ``fmt`` as its cell
+    texts (see _write_table)."""
     if isinstance(column, _Coded):
-        cells = np.array(_cells(column.values, delimiter, width), dtype=object)
+        cells = np.array(_cells(column.values, fmt, width), dtype=object)
         return cells[column.index].tolist()
+    if fmt == "json":
+        return list(map(json.dumps, column.tolist() if isinstance(column, np.ndarray) else column))
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             return _float_cells(column)
@@ -294,7 +314,7 @@ def _cells(column, delimiter: str, width: int) -> list[str]:
     text = ["" if value is None else str(value) for value in column]
     if width > 1 and not any(isinstance(value, str) for value in column):
         return text  # only a str can need quoting
-    fields = _csv_fields(text, delimiter, width)
+    fields = _csv_fields(text, _delimiter(fmt), width)
     return list(map(fields.__getitem__, text))
 
 
@@ -601,9 +621,11 @@ class _ColumnBuilder:
                              _drain(imports, np.float64))
 
 
-def _drain(pieces: list[np.ndarray], dtype) -> np.ndarray:
-    """Concatenate ``pieces`` and empty the list."""
-    out = np.concatenate(pieces) if pieces else np.empty(0, dtype)
+def _drain(pieces: list[np.ndarray], dtype=None) -> np.ndarray:
+    """Concatenate ``pieces``, an empty ``dtype`` array for none, and empty
+    the list.  A single piece is returned as it is, not copied."""
+    out = pieces[0] if len(pieces) == 1 else (
+        np.concatenate(pieces) if pieces else np.empty(0, dtype))
     pieces.clear()
     return out
 
@@ -833,7 +855,7 @@ def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
                                             code_map[part.partner], part.exports,
                                             part.imports)):
             pieces.append(values)
-    return DyadicColumns(tuple(years), tuple(codes), *map(np.concatenate, columns))
+    return DyadicColumns(tuple(years), tuple(codes), *map(_drain, columns))
 
 
 def _as_readable(source):

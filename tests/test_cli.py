@@ -572,19 +572,24 @@ class TestErrorPaths:
         assert err.startswith(f"error: {word}") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("command", ["synth", "panel"])
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path, command):
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys, command):
         """A file that cannot be moved into place, since a directory holds its
         name, exits 2 and leaves no temporary file; in synth neither does the
-        dyadic file written around it."""
+        dyadic file written around it.  The one error line names that file,
+        not the temporary file that is gone."""
         if command == "synth":
-            (tmp_path / "snaps" / "2001_network.json").mkdir(parents=True)
+            dest = tmp_path / "snaps" / "2001_network.json"
             argv = ["synth", "--countries", "5", "--years", "2000:2002", "--dyadic",
                     str(tmp_path / "d.csv"), "--snapshot-dir", str(tmp_path / "snaps")]
         else:
-            (tmp_path / "out" / "2002_summary.csv").mkdir(parents=True)
+            dest = tmp_path / "out" / "2002_summary.csv"
             argv = ["panel", "--input", str(GOLDEN_PANEL), "--outdir", str(tmp_path / "out")]
+        dest.mkdir(parents=True)
         assert main(argv) == 2
         assert not list(tmp_path.rglob("*.tmp"))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": '{dest}'\n"), err
+        assert err.count("\n") == 1 and ".tmp" not in err.replace(str(tmp_path), ""), err
 
     def test_absent_year_is_partial_failure(self, tmp_path):
         data = synth_csv(tmp_path)

@@ -140,6 +140,20 @@ class TestReadColumns:
         recs = records_of(read_columns(io.BytesIO(data)))
         assert recs == [(1950, "USA", "CAN", 1.5, None)]
 
+    def test_serial_read_does_not_copy_its_flow_columns(self, monkeypatch):
+        """The serial read has one part, whose flow columns, each joined from
+        several blocks, are returned as the column builder made them."""
+        import tradenet.ingest
+
+        parts = []
+        finish = tradenet.ingest._ColumnBuilder.finish
+        monkeypatch.setattr(tradenet.ingest._ColumnBuilder, "finish",
+                            lambda self: parts.append(finish(self)) or parts[-1])
+        rows = "".join(f"1950,A{i},B{i},{i}.5,\n" for i in range(8000))
+        cols = read_columns(io.StringIO(HEADER + rows))
+        assert len(parts) == 1 and len(cols.exports) == 8000
+        assert cols.exports is parts[0].exports and cols.imports is parts[0].imports
+
 
 class TestPairColumns:
     def test_single_sided_report(self):

@@ -3,12 +3,12 @@
 Random networks go through write_network_records and snapshot_dumps, and
 through the per-network steps synth shares between the two formats (one
 weight-text list for a network's rows and then its snapshot); random
-tables through the CLI's table writer, in CSV and JSON, and the column
-writer under it.  Codes and cells hold delimiters, quotes, line breaks and
-non-ASCII letters; weights and cells hold zeros, -0.0, 5e-324, 1e16 and
-1e22; list cells hold None and numpy scalars, and JSON cells also nan, ±inf
-and an int 0 among floats.  Rows are written in blocks, so the block size
-is drawn small as well.
+tables through the table writer, in CSV, TSV and JSON.  Codes and cells hold
+delimiters, quotes, line breaks and non-ASCII letters; weights and cells
+hold zeros, -0.0, 5e-324, 1e16 and 1e22; list cells hold None and numpy
+scalars, and JSON cells also nan, ±inf and an int 0 among floats.  Rows,
+snapshot edges included, are written in blocks, so the block size is drawn
+small as well.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradenet import cli, graph, ingest
+from tradenet import graph, ingest
 from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
 from tradenet.ingest import _Coded, write_network_records
 from writer_oracle import json_table_text, network_records_text, snapshot_text, table_text
@@ -84,12 +84,8 @@ def test_tables_match_csv_writer(table, fmt, block):
     want = table_text(header, cols, FORMATS[fmt])
     with mock.patch.object(ingest, "_BLOCK_ROWS", block):
         got = io.StringIO()
-        ingest._write_columns(got, header, cols, FORMATS[fmt])
-        assert got.getvalue() == want
-        if fmt == "csv":
-            got = io.StringIO()
-            cli._write_table(got, header, iter(cols), "csv")
-            assert got.getvalue() == want
+        ingest._write_table(got, header, iter(cols), fmt)
+    assert got.getvalue() == want
 
 
 # JSON cells: every float json.dumps writes (NaN and Infinity too) and the
@@ -123,9 +119,9 @@ def test_tables_match_json_dumps(data, block):
     n_rows = data.draw(st.integers(0, 8))
     header = data.draw(st.lists(json_keys, max_size=4, unique=True))
     columns = [data.draw(json_columns(n_rows)) for _ in header]
-    with mock.patch.object(cli, "_BLOCK_ROWS", block):
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
         got = io.StringIO()
-        cli._write_table(got, header, (column for column, _ in columns), "json")
+        ingest._write_table(got, header, (column for column, _ in columns), "json")
     assert got.getvalue() == json_table_text(header, zip(*(cells for _, cells in columns)))
 
 
@@ -135,9 +131,9 @@ def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
     with mock.patch.object(ingest, "_BLOCK_ROWS", block):
         direct = io.StringIO()
         write_network_records(iter(nets), direct, fmt)
+        snapshots = list(map(snapshot_dumps, nets))
     assert direct.getvalue() == network_records_text(nets, FORMATS[fmt])
-    for net in nets:
-        assert snapshot_dumps(net) == snapshot_text(net)
+    assert snapshots == list(map(snapshot_text, nets))
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,10 +144,12 @@ def test_shared_edge_text_matches_both_oracles(net, fmt, block):
     weights = ingest._edge_text(net)
     rows = io.StringIO(FORMATS[fmt].join(ingest.HEADER) + "\n")
     rows.seek(0, io.SEEK_END)
+    snapshot = io.StringIO()
     with mock.patch.object(ingest, "_BLOCK_ROWS", block):
         ingest._write_network_rows(rows, net, weights, FORMATS[fmt])
+        graph._write_snapshot(snapshot, net, weights)
     assert rows.getvalue() == network_records_text([net], FORMATS[fmt])
-    assert graph._snapshot_text(net, weights) == snapshot_text(net)
+    assert snapshot.getvalue() == snapshot_text(net)
 
 
 def test_explicit_cases():
@@ -168,13 +166,13 @@ def test_explicit_cases():
     assert snapshot_dumps(one) == snapshot_text(one)
     table = (["only"], [[None, "", np.float64(0.1), np.int64(3), -0.0, 1e22]])
     got = io.StringIO()
-    cli._write_table(got, *table, "csv")
+    ingest._write_table(got, *table, "csv")
     assert got.getvalue() == table_text(*table) == 'only\n""\n""\n0.1\n3\n-0.0\n1e+22\n'
     got = io.StringIO()
-    cli._write_table(got, ["s", "Y"], [[0, 2.5], [None, -0.0]], "json")
+    ingest._write_table(got, ["s", "Y"], [[0, 2.5], [None, -0.0]], "json")
     assert got.getvalue() == json_table_text(["s", "Y"], [[0, None], [2.5, -0.0]]) == (
         '[\n  {\n    "Y": null,\n    "s": 0\n  },\n  {\n    "Y": -0.0,\n    "s": 2.5\n  }\n]\n')
     for columns in ([], [[]], [np.empty(0), [1.0]]):
         got = io.StringIO()
-        cli._write_table(got, ["a", "b"], columns, "json")
+        ingest._write_table(got, ["a", "b"], columns, "json")
         assert got.getvalue() == "[]\n"
