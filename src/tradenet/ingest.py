@@ -20,7 +20,9 @@ written by one block loop (``_write_rows``).
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -325,7 +327,8 @@ def _float_cells(values: np.ndarray) -> list[str]:
 
 
 class _Rows(list):
-    """A list csv.writer can write to: it gets one entry per row."""
+    """A list that text is written to, one entry per write: csv.writer
+    writes one per row, _write_rows one per block."""
 
     write = list.append
 
@@ -690,7 +693,8 @@ def _parse_flow(cell: str, name: str, lineno: int) -> str:
 # other one, all by the plain-block loop above; the parts are merged in file
 # order.  A range that is not plain throughout, or holds a bad row, gives up,
 # and the whole file is read again serially, so the csv.reader fallback and
-# every error and line number stay the serial reader's.
+# every error and line number stay the serial reader's.  The children are
+# forked by _forked, which cli's synth uses too.
 
 
 class _GiveUp(Exception):
@@ -704,8 +708,7 @@ def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
     A file is split when it is a regular file of at least _SPLIT_MIN_BYTES
     and this process may fork and run on more than one CPU.  It is cut into
     one range per usable CPU, each at least half _SPLIT_MIN_BYTES long.
-    Every child is reaped before this returns or raises, and killed first
-    if it has not finished.
+    Every child is reaped before this returns or raises (see _forked).
     """
     cpus = _usable_cpus()
     try:
@@ -716,34 +719,23 @@ def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
             or info.st_size < _SPLIT_MIN_BYTES):
         return None
     n_ranges = min(len(cpus), 2 * info.st_size // _SPLIT_MIN_BYTES)
-    children = []  # (pid, read end of its pipe) of each child not yet reaped
     with open(path, "rb") as fh:
         fd = fh.fileno()
         bounds = _range_bounds(fd, info.st_size, n_ranges)
         if len(bounds) < 3:
             return None
+        tasks = [functools.partial(_read_part, fd, lo, hi, delimiter)
+                 for lo, hi in zip(bounds[1:], bounds[2:])]
         try:
-            for k in range(1, len(bounds) - 1):
-                children.append(_fork_range(fd, bounds[k], bounds[k + 1], delimiter,
-                                            cpus[k], cpus))
-            _place(cpus[0], cpus)
-            parts = [_read_range(fd, 0, bounds[1], delimiter)]
-            while children:
-                pid, pipe = children[0]
-                data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                children.pop(0)
-                pipe.close()
-                if status:
-                    raise _GiveUp
-                parts.append(pickle.loads(data))
+            with _forked(tasks, cpus) as received:
+                if len(received) < len(tasks):
+                    return None  # a fork was refused
+                parts = [_read_range(fd, 0, bounds[1], delimiter)]
+                parts += [part for got in received for part in got]
         except (_GiveUp, OSError, ParseError, ValidationError):
             return None  # the serial reader gives the columns or the error
-        finally:
-            for pid, pipe in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    if len(parts) < len(bounds) - 1:
+        return None  # a child failed
     return _merged(parts)
 
 
@@ -770,12 +762,40 @@ def _range_bounds(fd: int, size: int, n_ranges: int) -> list[int]:
     return bounds + [size]
 
 
-def _fork_range(fd: int, start: int, end: int, delimiter: str, cpu: int,
-                cpus: list[int]):
-    """Fork a child that reads bytes [start, end) of the open file ``fd`` on
-    ``cpu`` and pickles the columns back through a pipe.  Returns (pid, the
-    read end of the pipe as a file).  The child exits through os._exit
-    only, with status 0 once all of its columns are written."""
+@contextlib.contextmanager
+def _forked(tasks: list, cpus: list[int]):
+    """Run each of ``tasks`` in a forked child; yield, in task order, one
+    iterator per child over the objects it sent.
+
+    A task is a function of no arguments that returns a list.  The child of
+    task k (counting from 1) moves onto cpus[k], pickles each item of the
+    list through a pipe and leaves through os._exit only.  Once its children
+    are forked, this process moves onto cpus[0].  A refused fork forks no
+    further task, so fewer iterators than tasks are yielded.  An iterator
+    yields each object received whole, so a child that failed gives fewer
+    objects than its task returned.  When the block ends, every child is
+    killed, unless it has exited, and reaped.
+    """
+    children = []  # (pid, read end of its pipe)
+    try:
+        for cpu, task in zip(cpus[1:], tasks):
+            try:
+                children.append(_fork(task, cpu, cpus))
+            except OSError:
+                break
+        if children:
+            _place(cpus[0], cpus)
+        yield [_received(pipe) for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(task, cpu: int, cpus: list[int]):
+    """Fork a child that runs ``task`` on ``cpu`` (see _forked).  Returns
+    (pid, the read end of its pipe as a file)."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -793,14 +813,23 @@ def _fork_range(fd: int, start: int, end: int, delimiter: str, cpu: int,
         try:
             os.close(r)
             _place(cpu, cpus)
-            part = _read_range(fd, start, end, delimiter)
+            items = task()
             with open(w, "wb") as pipe:
-                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+                for item in items:
+                    pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
+
+
+def _received(pipe):
+    """The objects pickled into ``pipe``, up to its end or the first that
+    is cut short."""
+    with contextlib.suppress(EOFError, pickle.UnpicklingError):
+        while True:
+            yield pickle.load(pipe)
 
 
 def _place(cpu: int, cpus: list[int]) -> None:
@@ -809,6 +838,11 @@ def _place(cpu: int, cpus: list[int]) -> None:
     leave it there, so the two would take turns on one CPU."""
     os.sched_setaffinity(0, {cpu})
     os.sched_setaffinity(0, cpus)
+
+
+def _read_part(fd: int, start: int, end: int, delimiter: str) -> list[DyadicColumns]:
+    """A byte-range child's task: the columns of its range, as one item."""
+    return [_read_range(fd, start, end, delimiter)]
 
 
 def _read_range(fd: int, start: int, end: int, delimiter: str) -> DyadicColumns:
@@ -842,19 +876,23 @@ class _ByteRange:
 def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
     """The columns of consecutive parts of one text, in order, with the year
     and code indices of each mapped onto the sorted union of their tables.
-    A part is a _ColumnBuilder.finish result, so its tables may repeat."""
+    A part is a _ColumnBuilder.finish result, so its tables may repeat.
+    ``parts`` is emptied as they are remapped, so that each part's own index
+    columns are freed before the next part's are mapped."""
     years = sorted(set().union(*(part.years for part in parts)))
     codes = sorted(set().union(*(part.codes for part in parts)))
     year_rank = {y: i for i, y in enumerate(years)}
     code_rank = {c: i for i, c in enumerate(codes)}
     columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
-    for part in parts:
+    while parts:
+        part = parts.pop(0)
         year_map = np.array([year_rank[y] for y in part.years], dtype=np.intp)
         code_map = np.array([code_rank[c] for c in part.codes], dtype=np.intp)
         for pieces, values in zip(columns, (year_map[part.year], code_map[part.reporter],
                                             code_map[part.partner], part.exports,
                                             part.imports)):
             pieces.append(values)
+        del part
     return DyadicColumns(tuple(years), tuple(codes), *map(_drain, columns))
 
 

@@ -144,5 +144,8 @@ def _validate(params: GravityParams) -> None:
         raise EmptyNetworkError("link density target of 0 yields no edges")
     if not 0.0 < params.link_density_target <= 1.0:
         raise DomainError("link density target must lie in (0, 1]")
+    for name in ("gdp_logmean", "gdp_logsd", "noise_logsd", "coupling_exponent"):
+        if not math.isfinite(getattr(params, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(params, name)}")
     if params.gdp_logsd < 0 or params.noise_logsd < 0:
         raise DomainError("log standard deviations must be >= 0")

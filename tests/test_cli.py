@@ -2,9 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shlex
 import shutil
+import stat
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -79,6 +82,36 @@ class TestSynthCommand:
                          "--snapshot-dir", str(snap_dir)]) == 2
         assert capsys.readouterr().err == "error: edge (C000, C001) has a non-finite weight\n"
         assert not snap_dir.exists()
+
+    @pytest.mark.parametrize("option, field", [("--gdp-logmean", "gdp_logmean"),
+                                               ("--gdp-logsd", "gdp_logsd"),
+                                               ("--noise-logsd", "noise_logsd"),
+                                               ("--coupling", "coupling_exponent")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, option, field, value):
+        snap_dir = tmp_path / "snaps"
+        assert main(["synth", "--countries", "5", f"{option}={value}",
+                     "--snapshot-dir", str(snap_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not snap_dir.exists()
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        """A --dyadic path that is a FIFO stays one, and its reader gets the
+        bytes a regular file gets."""
+        argv = ["synth", "--countries", "5", "--year", "2000", "--dyadic"]
+        assert main(argv + [str(tmp_path / "regular.csv")]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert main(argv + [str(fifo)]) == 0
+        finally:
+            reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == [(tmp_path / "regular.csv").read_bytes()]
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("options", [["--gdp-scale-final", "nan", "--n-final", "-4"],
                                          ["--n-final", "-4"], ["--gdp-scale-final", "0"]])
