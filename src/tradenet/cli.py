@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -90,7 +89,8 @@ def _atomic_file(path: Path):
     ``with`` block ends without an error and removed on an error.  An error
     that names the removed temporary file is raised naming ``path``.  A
     ``path`` that exists and is not a regular file (a FIFO or a device, say,
-    or a link to one) is written in place, so that it is not replaced."""
+    or a link to one) is written in place, so that it is not replaced.  A
+    link to a regular file stays a link, and its target is replaced."""
     try:
         in_place = not stat.S_ISREG(os.stat(path).st_mode)
     except OSError:
@@ -99,11 +99,12 @@ def _atomic_file(path: Path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
-    tmp = path.with_name(path.name + ".tmp")
+    real = os.path.realpath(path)
+    tmp = real + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -484,24 +485,19 @@ def _cmd_synth(args) -> int:
         snap_dir.mkdir(parents=True, exist_ok=True)
     rows, snapshot = bool(args.dyadic), snap_dir is not None
     cpus = _usable_cpus()
-    shares = _shares(nets, len(cpus))
     # The years of every share but the first are formatted by a forked child;
     # this process writes every file, in year order.
-    tasks = [functools.partial(_synth_share, share, rows, snapshot) for share in shares[1:]]
-    with _forked(tasks, cpus) as received, \
+    format_year = functools.partial(_synth_texts, rows, snapshot)
+    with _forked(format_year, _shares(nets, len(cpus)), cpus) as texts, \
             _atomic_file(Path(args.dyadic)) if rows else contextlib.nullcontext() as dyadic:
         if dyadic is not None:
             _write_table(dyadic, HEADER, [])
-        # A share whose child was not forked or failed gives fewer texts, and
-        # the years it left are formatted here.
-        for share, got in zip(shares, itertools.chain([()], received, itertools.repeat(()))):
-            for texts, net in zip(itertools.chain(got, itertools.repeat(None)), share):
-                rows_text, snapshot_text = texts or _synth_texts(net, rows, snapshot)
-                if dyadic is not None:
-                    dyadic.writelines(rows_text)
-                if snap_dir is not None:
-                    with _atomic_file(snap_dir / f"{net.year}_network.json") as fh:
-                        fh.writelines(snapshot_text)
+        for net, (rows_text, snapshot_text) in zip(nets, texts):
+            if dyadic is not None:
+                dyadic.writelines(rows_text)
+            if snap_dir is not None:
+                with _atomic_file(snap_dir / f"{net.year}_network.json") as fh:
+                    fh.writelines(snapshot_text)
     return 0
 
 
@@ -525,12 +521,7 @@ def _shares(nets: list, n_cpus: int) -> list[list]:
     return [nets[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _synth_share(nets: list, rows: bool, snapshot: bool) -> list:
-    """A forked child's task: the _synth_texts of each of ``nets``."""
-    return [_synth_texts(net, rows, snapshot) for net in nets]
-
-
-def _synth_texts(net, rows: bool, snapshot: bool) -> tuple[list | None, list | None]:
+def _synth_texts(rows: bool, snapshot: bool, net) -> tuple[list | None, list | None]:
     """The dyadic-row text and the snapshot text of ``net``, each as the list
     of strings it is written in, or None unless asked for.  Both take their
     weight cells from one _edge_text call, and only private functions run,

@@ -694,16 +694,13 @@ def _parse_flow(cell: str, name: str, lineno: int) -> str:
 # order.  A range that is not plain throughout, or holds a bad row, gives up,
 # and the whole file is read again serially, so the csv.reader fallback and
 # every error and line number stay the serial reader's.  The children are
-# forked by _forked, which cli's synth uses too.
-
-
-class _GiveUp(Exception):
-    """A byte range cannot be read apart from the rest of the file."""
+# forked by _forked, which cli's synth uses too; this process reads the range
+# of a child that fails.
 
 
 def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
     """The columns of the file at ``path``, read in byte ranges, or None
-    when it is not split or a range gives up, or forking or reading fails.
+    when it is not split or a range gives up.
 
     A file is split when it is a regular file of at least _SPLIT_MIN_BYTES
     and this process may fork and run on more than one CPU.  It is cut into
@@ -724,18 +721,13 @@ def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
         bounds = _range_bounds(fd, info.st_size, n_ranges)
         if len(bounds) < 3:
             return None
-        tasks = [functools.partial(_read_part, fd, lo, hi, delimiter)
-                 for lo, hi in zip(bounds[1:], bounds[2:])]
-        try:
-            with _forked(tasks, cpus) as received:
-                if len(received) < len(tasks):
-                    return None  # a fork was refused
-                parts = [_read_range(fd, 0, bounds[1], delimiter)]
-                parts += [part for got in received for part in got]
-        except (_GiveUp, OSError, ParseError, ValidationError):
-            return None  # the serial reader gives the columns or the error
-    if len(parts) < len(bounds) - 1:
-        return None  # a child failed
+        parts = []
+        with _forked(functools.partial(_read_range, fd, delimiter),
+                     [[span] for span in zip(bounds, bounds[1:])], cpus) as results:
+            for part in results:
+                if part is None:
+                    return None  # the serial reader gives the columns or the error
+                parts.append(part)
     return _merged(parts)
 
 
@@ -763,29 +755,29 @@ def _range_bounds(fd: int, size: int, n_ranges: int) -> list[int]:
 
 
 @contextlib.contextmanager
-def _forked(tasks: list, cpus: list[int]):
-    """Run each of ``tasks`` in a forked child; yield, in task order, one
-    iterator per child over the objects it sent.
+def _forked(work, shares: list[list], cpus: list[int]):
+    """Yield one iterator over work(item) for every item of every share of
+    ``shares``, in order.
 
-    A task is a function of no arguments that returns a list.  The child of
-    task k (counting from 1) moves onto cpus[k], pickles each item of the
-    list through a pipe and leaves through os._exit only.  Once its children
-    are forked, this process moves onto cpus[0].  A refused fork forks no
-    further task, so fewer iterators than tasks are yielded.  An iterator
-    yields each object received whole, so a child that failed gives fewer
-    objects than its task returned.  When the block ends, every child is
-    killed, unless it has exited, and reaped.
+    This process computes share 0, as the iterator reaches it.  Share k
+    runs in a child forked onto cpus[k], which computes its whole share,
+    then pickles each result through a pipe and leaves through os._exit
+    only.  Once its children are forked, this process moves onto cpus[0].
+    A result that does not arrive whole is computed here: that of a share
+    left without a CPU or a child (a refused fork forks no further share),
+    or one that its child did not send.  When the block ends, every child
+    is killed, unless it has exited, and reaped.
     """
-    children = []  # (pid, read end of its pipe)
+    children = []  # (pid, read end of its pipe) of shares 1, 2, ...
     try:
-        for cpu, task in zip(cpus[1:], tasks):
+        for cpu, share in zip(cpus[1:], shares[1:]):
             try:
-                children.append(_fork(task, cpu, cpus))
+                children.append(_fork(work, share, cpu, cpus))
             except OSError:
                 break
         if children:
             _place(cpus[0], cpus)
-        yield [_received(pipe) for _, pipe in children]
+        yield _results(work, shares, [None] + [pipe for _, pipe in children])
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -793,9 +785,9 @@ def _forked(tasks: list, cpus: list[int]):
             os.waitpid(pid, 0)
 
 
-def _fork(task, cpu: int, cpus: list[int]):
-    """Fork a child that runs ``task`` on ``cpu`` (see _forked).  Returns
-    (pid, the read end of its pipe as a file)."""
+def _fork(work, share: list, cpu: int, cpus: list[int]):
+    """Fork a child that runs ``work`` on each item of ``share`` on ``cpu``
+    (see _forked).  Returns (pid, the read end of its pipe as a file)."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -813,15 +805,29 @@ def _fork(task, cpu: int, cpus: list[int]):
         try:
             os.close(r)
             _place(cpu, cpus)
-            items = task()
+            results = [work(item) for item in share]
             with open(w, "wb") as pipe:
-                for item in items:
-                    pickle.dump(item, pipe, pickle.HIGHEST_PROTOCOL)
+                for result in results:
+                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
+
+
+_MISSING = object()  # a result that did not arrive
+
+
+def _results(work, shares: list[list], pipes: list):
+    """work(item) for every item of every share, in order: the results of
+    share k loaded from pipes[k] as far as they arrive whole, and the rest,
+    or all where pipes[k] is None or missing, computed here."""
+    for share, pipe in itertools.zip_longest(shares, pipes):
+        received = _received(pipe) if pipe else iter(())
+        for item in share:
+            result = next(received, _MISSING)
+            yield work(item) if result is _MISSING else result
 
 
 def _received(pipe):
@@ -840,24 +846,23 @@ def _place(cpu: int, cpus: list[int]) -> None:
     os.sched_setaffinity(0, cpus)
 
 
-def _read_part(fd: int, start: int, end: int, delimiter: str) -> list[DyadicColumns]:
-    """A byte-range child's task: the columns of its range, as one item."""
-    return [_read_range(fd, start, end, delimiter)]
-
-
-def _read_range(fd: int, start: int, end: int, delimiter: str) -> DyadicColumns:
-    """The columns of bytes [start, end) of the open file ``fd``, a range
-    that starts a line; _GiveUp at the first block that is not plain.
+def _read_range(fd: int, delimiter: str, span: tuple[int, int]) -> DyadicColumns | None:
+    """The columns of the bytes [start, end) = ``span`` of the open file
+    ``fd``, a range that starts a line, or None at the first block that is
+    not plain or row that raises.
 
     The rows of a range after the first are numbered from line 2, not from
     their line in the file: an error there is never reported, since the
     whole file is then read again serially.
     """
+    start, end = span
     builder = _ColumnBuilder()
     blocks = _text_blocks(_ByteRange(fd, start, end))
-    if _add_plain_blocks(builder, blocks, delimiter, 1 if start == 0 else 2) is not None:
-        raise _GiveUp
-    return builder.finish()
+    try:
+        rest = _add_plain_blocks(builder, blocks, delimiter, 1 if start == 0 else 2)
+    except (ParseError, ValidationError):
+        return None
+    return builder.finish() if rest is None else None
 
 
 class _ByteRange:

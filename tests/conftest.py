@@ -27,6 +27,12 @@ def one_cpu_mask():
         os.sched_setaffinity(0, mask)
 
 
+def usable_cpus(n):
+    """``n`` CPUs this process may run on, repeating them where it has fewer."""
+    real = sorted(os.sched_getaffinity(0))
+    return [real[k % len(real)] for k in range(n)]
+
+
 def make_network(year, edge_list):
     """Build a network from (a, b, w_exp, w_imp) tuples; a pair given as
     (b, a) is turned round, its two flows with it."""

@@ -113,6 +113,20 @@ class TestSynthCommand:
         assert received == [(tmp_path / "regular.csv").read_bytes()]
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_a_link_stays_and_its_target_is_replaced(self, tmp_path):
+        """A --dyadic path that is a link to a regular file stays a link, and
+        its target gets the bytes a regular file gets."""
+        argv = ["synth", "--countries", "5", "--year", "2000", "--dyadic"]
+        assert main(argv + [str(tmp_path / "regular.csv")]) == 0
+        (tmp_path / "target.csv").write_text("")
+        (tmp_path / "ln").mkdir()
+        link = tmp_path / "ln" / "link.csv"
+        link.symlink_to(Path("..") / "target.csv")
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "regular.csv").read_bytes()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("options", [["--gdp-scale-final", "nan", "--n-final", "-4"],
                                          ["--n-final", "-4"], ["--gdp-scale-final", "0"]])
     def test_final_values_are_checked_without_years(self, tmp_path, capsys, options):

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_cpu_mask
+from conftest import one_cpu_mask, usable_cpus
 from reader_oracle import oracle_read_columns
 from tradenet import ingest
 from tradenet.errors import ParseError, ValidationError
@@ -200,12 +200,6 @@ needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_
                                 reason="byte ranges are read only where a process can fork")
 
 
-def usable_cpus(n):
-    """``n`` CPUs this process may run on, repeating them where it has fewer."""
-    real = sorted(os.sched_getaffinity(0))
-    return [real[k % len(real)] for k in range(n)]
-
-
 def read_by_path(data: bytes, fmt="csv", n_cpus=2, block_size=1 << 16, field_limit=None,
                  min_bytes=1):
     """The outcome of read_columns on a file holding ``data``, on ``n_cpus``
@@ -314,14 +308,14 @@ def test_no_fork_on_one_cpu_or_a_small_file(tmp_path, mask, min_bytes):
 
 @needs_fork
 @pytest.mark.parametrize("failing", ["pickle.dump", "os.fork"])
-def test_a_failed_fork_or_child_falls_back_to_the_serial_reader(failing):
-    """A child that cannot send its part, or a fork refused, leaves the
-    file to the serial reader."""
+def test_a_failed_fork_or_child_leaves_its_range_to_the_reader(failing):
+    """A child that cannot send its part, or a fork refused, leaves its
+    range to this process, not the file to the serial reader."""
     with mock.patch(failing, side_effect=OSError("no room")), \
             mock.patch.object(ingest, "_ColumnBuilder", wraps=ingest._ColumnBuilder) as builder:
         got = read_by_path(SPLIT_CASES["plain"])
-    # The first range's builder and the serial reader's, or the serial reader's alone.
-    assert builder.call_count == (2 if failing == "pickle.dump" else 1)
+    # One builder per range, both in this process; a serial read would add one.
+    assert builder.call_count == 2
     assert got == serial(SPLIT_CASES["plain"])
 
 

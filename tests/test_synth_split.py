@@ -18,7 +18,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import one_cpu_mask
+from conftest import one_cpu_mask, usable_cpus
 from tradenet import cli, ingest
 
 pytestmark = pytest.mark.skipif(
@@ -28,12 +28,6 @@ pytestmark = pytest.mark.skipif(
 SYNTH = ["synth", "--countries", "8", "--years", "2000:2005", "--n-final", "14", "--seed", "4"]
 OUTPUTS = {"dyadic": ["--dyadic", "{out}/d.csv"], "snapshots": ["--snapshot-dir", "{out}/snaps"],
            "both": ["--dyadic", "{out}/d.csv", "--snapshot-dir", "{out}/snaps"]}
-
-
-def usable_cpus(n):
-    """``n`` CPUs this process may run on, repeating them where it has fewer."""
-    real = sorted(os.sched_getaffinity(0))
-    return [real[k % len(real)] for k in range(n)]
 
 
 def run(out: Path, outputs: str, capsys, n_cpus: int | None, min_links: int = 1):
