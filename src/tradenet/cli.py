@@ -2,12 +2,12 @@
 
 One subcommand per analysis (summary, metrics, fit, percolate, richclub),
 ``panel`` for all of them and ``synth``, composable through files: dyadic
-CSV/TSV in, CSV or JSON results out.  The analyses share one option table
-(``_OPTIONS``, keyed by ``RunConfig`` field) and one year driver
-(``_run_years``).  All output is deterministic for a given config and input
-(floats use shortest round-trip form, iteration orders are canonical, all
-randomness is seeded), and files are written atomically, but for a FIFO or
-other path that is not a regular file, which is written in place.
+CSV/TSV in, CSV or JSON results out.  The analyses share one declaration
+of their options, ``RunConfig``, and one year driver (``_run_years``).  All
+output is deterministic for a given config and input (floats use shortest
+round-trip form, iteration orders are canonical, all randomness is seeded),
+and files are written atomically, but for a FIFO or other path that is not
+a regular file, which is written in place.
 
 Exit codes: 0 success, 1 partial failure (some requested years failed),
 2 config or parse error.
@@ -25,7 +25,7 @@ import os
 import re
 import stat
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,33 +46,6 @@ from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
 from .synth import GravityParams, GrowthSchedule, generate_panel, multiplier_for
 
 OUTDIR_ENV = "TRADENET_OUTDIR"
-
-
-@dataclass
-class RunConfig:
-    """The options of the analysis subcommands, each default written once:
-    here, or in the library where a library function has the same default.
-    panel records it verbatim (but the outdir) in its manifest."""
-
-    input_path: str
-    outdir: str
-    years: str | None = None  # the --years value as given; None for all
-    input_format: str = "csv"
-    output_format: str = "csv"
-    on_duplicate: str = "mean"
-    missing: str = "zero"
-    flow: str = "total"
-    bins_per_decade: int = BINS_PER_DECADE
-    fit_decades: float = FIT_DECADES
-    fit_range: tuple[float, float] | None = None
-    collapse_bins_per_decade: int = COLLAPSE_BINS_PER_DECADE
-    collapse_window: float = COLLAPSE_WINDOW
-    disparity_bins_per_decade: int = LogBinSpec.bins_per_decade
-    disparity_min_count: int = LogBinSpec.min_count
-    exp_fit_range: tuple[float, float] = (0.05, 0.9)
-    emit_every: int = 1
-    threshold: float = CLUB_THRESHOLD
-    degree_fit_range: tuple[float, float] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +155,97 @@ def _parse_float_range(spec: str | None) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _check_config(config: RunConfig):
-    """Check every value of ``config``; returns its _parse_years selection."""
-    for option, count in (("--bins-per-decade", config.bins_per_decade),
-                          ("--collapse-bins-per-decade", config.collapse_bins_per_decade),
-                          ("--emit-every", config.emit_every)):
-        if count < 1:
-            raise DomainError(f"{option} must be at least 1, got {count}")
-    for option, value in (("--fit-decades", config.fit_decades),
-                          ("--collapse-window", config.collapse_window)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{option} must be positive and finite, got {value}")
-    if not 0.0 < config.threshold < 1.0:
-        raise DomainError(f"--threshold must lie strictly between 0 and 1, got {config.threshold}")
-    for option, window in (("--fit-range", config.fit_range),
-                           ("--degree-fit-range", config.degree_fit_range)):
-        if window is not None and not window[0] > 0.0:
-            raise DomainError(f"{option} LO must be positive, got {window[0]}")
-    LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
-    return _parse_years(config.years)
+_ANALYSES = ("summary", "metrics", "fit", "percolate", "richclub", "panel")
+_DISPARITY = ("metrics", "panel")
+_WEIGHT_FIT = ("fit", "panel")
+
+
+# The checks of option values: each returns what is wrong with a value, or None.
+def _count(value) -> str | None:
+    return f"must be at least 1, got {value}" if value < 1 else None
+
+
+def _positive(value) -> str | None:
+    return None if 0.0 < value < math.inf else f"must be positive and finite, got {value}"
+
+
+def _fraction(value) -> str | None:
+    return None if 0.0 < value < 1.0 else f"must lie strictly between 0 and 1, got {value}"
+
+
+def _window(window) -> str | None:
+    return None if window is None or window[0] > 0.0 else f"LO must be positive, got {window[0]}"
+
+
+def _option(flag: str, commands, default=MISSING, check=None, **kwargs):
+    """A RunConfig field with ``default``, that the subcommands in
+    ``commands`` take as ``flag`` with the further add_argument ``kwargs``,
+    and whose values pass ``check``, if given."""
+    return field(default=default,
+                 metadata={"flag": flag, "commands": commands, "check": check, "kwargs": kwargs})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The options of the analysis subcommands, each declared once, with its
+    flag, subcommands, default (or the library's, where a library function
+    has the same one), help text, type and check.  A config that fails a
+    check or holds an invalid year selection cannot be built.  panel records
+    it verbatim (but the outdir) in its manifest."""
+
+    input_path: str = _option("--input", _ANALYSES, metavar="INPUT",
+                              help="dyadic CSV/TSV file, snapshot JSON, or snapshot directory")
+    outdir: str = _option("--outdir", _ANALYSES,
+                          help=f"output directory (default: ${OUTDIR_ENV} or cwd)")
+    input_format: str = _option("--format", _ANALYSES, "csv", choices=tuple(_DELIMITERS),
+                                help="delimiter of dyadic record files")
+    # the --years value as given; None for all
+    years: str | None = _option("--years", _ANALYSES, None,
+                                help="year selection: all (default), 1950, 1948:1960, or "
+                                     "1948,1950; a range selects the years it holds")
+    on_duplicate: str = _option("--on-duplicate", _ANALYSES, "mean", choices=DUPLICATE_POLICIES,
+                                help="how to resolve duplicate reports of one directed flow")
+    missing: str = _option("--missing", _ANALYSES, "zero", choices=MISSING_FLOW_POLICIES,
+                           help="how a one-sided flow report enters the symmetrizing average")
+    output_format: str = _option("--output-format", _ANALYSES, "csv", choices=("csv", "json"),
+                                 help="format of tabular result files")
+    flow: str = _option("--flow", _DISPARITY, "total", choices=FLOWS)
+    disparity_bins_per_decade: int = _option("--disparity-bins-per-decade", _DISPARITY,
+                                             LogBinSpec.bins_per_decade, _count, type=int)
+    disparity_min_count: int = _option("--disparity-min-count", _DISPARITY,
+                                       LogBinSpec.min_count, _count, type=int)
+    bins_per_decade: int = _option("--bins-per-decade", _WEIGHT_FIT, BINS_PER_DECADE, _count,
+                                   type=int)
+    fit_range: tuple[float, float] | None = _option(
+        "--fit-range", _WEIGHT_FIT, None, _window, type=_parse_float_range,
+        help="power-law fit window LO:HI, LO > 0 (default: --fit-decades wide, "
+             "centred on the log-binned weights' geometric mean)")
+    fit_decades: float = _option("--fit-decades", _WEIGHT_FIT, FIT_DECADES, _positive,
+                                 type=float, help="width of the default fit window in decades")
+    collapse_bins_per_decade: int = _option("--collapse-bins-per-decade", _WEIGHT_FIT,
+                                            COLLAPSE_BINS_PER_DECADE, _count, type=int)
+    collapse_window: float = _option("--collapse-window", _WEIGHT_FIT, COLLAPSE_WINDOW,
+                                     _positive, type=float,
+                                     help="central region half-width in sigmas for collapse_mse")
+    exp_fit_range: tuple[float, float] = _option(
+        "--exp-fit-range", ("panel",), (0.05, 0.9), type=_parse_float_range,
+        help="f range for the percolation exponential fit")
+    emit_every: int = _option("--emit-every", ("percolate", "panel"), 1, _count, type=int,
+                              help="write every n-th point of the curve")
+    threshold: float = _option("--threshold", ("richclub", "panel"), CLUB_THRESHOLD, _fraction,
+                               type=float, help="fraction of world trade defining the club")
+    degree_fit_range: tuple[float, float] | None = _option(
+        "--degree-fit-range", ("panel",), None, _window, type=_parse_float_range,
+        help="k window LO:HI, LO > 0, of the pooled degree survival fit "
+             "(default: the pooled degrees' 20th to 90th percentile)")
+
+    def __post_init__(self):
+        for option in fields(self):
+            check = option.metadata["check"]
+            problem = check and check(getattr(self, option.name))
+            if problem:
+                raise DomainError(f"{option.metadata['flag']} {problem}")
+        _parse_years(self.years)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +311,14 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
 def _run_years(config: RunConfig, year_step, panel_step=None) -> int:
     """Run one analysis subcommand over the years ``config`` selects.
 
-    Checks ``config``, loads the networks, makes the outdir, calls
-    ``year_step(outdir, net, config)`` on each network in year order and
-    then ``panel_step(outdir, config, nets, results, errors)``, where
-    ``results`` holds each year step's return value by year.  Reports each
-    failed year on stderr; returns 1 if some requested year failed, else 0.
+    Loads the networks, makes the outdir, calls ``year_step(outdir, net,
+    config)`` on each network in year order and then ``panel_step(outdir,
+    config, nets, results, errors)``, where ``results`` holds each year
+    step's return value by year.  Reports each failed year on stderr;
+    returns 1 if some requested year failed, else 0.
     """
-    years = _check_config(config)
-    nets, errors = _load_networks(config.input_path, years, config.input_format,
-                                  config.on_duplicate, config.missing)
+    nets, errors = _load_networks(config.input_path, _parse_years(config.years),
+                                  config.input_format, config.on_duplicate, config.missing)
     outdir = _ensure_outdir(config.outdir)
     results = {year: year_step(outdir, net, config) for year, net in nets.items()}
     if panel_step is not None:
@@ -438,7 +482,6 @@ def _cmd_fit(args) -> int:
         return _run_years(_config_from_args(args), _fit_year)
     args.input_path = ""  # the weight list stands in for --input
     config = _config_from_args(args)
-    _check_config(config)
     # Fitted before the outdir is made: a list log_histogram rejects leaves none.
     fitted = _weight_fits(_read_weight_list(args.weights), config)
     _fit_files(_ensure_outdir(config.outdir), "weights", fitted, config)
@@ -446,14 +489,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_percolate(args) -> int:
-    fit_range = _parse_float_range(args.fit)
     orders = {"desc": ("descending",), "asc": ("ascending",), "both": ORDERS}[args.order]
 
     def year_step(outdir, net, config):
         _, curves = _percolation_year(outdir, net, config, orders)
-        if fit_range is not None:
+        if args.fit is not None:
             _write_json(outdir, f"{net.year}_percolation_fit.json",
-                        _percolation_fits(curves, fit_range))
+                        _percolation_fits(curves, args.fit))
 
     return _run_years(_config_from_args(args), year_step)
 
@@ -612,62 +654,13 @@ def _panel_fits(outdir: Path, config: RunConfig, nets, warnings: list[str]) -> l
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-_ANALYSES = ("summary", "metrics", "fit", "percolate", "richclub", "panel")
-_DISPARITY = ("metrics", "panel")
-_WEIGHT_FIT = ("fit", "panel")
-
-# The analysis options, one row per RunConfig field: its flag, the subcommands
-# that take it and further add_argument keywords.  An option left out keeps
-# the field's default, and so does a ``*_range`` field given as "" (else LO:HI).
-_OPTIONS = {
-    "input_path": ("--input", _ANALYSES,
-                   {"metavar": "INPUT",
-                    "help": "dyadic CSV/TSV file, snapshot JSON, or snapshot directory"}),
-    "input_format": ("--format", _ANALYSES,
-                     {"choices": tuple(_DELIMITERS), "help": "delimiter of dyadic record files"}),
-    "years": ("--years", _ANALYSES,
-              {"help": "year selection: all (default), 1950, 1948:1960, or 1948,1950; "
-                       "a range selects the years it holds"}),
-    "on_duplicate": ("--on-duplicate", _ANALYSES,
-                     {"choices": DUPLICATE_POLICIES,
-                      "help": "how to resolve duplicate reports of one directed flow"}),
-    "missing": ("--missing", _ANALYSES,
-                {"choices": MISSING_FLOW_POLICIES,
-                 "help": "how a one-sided flow report enters the symmetrizing average"}),
-    "outdir": ("--outdir", _ANALYSES,
-               {"help": f"output directory (default: ${OUTDIR_ENV} or cwd)"}),
-    "output_format": ("--output-format", _ANALYSES,
-                      {"choices": ("csv", "json"), "help": "format of tabular result files"}),
-    "flow": ("--flow", _DISPARITY, {"choices": FLOWS}),
-    "disparity_bins_per_decade": ("--disparity-bins-per-decade", _DISPARITY, {"type": int}),
-    "disparity_min_count": ("--disparity-min-count", _DISPARITY, {"type": int}),
-    "bins_per_decade": ("--bins-per-decade", _WEIGHT_FIT, {"type": int}),
-    "fit_range": ("--fit-range", _WEIGHT_FIT,
-                  {"help": "power-law fit window LO:HI, LO > 0 (default: --fit-decades wide, "
-                           "centred on the log-binned weights' geometric mean)"}),
-    "fit_decades": ("--fit-decades", _WEIGHT_FIT,
-                    {"type": float, "help": "width of the default fit window in decades"}),
-    "collapse_bins_per_decade": ("--collapse-bins-per-decade", _WEIGHT_FIT, {"type": int}),
-    "collapse_window": ("--collapse-window", _WEIGHT_FIT,
-                        {"type": float,
-                         "help": "central region half-width in sigmas for collapse_mse"}),
-    "exp_fit_range": ("--exp-fit-range", ("panel",),
-                      {"help": "f range for the percolation exponential fit"}),
-    "emit_every": ("--emit-every", ("percolate", "panel"),
-                   {"type": int, "help": "write every n-th point of the curve"}),
-    "threshold": ("--threshold", ("richclub", "panel"),
-                  {"type": float, "help": "fraction of world trade defining the club"}),
-    "degree_fit_range": ("--degree-fit-range", ("panel",),
-                         {"help": "k window LO:HI, LO > 0, of the pooled degree survival fit "
-                                  "(default: the pooled degrees' 20th to 90th percentile)"}),
-}
-
-
 def _config_from_args(args) -> RunConfig:
-    """The RunConfig of the _OPTIONS values given on the command line."""
-    given = {field: _parse_float_range(value) if field.endswith("_range") else value
-             for field, value in vars(args).items() if field in _OPTIONS}
-    return RunConfig(**{field: value for field, value in given.items() if value is not None})
+    """The RunConfig of the options given on the command line.  An option
+    left out keeps its field's default, and so does a LO:HI range given as
+    ""."""
+    given = vars(args)
+    return RunConfig(**{option.name: given[option.name] for option in fields(RunConfig)
+                        if given.get(option.name) is not None})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -679,7 +672,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _analysis_parser(sub, command: str, help: str, func):
-    """The parser of an analysis subcommand, with its _OPTIONS rows."""
+    """The parser of an analysis subcommand, with the options of its
+    RunConfig fields."""
     p = sub.add_parser(command, help=help)
     p.set_defaults(func=func)
     inputs = p
@@ -687,12 +681,13 @@ def _analysis_parser(sub, command: str, help: str, func):
         inputs = p.add_mutually_exclusive_group(required=True)
         inputs.add_argument("--weights", default=None,
                             help="plain text file of weights (one per line) instead of --input")
-    for field, (flag, commands, kwargs) in _OPTIONS.items():
-        if command in commands:
-            default = os.environ.get(OUTDIR_ENV, ".") if field == "outdir" else argparse.SUPPRESS
-            (inputs if field == "input_path" else p).add_argument(
-                flag, dest=field, default=default,
-                required=field == "input_path" and inputs is p, **kwargs)
+    for option in fields(RunConfig):
+        name, meta = option.name, option.metadata
+        if command in meta["commands"]:
+            default = os.environ.get(OUTDIR_ENV, ".") if name == "outdir" else argparse.SUPPRESS
+            (inputs if name == "input_path" else p).add_argument(
+                meta["flag"], dest=name, default=default,
+                required=name == "input_path" and inputs is p, **meta["kwargs"])
     return p
 
 
@@ -713,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _analysis_parser(sub, "percolate", "weight-ordered giant-component growth",
                          _cmd_percolate)
     p.add_argument("--order", choices=("desc", "asc", "both"), default="both")
-    p.add_argument("--fit", default=None,
+    p.add_argument("--fit", type=_parse_float_range, default=None,
                    help="also fit the exponential approach over f range LO:HI")
     _analysis_parser(sub, "richclub", "rich-club curve and series",
                      _years_command(_richclub_year, _richclub_series))
@@ -744,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    try:  # a bad LO:HI range raises DomainError in parse_args
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TradeNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

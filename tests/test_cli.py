@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import stat
@@ -235,7 +236,7 @@ class TestArgumentErrors:
         (["richclub", "--threshold", "0"], "threshold"),
         *((argv, "range") for argv in REVERSED_RANGES),
         *((argv, "LO must be positive") for argv in LOW_WINDOWS),
-        *((argv, "bin spec") for argv in BAD_BIN_SPECS),
+        *((argv, argv[1]) for argv in BAD_BIN_SPECS),
         *((argv, argv[1]) for argv in BAD_FIT_SETTINGS),
     ])
     def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, word):
@@ -343,6 +344,43 @@ def test_any_argument_values_keep_the_exit_code_contract(data):
 
 
 ANALYSES = ["summary", "metrics", "fit", "percolate", "richclub", "panel"]
+
+
+def own_flags(command):
+    """The flags an analysis subcommand takes, from this file's tables."""
+    return {"--input", "--outdir", *INPUT_OPTIONS, *COMMAND_OPTIONS[command],
+            *(["--weights"] if command == "fit" else [])}
+
+
+class TestSubcommandOptions:
+    """Each analysis subcommand takes exactly its own options: its --help
+    lists them, and an option that only other subcommands take is a usage
+    error."""
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_help_lists_exactly_its_own_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert sorted(listed) == sorted(own_flags(command))
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in ANALYSES
+        for flag in sorted(set().union(*map(own_flags, ANALYSES)) - own_flags(command))])
+    def test_another_subcommands_flag_exits_2(self, tmp_path, capsys, command, flag):
+        if flag == "--weights":
+            value = str(tmp_path / "weights.txt")
+        else:
+            value = next(options[flag][0][0] for options in COMMAND_OPTIONS.values()
+                         if flag in options)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(GOLDEN_PANEL), "--outdir", str(out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and flag in err, err
+        assert not out.exists()
 
 
 class TestConfigFromArgs:
@@ -746,8 +784,8 @@ class TestPanel:
 
 def test_readme_cli_lines_parse():
     """Every ``tradenet`` line of README's CLI example parses with the
-    parser as built, and the options of each one that reads --input pass
-    _check_config."""
+    parser as built, and the options of each one that reads --input build
+    a RunConfig, which checks them."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
@@ -758,4 +796,4 @@ def test_readme_cli_lines_parse():
         args = parser.parse_args(argv[1:])  # an unknown option exits 2
         assert args.command == argv[1]
         if "--input" in argv:
-            cli._check_config(cli._config_from_args(args))
+            cli._config_from_args(args)

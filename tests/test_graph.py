@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import make_network, random_network, rebuilt_from_rows
 from tradenet.errors import DomainError, EmptyNetworkError, ParseError, ValidationError
-from tradenet.graph import (AnnualTradeNetwork, build_network, snapshot_dumps,
-                            snapshot_loads, summarize)
+from tradenet.graph import (AnnualTradeNetwork, build_network, load_snapshot, save_snapshot,
+                            snapshot_dumps, snapshot_loads, summarize)
 from tradenet.ingest import PairedColumns, write_network_records
 from tradenet.metrics import node_metric_columns
+from tradenet.synth import GravityParams, generate_network
 
 
 def paired(*rows, year=2000):
@@ -150,6 +151,13 @@ class TestSummarize:
 
 
 class TestSnapshot:
+    def test_save_writes_the_dumps_text_and_loads_back(self, tmp_path):
+        net = generate_network(GravityParams(n_countries=12, seed=4), 2000)
+        path = tmp_path / "2000_network.json"
+        save_snapshot(net, path)
+        assert path.read_bytes() == snapshot_dumps(net).encode("utf-8")
+        assert load_snapshot(path) == net
+
     def test_round_trip_bit_exact(self, rng):
         for _ in range(20):
             net = random_network(rng, int(rng.integers(2, 20)))
