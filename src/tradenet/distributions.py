@@ -289,12 +289,13 @@ def degree_distribution(nets, fit_range=None) -> DegreeDistFit:
     """Pool total degrees over the given networks and fit the survival tail
     over ``fit_range``, by default from the 20th to the 90th percentile of
     the n pooled degrees (sorted positions ``n // 5`` and ``9 * n // 10``)."""
-    degrees = [k for net in nets for k in net.degrees.tolist()]
-    if not degrees:
+    pooled = [net.degrees for net in nets]
+    if not pooled:
         raise EmptyInputError("no networks given")
+    degrees = np.concatenate(pooled)
     if fit_range is None:
-        ks = sorted(degrees)
-        fit_range = (float(ks[len(ks) // 5]), float(ks[(9 * len(ks)) // 10]))
+        ks = np.sort(degrees)
+        fit_range = (float(ks[ks.size // 5]), float(ks[(9 * ks.size) // 10]))
     return degree_distribution_from_degrees(degrees, fit_range)
 
 

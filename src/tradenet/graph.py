@@ -13,7 +13,6 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,18 +65,6 @@ def _average(reported, mirrored, both, missing):
     return np.where(both, total / 2.0, total)
 
 
-class Adjacency(NamedTuple):
-    """CSR adjacency of a network: the half-edges of node ``i`` are
-    ``indptr[i]:indptr[i + 1]``, sorted by partner.  ``node``, ``partner``
-    and ``edge`` give each half-edge's node, its partner and the index of
-    its edge in the network's edge arrays."""
-
-    indptr: np.ndarray
-    node: np.ndarray
-    partner: np.ndarray
-    edge: np.ndarray
-
-
 class AnnualTradeNetwork:
     """Immutable weighted undirected network for one year.
 
@@ -87,12 +74,11 @@ class AnnualTradeNetwork:
     (a, b), and the float64 arrays ``w_exp``, ``w_imp`` and ``w = w_exp +
     w_imp`` hold its weights.  Because the codes are sorted, comparing two
     node indices compares the codes.  Instances and their arrays are
-    treated as read-only, so results derived from them are cached: the CSR
-    adjacency and, keyed by flow, metrics.node_metric_columns.
+    treated as read-only, so metrics.node_metric_columns caches its results
+    on the network, keyed by flow.
     """
 
-    __slots__ = ("year", "nodes", "a", "b", "w_exp", "w_imp", "w", "_adjacency",
-                 "_metric_columns")
+    __slots__ = ("year", "nodes", "a", "b", "w_exp", "w_imp", "w", "_metric_columns")
 
     def __init__(self, year: int, a_codes, b_codes, w_exp, w_imp):
         """Network from edge lists in any order: edge ``e`` joins
@@ -145,7 +131,6 @@ class AnnualTradeNetwork:
         self.w_exp = w_exp
         self.w_imp = w_imp
         self.w = w
-        self._adjacency = None
         self._metric_columns = {}
 
     @property
@@ -156,23 +141,10 @@ class AnnualTradeNetwork:
     def n_links(self) -> int:
         return len(self.w)
 
-    def adjacency(self) -> Adjacency:
-        """The CSR adjacency, built on the first call."""
-        if self._adjacency is None:
-            n_links = len(self.w)
-            node = np.concatenate([self.a, self.b])
-            partner = np.concatenate([self.b, self.a])
-            order = np.lexsort((partner, node))
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.intp)
-            np.cumsum(np.bincount(node, minlength=self.n_nodes), out=indptr[1:])
-            self._adjacency = Adjacency(indptr, node[order], partner[order],
-                                        (order % n_links).astype(np.int32))
-        return self._adjacency
-
     @property
     def degrees(self) -> np.ndarray:
         """Partner count of every node, in node order."""
-        return np.diff(self.adjacency().indptr)
+        return np.bincount(np.concatenate([self.a, self.b]), minlength=self.n_nodes)
 
     def __eq__(self, other):
         if not isinstance(other, AnnualTradeNetwork):

@@ -535,6 +535,8 @@ def _row_columns(rows: list[list[str]]):
 
 
 def _check_header(cells: list[str]) -> None:
+    if cells:  # one byte-order mark, as Excel's "CSV UTF-8" writes, may lead the file
+        cells = [cells[0].removeprefix("\ufeff"), *cells[1:]]
     if tuple(cell.strip() for cell in cells) != HEADER:
         raise ParseError(f"expected header {','.join(HEADER)!r}", line=1)
 

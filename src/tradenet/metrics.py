@@ -94,15 +94,16 @@ def _check_flow(flow: str) -> None:
 
 
 def _columns(net: AnnualTradeNetwork, flow: str) -> NodeMetricColumns:
-    """Metrics of every node from its CSR half-edges.
+    """Metrics of every node from its half-edges, sorted by (node, partner).
 
     Per node, the strength and the sum of squared shares add the partners'
     weights in partner order, as a loop over the sorted partners does; the
     square is libm pow, as Python's ``** 2`` computes it.
     """
-    adj = net.adjacency()
-    node, edge = adj.node, adj.edge
-    forward = node < adj.partner  # the node is the edge's smaller code
+    node = np.concatenate([net.a, net.b])  # half-edge e + n_links is edge e seen from b
+    order = np.lexsort((np.concatenate([net.b, net.a]), node))
+    node, edge = node[order], order % net.n_links
+    forward = order < net.n_links  # the node is the edge's smaller code
     out = np.where(forward, net.w_exp[edge], net.w_imp[edge])
     inc = np.where(forward, net.w_imp[edge], net.w_exp[edge])
     n = net.n_nodes
@@ -114,7 +115,7 @@ def _columns(net: AnnualTradeNetwork, flow: str) -> NodeMetricColumns:
     s = np.bincount(owner, weights=weights, minlength=n).astype(np.float64, copy=False)
     y = np.bincount(owner, weights=np.float_power(weights / s[owner], 2.0), minlength=n)
     y = np.where(s > 0.0, y, np.nan)
-    return NodeMetricColumns(k=np.diff(adj.indptr),
+    return NodeMetricColumns(k=np.bincount(node, minlength=n),
                              k_exp=np.bincount(node[out > 0.0], minlength=n),
                              k_imp=np.bincount(node[inc > 0.0], minlength=n),
                              s=s, Y=y)

@@ -34,6 +34,8 @@ def oracle_read_columns(text: str, delimiter: str = ",") -> DyadicColumns:
         except csv.Error as exc:
             raise ParseError(str(exc), line=lineno) from None
         if lineno == 1:
+            if row:  # one leading byte-order mark is dropped
+                row = [row[0].removeprefix("\ufeff"), *row[1:]]
             if tuple(cell.strip() for cell in row) != HEADER:
                 raise ParseError(f"expected header {','.join(HEADER)!r}", line=1)
         elif row:

@@ -54,6 +54,7 @@ def test_array_analyses_equal_the_dict_oracle(edges):
     net = AnnualTradeNetwork(2000, a, b, w_exp, w_imp)
     assert oracle.edge_dict(net) == dict(sorted(edges.items()))
     assert net.nodes == tuple(oracle.adjacency(edges))
+    assert exact(net.degrees.tolist()) == exact([len(p) for p in oracle.adjacency(edges).values()])
     assert exact(astuple(summarize(net))) == exact(oracle.summarize(2000, edges))
     for flow in FLOWS:
         cols = node_metric_columns(net, flow)

@@ -7,6 +7,8 @@ import re
 import shlex
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -95,6 +97,24 @@ class TestSynthCommand:
                      "--snapshot-dir", str(snap_dir)]) == 2
         assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
         assert not snap_dir.exists()
+
+    def test_out_of_memory_exits_2_with_one_error_line(self, tmp_path):
+        """A MemoryError is one error line and exit 2, not a traceback and
+        exit 1, which would read as some years failing, and no file is
+        written.  The pair mask of 100,000 countries needs 9.3 GiB; the
+        child runs main under a 1.5 GB address-space limit, set after its
+        imports.  Never run this argv without the limit."""
+        script = ("import resource, sys; from tradenet.cli import main; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2); "
+                  "sys.exit(main(sys.argv[1:]))")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        child = subprocess.run([sys.executable, "-c", script, "synth", "--countries", "100000",
+                                "--dyadic", str(out / "panel.csv")],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_a_fifo_is_written_in_place(self, tmp_path):
         """A --dyadic path that is a FIFO stays one, and its reader gets the

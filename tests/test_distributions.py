@@ -281,6 +281,11 @@ class TestDegreeDistribution:
         fits = json.loads((GOLDEN / "panel_csv" / "out" / "panel_fits.json").read_text())
         assert list(degree_distribution(nets).fit_range) == fits["degree"]["fit_range"]
 
+    @pytest.mark.parametrize("nets", [[], iter([])], ids=["list", "iterator"])
+    def test_no_networks(self, nets):
+        with pytest.raises(EmptyInputError, match="no networks given"):
+            degree_distribution(nets)
+
     def test_insufficient_distinct_degrees(self):
         net = make_network(2000, [("A", "B", 1.0, 1.0)])
         with pytest.raises(InsufficientDataError):

@@ -115,14 +115,29 @@ def files_under(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_bytes(name, tmp_path):
-    result, files = run_case(name, tmp_path)
+def assert_golden(name: str, workdir: Path) -> None:
+    """Case ``name`` run in ``workdir`` gives its golden result and files."""
+    result, files = run_case(name, workdir)
     assert result == json.loads((GOLDEN / name / "result.json").read_text())
     want = files_under(GOLDEN / name / "out")
     assert sorted(files) == sorted(want)
     changed = [n for n in sorted(want) if files[n] != want[n]]
     assert not changed, f"outputs differ from the golden bytes: {changed}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, tmp_path):
+    assert_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["metrics_import", "summary_mean_copy"])
+def test_a_byte_order_mark_changes_no_output(name, tmp_path, monkeypatch):
+    """The messy file led by the UTF-8 byte-order mark that Excel's "CSV
+    UTF-8" export writes gives the plain file's golden outputs."""
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + MESSY.read_bytes())
+    monkeypatch.setitem(globals(), "MESSY", bom)
+    assert_golden(name, tmp_path / "run")
 
 
 def test_synth_both_outputs_match_the_single_output_goldens(tmp_path):

@@ -43,11 +43,14 @@ FORMATS = {"csv": ",", "tsv": "\t"}
 # with a share of bad draws fixed per text, so most texts parse and some
 # fail late.  Quotes and line ends are drawn per text too, so some texts
 # are plain throughout and some are read by csv.reader from the first line.
-YEARS = (["1990", "1991", " 1990", "1991 ", "1_990", "١٩٩٠"], ["19x0", "", "1e3"])
-CODES = (["A", "B", "C", "D", " A", "B ", "Ñ", "A B", "A\u2028B", "A\x1cB"], ["", "  "])
+# A U+FEFF anywhere but before the header is data: part of a code, or a bad
+# year or flow.
+YEARS = (["1990", "1991", " 1990", "1991 ", "1_990", "١٩٩٠"], ["19x0", "", "1e3", "\ufeff1990"])
+CODES = (["A", "B", "C", "D", " A", "B ", "Ñ", "A B", "A\u2028B", "A\x1cB", "\ufeffA"],
+         ["", "  "])
 QUOTED_CODES = ["A,B", "A\tB", 'A"B', "A\nB", "A\r\nB", "A\rB"]
 FLOWS = (["1.5", "2", "0.1", "3e2", "", "", "0", "-0", "1_0", "١", " 2 ", "  ", "5e-324",
-          "123456789"], ["nan", "1e500", "-1", "inf", "x"])
+          "123456789"], ["nan", "1e500", "-1", "inf", "x", "\ufeff1"])
 LINES = ([""], [" ", "\t", "1990", '"unterminated'])
 LINE_ENDS = [["\n"], ["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r"]]
 
@@ -99,10 +102,13 @@ def texts(draw, delimiter):
              draw(st.sampled_from([0.0, 0.0, 0.1])))
     line_ends = draw(st.sampled_from(LINE_ENDS))
     header = delimiter.join(HEADER)
+    if chance(draw, 0.1):
+        header = "\ufeff" + header  # the byte-order mark of Excel's "CSV UTF-8"
     if chance(draw, style[1]):
         header = draw(st.sampled_from([
             "", delimiter.join(map(quoted, HEADER)), " " + header, header + delimiter,
-            '"year\n"' + header[4:], "year,reporter,partner,export", "\ufeff" + header]))
+            '"year\n"' + header[4:], "year,reporter,partner,export", "\ufeff\ufeff" + header,
+            " \ufeff" + header, "year" + delimiter + "\ufeff" + header[5:]]))
     body = draw(st.lists(line(style), max_size=12))
     text = ""
     for text_line in [header] + body:
@@ -156,6 +162,13 @@ EDGE_CASES = [
     (H + "1990,A,B,1,2\x1c1990,C,D,1,2\n", None),  # not a line end for csv.reader
     (" year , reporter,partner,export,import \n1990,A,B,1,2\n", None),
     ('"year","reporter","partner","export","import"\n1990,A,B,1,2\n', None),
+    # One byte-order mark before the header is dropped; any other U+FEFF is
+    # data: a second mark, one inside the header, a code or a year.
+    ("\ufeff" + H + "1990,A,B,1,2\n", None),
+    ("\ufeff\ufeff" + H + "1990,A,B,1,2\n", None),
+    ("year,\ufeffreporter,partner,export,import\n1990,A,B,1,2\n", None),
+    (H + "1990,\ufeffA,B,1,2\n1990,A,B,3,4\n", None),
+    (H + "\ufeff1990,A,B,1,2\n", None),
 ]
 
 
@@ -258,6 +271,7 @@ SPLIT_CASES = {
     "bad row, then a quoted field": (H + ROWS + '1990,A0\n1990,"A0",B0,1,2\n').encode(),
     "not UTF-8": (H + ROWS).encode() + b"1990,A\xff,B0,1,2\n",
     "bad header": (H.replace("import", "imports") + ROWS).encode(),
+    "byte-order mark": ("\ufeff" + H + ROWS).encode(),
 }
 SPLIT_ERRORS = {"self-trade", "bad flow", "bad row, then a quoted field", "not UTF-8",
                 "bad header"}
@@ -275,6 +289,24 @@ def test_split_cases_match_serial_reader(name, n_cpus):
     if name != "not UTF-8":
         assert got == outcome(lambda: oracle_read_columns(data.decode("utf-8")))
     assert (len(got) == 3) == (name in SPLIT_ERRORS)  # an error's type, message and line
+
+
+@needs_fork
+def test_a_large_file_with_a_byte_order_mark_is_split(tmp_path):
+    """A file past the size at which it is split, led by a byte-order mark,
+    is read in two byte ranges to the columns of the same rows without it."""
+    rows = "".join(f"{1990 + k % 3},A{k % 97},B{k % 89},{k}.5,{k}\n" for k in range(40_000))
+    data = ("\ufeff" + H + rows).encode()
+    assert len(data) >= ingest._SPLIT_MIN_BYTES
+    path = tmp_path / "trade.csv"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_usable_cpus", lambda: usable_cpus(2)), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        got = outcome(lambda: read_columns(path))
+    assert fork.call_count == 1
+    assert got == serial(data) == serial((H + rows).encode())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
