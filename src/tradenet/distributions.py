@@ -258,7 +258,8 @@ def collapse_from_log_density(ln_centers, densities, w0: float,
 
 def degree_survival(degrees: Iterable[int]) -> list[tuple[int, float]]:
     """Inclusive survival function of a degree sample at observed degrees."""
-    ks, counts = np.unique(np.asarray(list(degrees), dtype=int), return_counts=True)
+    sample = degrees if isinstance(degrees, np.ndarray) else list(degrees)
+    ks, counts = np.unique(np.asarray(sample, dtype=int), return_counts=True)
     if ks.size == 0:
         raise EmptyInputError("no degrees")
     total = counts.sum()

@@ -68,9 +68,11 @@ class DyadicColumns:
 
     ``year`` indexes ``years`` and ``reporter``/``partner`` index ``codes``;
     both tables are sorted, so comparing two code indices compares the codes
-    in plain string order.  ``exports``/``imports`` are float64 with NaN
-    where the cell was empty.  The reader builds them from parts whose tables
-    are not sorted (see _ColumnBuilder.finish and _merged).
+    in plain string order.  The reader makes these three columns int32, and
+    pair_columns takes any integer dtype.  ``exports``/``imports`` are
+    float64 with NaN where the cell was empty.  The reader builds them from
+    parts whose tables are not sorted (see _ColumnBuilder.finish and
+    _merged).
     """
 
     years: tuple[int, ...]
@@ -87,8 +89,10 @@ class PairedColumns:
     """Resolved flows of every (year, a, b) pair with a positive report.
 
     Rows are sorted by (year, a, b) with ``a < b``; ``year``, ``a`` and
-    ``b`` index ``years`` and ``codes`` as in DyadicColumns.  ``flows`` has
-    one column per FLOW_SLOTS entry, NaN where no positive report exists.
+    ``b`` index ``years`` and ``codes`` as in DyadicColumns: int32, or
+    int64 when ``4 * len(years) * len(codes) ** 2`` reaches 2**31 or the
+    input holds 2**31 rows (see _sorted_reports).  ``flows`` has one column
+    per FLOW_SLOTS entry, NaN where no positive report exists.
     """
 
     years: tuple[int, ...]
@@ -150,44 +154,94 @@ def pair_columns(cols: DyadicColumns, on_duplicate: str = "mean") -> PairedColum
     n_codes = max(len(cols.codes), 1)
     cell, value = _sorted_reports(cols, n_codes)
     starts, ends = _runs(cell)
-    if on_duplicate != "first":  # ascending values within each cell with several reports
-        multi = np.repeat(ends - starts > 1, ends - starts)
-        value[multi] = value[multi][np.lexsort((value[multi], cell[multi]))]
-    if on_duplicate == "mean":
-        group = np.repeat(np.arange(len(starts)), ends - starts)
-        resolved = np.bincount(group, weights=value, minlength=len(starts)) / (ends - starts)
-    elif on_duplicate == "first":
-        resolved = value[starts]
-    else:
-        resolved = value[ends - 1]
-
+    resolved = _resolved(cell, value, starts, ends, on_duplicate)
+    del value  # free each full-size array once used: pairing is where ingest peaks
     cell = cell[starts]
+    del starts, ends
     pair_starts, pair_ends = _runs(cell // 4)
     pairs = cell[pair_starts] // 4
     flows = np.full((len(pairs), len(FLOW_SLOTS)), np.nan)
-    flows[np.repeat(np.arange(len(pairs)), pair_ends - pair_starts), cell % 4] = resolved
+    row = np.repeat(np.arange(len(pairs), dtype=cell.dtype), pair_ends - pair_starts)
+    flows[row, cell % 4] = resolved
     return PairedColumns(cols.years, cols.codes, pairs // n_codes // n_codes,
                          pairs // n_codes % n_codes, pairs % n_codes, flows)
 
 
+def _resolved(cell, value, starts, ends, on_duplicate: str) -> np.ndarray:
+    """The resolved value of each run of ``cell``, whose reports are
+    ``value[starts[i]:ends[i]]`` in input order (see pair_columns).
+
+    A cell with one report takes its value.  Only the reports of cells
+    with several are sorted by value, so that each such cell's mean is
+    summed in ascending order.  The full-size temporaries are freed before
+    the result is made.
+    """
+    if on_duplicate == "first":
+        return value[starts]
+    sizes = ends - starts
+    multi = sizes > 1
+    reports = np.repeat(multi, sizes)
+    several = np.flatnonzero(multi)
+    sizes = sizes[several]
+    values = value[reports]
+    values = values[np.lexsort((values, cell[reports]))]  # ascending in each cell
+    del multi, reports
+    if on_duplicate == "mean":
+        group = np.repeat(np.arange(len(several)), sizes)
+        merged = np.bincount(group, weights=values, minlength=len(several)) / sizes
+    else:
+        merged = values[np.cumsum(sizes) - 1]
+    resolved = value[starts]
+    resolved[several] = merged
+    return resolved
+
+
 def _sorted_reports(cols: DyadicColumns, n_codes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every report > 0 as (cell key, value), sorted by cell and stable.
+    """Every report > 0 as (cell key, value), sorted by cell, the reports
+    of a cell in input order.
 
     The cell key is ``4 * pair + slot`` with ``pair`` numbering (year, a, b)
     and ``slot`` indexing FLOW_SLOTS: the export goes to exp_ab, or to
     exp_ba when the reporter is b; the import to the slot after it.  A
-    cell is fed by one column only, so the stable sort keeps each cell's
-    reports in input order.
+    report's position is its index in the exports followed by the imports.
+    A cell is fed by one column only, so its reports in input order are
+    its reports in position order.
+
+    The cell keys are int32 while every one fits, and while every position
+    fits in 32 bits.  Then ``cell << 32 | position`` is unique, and sorting
+    it in any way gives that order.  Otherwise int64 cell keys are sorted
+    stably.
     """
-    pair = cols.year.astype(np.int64) * n_codes + np.minimum(cols.reporter, cols.partner)
-    pair = pair * n_codes + np.maximum(cols.reporter, cols.partner)
-    export_cell = 4 * pair + 2 * (cols.reporter > cols.partner)
-    cell = np.concatenate([export_cell, export_cell + 1])
+    n = len(cols.year)
+    narrow = 4 * len(cols.years) * n_codes ** 2 < 2 ** 31 and 2 * n < 2 ** 32
+    cell = np.empty(2 * n, np.int32 if narrow else np.int64)
+    export = cell[:n]  # 4 * pair + 2 * (reporter is b), built in place
+    export[:] = cols.year
+    export *= n_codes
+    export += np.minimum(cols.reporter, cols.partner)
+    export *= n_codes
+    export += np.maximum(cols.reporter, cols.partner)
+    export *= 2
+    export += cols.reporter > cols.partner
+    export *= 2
+    np.add(export, 1, out=cell[n:])
+    del export
     value = np.concatenate([cols.exports, cols.imports])
-    keep = value > 0
-    cell, value = cell[keep], value[keep]
-    order = np.argsort(cell, kind="stable")
-    return cell[order], value[order]
+    position = np.flatnonzero(value > 0)
+    cell = cell[position]
+    if narrow:
+        key = cell.astype(np.int64)
+        del cell
+        key <<= 32
+        key |= position
+        del position
+        key.sort()
+        cell = np.right_shift(key, 32, out=np.empty(len(key), np.int32), casting="unsafe")
+        position = np.bitwise_and(key, 0xFFFFFFFF, out=key)
+    else:
+        order = np.argsort(cell, kind="stable")
+        cell, position = cell[order], position[order]
+    return cell, value[position]
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +310,11 @@ class _Coded(NamedTuple):
 
 
 def _write_table(fh, header, columns, fmt: str = "csv") -> None:
-    """Write a table given as columns to ``fh`` as "csv", "tsv" or "json",
-    byte for byte as csv.writer (``lineterminator="\n"``) writes the header
-    and the rows, or as ``json.dumps([dict(zip(header, row)) for row in
-    rows], indent=2, sort_keys=True) + "\n"`` for distinct ``header`` names.
+    r"""Write a table given as columns to ``fh`` as "csv", "tsv" or "json",
+    byte for byte as csv.writer (``lineterminator="\r\n"``) writes the
+    header and the rows, each line end then cut to "\n", or as
+    ``json.dumps([dict(zip(header, row)) for row in rows], indent=2,
+    sort_keys=True) + "\n"`` for distinct ``header`` names.
 
     A column is a numpy array, a _Coded column or a sequence of cells: None,
     numbers and strs; rows stop at the shortest column.  In CSV a float array
@@ -327,27 +382,28 @@ def _float_cells(values: np.ndarray) -> list[str]:
 
 
 class _Rows(list):
-    """A list that text is written to, one entry per write: csv.writer
-    writes one per row, _write_rows one per block."""
+    """A list that text is written to, one entry per write: _write_rows
+    writes one per block."""
 
     write = list.append
 
 
 def _csv_fields(strings, delimiter: str, width: int = 2) -> dict[str, str]:
-    """Each distinct string as csv.writer writes it as one field of a row of
-    ``width`` fields.
+    r"""Each distinct string as one CSV field of a row of ``width`` fields.
 
-    csv.writer is asked once per distinct string, so its quoting rules are
-    not restated here.  The width matters only for the empty string, which
-    csv.writer quotes when it is the only field of a row.
+    A field is quoted when it holds the delimiter, a quote, "\r" or "\n",
+    or when it is empty and the only field of its row; a quote in it is
+    doubled.  This is how csv.writer writes a field on every Python version
+    when its line end holds "\r" and "\n".  With ``lineterminator="\n"``,
+    Python 3.10-3.12 would leave a lone "\r" unquoted, and csv.reader would
+    read that row back as two.
     """
-    distinct = list(dict.fromkeys(strings))
-    pad = [""] if width > 1 else []
-    rows = _Rows()
-    csv.writer(rows, delimiter=delimiter, lineterminator="\n").writerows(
-        [s, *pad] for s in distinct)
-    cut = len(pad) + 1  # the padding field's delimiter and the line end
-    return dict(zip(distinct, (row[:-cut] for row in rows)))
+    special = {delimiter, '"', "\r", "\n"}
+    fields = {}
+    for s in dict.fromkeys(strings):
+        quoted = not special.isdisjoint(s) or (not s and width == 1)
+        fields[s] = '"' + s.replace('"', '""') + '"' if quoted else s
+    return fields
 
 
 def _interleave(first: list, second: list) -> list:
@@ -597,9 +653,9 @@ class _ColumnBuilder:
         exports = _flows(export_cells)
         imports = _flows(import_cells)
         known_years, known_codes = len(self._year_of), len(self._country_of)
-        year = np.fromiter(map(self._year_ids.__getitem__, year_cells), np.intp, n)
-        reporter = np.fromiter(map(self._code_ids.__getitem__, reporter_cells), np.intp, n)
-        partner = np.fromiter(map(self._code_ids.__getitem__, partner_cells), np.intp, n)
+        year = np.fromiter(map(self._year_ids.__getitem__, year_cells), np.int32, n)
+        reporter = np.fromiter(map(self._code_ids.__getitem__, reporter_cells), np.int32, n)
+        partner = np.fromiter(map(self._code_ids.__getitem__, partner_cells), np.int32, n)
         try:
             new_years = [int(cell) for cell in itertools.islice(self._year_ids, known_years, None)]
         except ValueError:
@@ -621,8 +677,8 @@ class _ColumnBuilder:
         order, so a value may repeat, and the index columns index them."""
         year, reporter, partner, exports, imports = self._columns
         return DyadicColumns(tuple(self._year_of), tuple(map(str.strip, self._code_ids)),
-                             _drain(year, np.intp), _drain(reporter, np.intp),
-                             _drain(partner, np.intp), _drain(exports, np.float64),
+                             _drain(year, np.int32), _drain(reporter, np.int32),
+                             _drain(partner, np.int32), _drain(exports, np.float64),
                              _drain(imports, np.float64))
 
 
@@ -893,8 +949,8 @@ def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
     columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
     while parts:
         part = parts.pop(0)
-        year_map = np.array([year_rank[y] for y in part.years], dtype=np.intp)
-        code_map = np.array([code_rank[c] for c in part.codes], dtype=np.intp)
+        year_map = np.array([year_rank[y] for y in part.years], dtype=np.int32)
+        code_map = np.array([code_rank[c] for c in part.codes], dtype=np.int32)
         for pieces, values in zip(columns, (year_map[part.year], code_map[part.reporter],
                                             code_map[part.partner], part.exports,
                                             part.imports)):

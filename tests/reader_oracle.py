@@ -76,15 +76,16 @@ def _parse_flow(cell, name, lineno):
 
 
 def columns_of(records) -> DyadicColumns:
-    """DyadicColumns of (year, reporter, partner, export, import) records;
-    a missing flow is NaN or None."""
+    """DyadicColumns of (year, reporter, partner, export, import) records,
+    with int32 index columns as the reader makes them; a missing flow is NaN
+    or None."""
     years = sorted({rec[0] for rec in records})
     codes = sorted({code for rec in records for code in rec[1:3]})
     year_id = {y: i for i, y in enumerate(years)}
     code_id = {c: i for i, c in enumerate(codes)}
 
     def index(values, ids):
-        return np.array([ids[v] for v in values], dtype=np.intp)
+        return np.array([ids[v] for v in values], dtype=np.int32)
 
     return DyadicColumns(
         tuple(years), tuple(codes),

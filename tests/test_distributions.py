@@ -247,6 +247,11 @@ class TestDegreeDistribution:
         survival = degree_survival([5, 5, 5, 5])
         assert survival == [(5, 1.0)]
 
+    def test_survival_takes_arrays_lists_and_iterators(self, rng):
+        degrees = rng.integers(1, 40, size=200)
+        want = degree_survival(degrees.tolist())
+        assert degree_survival(degrees) == degree_survival(iter(degrees.tolist())) == want
+
     def test_survival_non_increasing_and_starts_at_one(self, rng):
         degrees = rng.integers(1, 40, size=500)
         survival = degree_survival(degrees)

@@ -7,7 +7,8 @@ cover the synth writers (dyadic CSV and snapshots), ``panel`` in CSV and
 JSON on a small seeded synth panel and on its snapshot directory with every
 percolation point, ``panel`` on a hand-built file whose country codes need
 CSV quoting (a comma, a doubled quote, a newline) or hold an inner space or
-a non-ASCII letter, ``metrics`` for export and import flows, ``fit`` on
+a non-ASCII letter, ``metrics`` for export and import flows and on a file
+whose country code holds a lone carriage return, ``fit`` on
 the synth panel with a fixed window and on a hand-written weight list,
 ``percolate`` with its exponential fits and with one order thinned,
 ``richclub`` at a non-default threshold and on one year, and ``summary``
@@ -25,6 +26,7 @@ A change that alters outputs on purpose regenerates the goldens with
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -42,13 +44,14 @@ from tradenet.graph import load_snapshot
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MESSY = GOLDEN / "inputs" / "messy.csv"
 CODES = GOLDEN / "inputs" / "codes.csv"
+CR_CODE = GOLDEN / "inputs" / "cr_code.csv"
 WEIGHTS = GOLDEN / "inputs" / "weights.txt"
 
 SYNTH_ARGS = ["synth", "--countries", "30", "--years", "2001:2003", "--n-final", "40",
               "--gdp-scale-final", "2", "--noise-logsd", "1.5", "--seed", "7"]
 
 # case name -> (argv, input: "synth" panel CSV, "snapshots" directory,
-# "messy" file, "codes" file, "weights" list or None)
+# "messy" file, "codes" file, "cr_code" file, "weights" list or None)
 CASES = {
     "synth": (SYNTH_ARGS + ["--dyadic", "out/panel.csv"], None),
     "synth_snapshots": (SYNTH_ARGS + ["--snapshot-dir", "out"], None),
@@ -64,6 +67,7 @@ CASES = {
                         "--flow", "export"], "synth"),
     "metrics_import": (["metrics", "--input", "messy.csv", "--outdir", "out",
                         "--flow", "import"], "messy"),
+    "metrics_cr_code": (["metrics", "--input", "cr_code.csv", "--outdir", "out"], "cr_code"),
     "fit_input": (["fit", "--input", "panel.csv", "--outdir", "out",
                    "--fit-range", "1:1e6", "--bins-per-decade", "7"], "synth"),
     "fit_weights": (["fit", "--weights", "weights.txt", "--outdir", "out",
@@ -96,6 +100,8 @@ def run_case(name: str, workdir: Path) -> tuple[dict, dict[str, bytes]]:
         shutil.copyfile(MESSY, workdir / "messy.csv")
     elif source == "codes":
         shutil.copyfile(CODES, workdir / "codes.csv")
+    elif source == "cr_code":
+        shutil.copyfile(CR_CODE, workdir / "cr_code.csv")
     elif source == "weights":
         shutil.copyfile(WEIGHTS, workdir / "weights.txt")
     err = io.StringIO()
@@ -138,6 +144,16 @@ def test_a_byte_order_mark_changes_no_output(name, tmp_path, monkeypatch):
     bom.write_bytes(b"\xef\xbb\xbf" + MESSY.read_bytes())
     monkeypatch.setitem(globals(), "MESSY", bom)
     assert_golden(name, tmp_path / "run")
+
+
+def test_a_lone_carriage_return_in_a_code_reads_back(tmp_path):
+    """The metrics table of a country code holding a lone "\\r" reads back
+    with csv.reader as one row per country."""
+    _, files = run_case("metrics_cr_code", tmp_path)
+    text = files["2001_metrics.csv"].decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [row[0] for row in rows] == ["country", "CAN", "Lone\rReturn", "MEX", "USA"]
+    assert {len(row) for row in rows} == {6}
 
 
 def test_synth_both_outputs_match_the_single_output_goldens(tmp_path):

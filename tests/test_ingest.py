@@ -12,7 +12,7 @@ from reader_oracle import columns_of
 from tradenet.cli import _load_networks
 from tradenet.errors import DomainError, ParseError, ValidationError
 from tradenet.graph import AnnualTradeNetwork
-from tradenet.ingest import pair_columns, read_columns, write_network_records
+from tradenet.ingest import DyadicColumns, pair_columns, read_columns, write_network_records
 from writer_oracle import network_records_text, records_text
 
 
@@ -285,14 +285,14 @@ oracle_flows = st.one_of(st.none(), st.just(0.0), st.sampled_from([0.1, 0.2, 0.3
 @st.composite
 def report_sets(draw):
     """Shuffled reports over several years: one-sided and zero flows, and
-    up to four reports of one directed pair; plus a year selection."""
+    up to ten reports of one directed pair; plus a year selection."""
     codes = ["AA", "BB", "CC", "DD"]
     recs = []
     for _ in range(draw(st.integers(1, 10))):
         year = draw(st.sampled_from(ORACLE_YEARS))
         i = draw(st.integers(0, 3))
         j = draw(st.integers(0, 3).filter(lambda x: x != i))
-        for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 10))):
             recs.append((year, codes[i], codes[j], draw(oracle_flows), draw(oracle_flows)))
     selection = st.lists(st.sampled_from(ORACLE_YEARS + [1999]), min_size=1, unique=True)
     return draw(st.permutations(recs)), draw(st.one_of(st.none(), selection.map(sorted)))
@@ -318,3 +318,25 @@ def test_columnar_core_matches_oracle(tmp_path_factory, reports, on_duplicate, m
         assert net == reference
         assert net.nodes == reference.nodes
         assert net.degrees.tolist() == [(a + b).count(code) for code in net.nodes]
+
+
+# Filler codes that sort before the report sets' codes, so that these land
+# at indices past 23,170 and one year's cell keys reach 2**31.
+WIDE_CODES = tuple(sorted({f"{i:05d}" for i in range(23_200)} | {"AA", "BB", "CC", "DD"}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(report_sets(), st.sampled_from(["mean", "first", "max"]))
+def test_int64_cell_keys_pair_as_int32_keys_do(reports, on_duplicate):
+    """Over a code table large enough that 4 * years * codes**2 reaches
+    2**31, the cell keys fall back to int64 and give the pairs of the same
+    rows over their own small code table."""
+    recs, _ = reports
+    small = columns_of(recs)
+    code_map = np.array([WIDE_CODES.index(code) for code in small.codes])
+    wide = DyadicColumns(small.years, WIDE_CODES, small.year, code_map[small.reporter],
+                         code_map[small.partner], small.exports, small.imports)
+    assert 4 * len(wide.years) * len(wide.codes) ** 2 >= 2 ** 31
+    want, got = pair_columns(small, on_duplicate), pair_columns(wide, on_duplicate)
+    assert want.a.dtype == np.int32 and got.a.dtype == np.int64
+    assert paired_rows(got) == paired_rows(want)

@@ -1,4 +1,5 @@
-"""The column-join text writers match csv.writer and json.dumps byte for byte.
+"""The column-join text writers match csv.writer and json.dumps byte for
+byte, and csv.reader reads their CSV and TSV back as the cells written.
 
 Random networks go through write_network_records and snapshot_dumps, and
 through the per-network steps synth shares between the two formats (one
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 from tradenet import graph, ingest
 from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
 from tradenet.ingest import _Coded, write_network_records
-from writer_oracle import json_table_text, network_records_text, snapshot_text, table_text
+from writer_oracle import (json_table_text, network_records_text, network_rows, read_back,
+                           snapshot_text, table_rows, table_text)
 
 FORMATS = {"csv": ",", "tsv": "\t"}
 ODD_CHARS = list('Ab1 ,"\'\n\r\t;é')
@@ -86,6 +88,7 @@ def test_tables_match_csv_writer(table, fmt, block):
         got = io.StringIO()
         ingest._write_table(got, header, iter(cols), fmt)
     assert got.getvalue() == want
+    assert read_back(got.getvalue(), FORMATS[fmt]) == table_rows(header, cols)
 
 
 # JSON cells: every float json.dumps writes (NaN and Infinity too) and the
@@ -133,6 +136,7 @@ def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
         write_network_records(iter(nets), direct, fmt)
         snapshots = list(map(snapshot_dumps, nets))
     assert direct.getvalue() == network_records_text(nets, FORMATS[fmt])
+    assert read_back(direct.getvalue(), FORMATS[fmt]) == network_rows(nets)
     assert snapshots == list(map(snapshot_text, nets))
 
 
@@ -168,6 +172,10 @@ def test_explicit_cases():
     got = io.StringIO()
     ingest._write_table(got, *table, "csv")
     assert got.getvalue() == table_text(*table) == 'only\n""\n""\n0.1\n3\n-0.0\n1e+22\n'
+    for fmt, delimiter in FORMATS.items():  # a lone "\r" is quoted on every Python version
+        got = io.StringIO()
+        ingest._write_table(got, ["code", "k"], [["A\rB", "C"], [1, 2]], fmt)
+        assert got.getvalue() == f'code{delimiter}k\n"A\rB"{delimiter}1\nC{delimiter}2\n'
     got = io.StringIO()
     ingest._write_table(got, ["s", "Y"], [[0, 2.5], [None, -0.0]], "json")
     assert got.getvalue() == json_table_text(["s", "Y"], [[0, None], [2.5, -0.0]]) == (
