@@ -7,7 +7,9 @@ of their options, ``RunConfig``, and one year driver (``_run_years``).  All
 output is deterministic for a given config and input (floats use shortest
 round-trip form, iteration orders are canonical, all randomness is seeded),
 and files are written atomically, but for a FIFO or other path that is not
-a regular file, which is written in place.
+a regular file, which is written in place.  Where more than one CPU is
+usable, the files of the years are written by a forked writer process while
+the command goes on analysing (see _Writer).
 
 Exit codes: 0 success, 1 partial failure (some requested years failed),
 2 config or parse error.
@@ -16,12 +18,14 @@ Exit codes: 0 success, 1 partial failure (some requested years failed),
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import io
 import json
 import math
 import os
+import pickle
 import re
 import stat
 import sys
@@ -37,9 +41,9 @@ from .distributions import (BINS_PER_DECADE, COLLAPSE_BINS_PER_DECADE, COLLAPSE_
 from .errors import DomainError, EmptyInputError, ParseError, TradeNetError, ValidationError
 from .graph import (MISSING_FLOW_POLICIES, _write_snapshot, build_network, load_snapshot,
                     summarize)
-from .ingest import (_DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text, _forked,
-                     _read_utf8, _Rows, _usable_cpus, _write_network_rows, _write_table,
-                     pair_columns, read_columns)
+from .ingest import (_DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text, _fork,
+                     _forked, _place, _read_utf8, _reap, _received, _Rows, _usable_cpus,
+                     _write_network_rows, _write_table, pair_columns, read_columns)
 from .metrics import FLOWS, LogBinSpec, disparity_curve, node_metric_columns
 from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
@@ -86,17 +90,122 @@ def _atomic_file(path: Path):
         raise
 
 
-def _write_json(outdir: Path, name: str, obj) -> str:
-    with _atomic_file(outdir / name) as fh:
-        fh.write(_json_text(obj))
-    return name
+def _write_job(path: Path, header, body, output_format: str) -> None:
+    """Write one file atomically: the table of ``header`` and the columns
+    ``body`` in ``output_format``, or the JSON text of ``body`` where
+    ``header`` is None."""
+    with _atomic_file(path) as fh:
+        if header is None:
+            fh.write(_json_text(body))
+        else:
+            _write_table(fh, header, body, output_format)
 
 
-def _emit_table(outdir: Path, name: str, header, columns, output_format: str) -> str:
-    filename = f"{name}.{output_format}"  # csv or json
-    with _atomic_file(outdir / filename) as fh:
-        _write_table(fh, header, columns, output_format)
-    return filename
+class _Writer:
+    """Writes the files of a run into ``outdir``, in the order they come:
+    here, or, when ``cpus`` holds more than one CPU and the fork succeeds,
+    in a child forked onto cpus[1] while this process runs on cpus[0].
+
+    Each file goes to the child as a job, the _write_job arguments, through
+    one pipe, and the child confirms each file it has written through
+    another.  The child calls private functions only, so every public call
+    stays in this process.  A job the child has not confirmed is kept until
+    close, which writes it here once the child is gone: the job the child
+    failed, so that its error is raised here as on one CPU and no later job
+    is written, or each job of a child that died.  Once closed, a writer
+    writes every file here.
+    """
+
+    def __init__(self, outdir: Path, cpus: list[int]):
+        self.outdir = outdir
+        self._pid = None
+        self._pending = collections.deque()  # jobs sent and not yet confirmed
+        if len(cpus) < 2:
+            return
+        jobs, self._jobs = os.pipe()
+        self._acks, acks = os.pipe()
+        try:
+            _place(cpus[0], cpus)  # the child starts here, then moves onto cpus[1]
+            self._pid = _fork(functools.partial(_serve, jobs, acks, (self._jobs, self._acks)),
+                              cpus[1], cpus)
+        except OSError:
+            pass  # a refused fork: every job is written here
+        finally:
+            os.close(jobs)
+            os.close(acks)
+        if self._pid is None:
+            os.close(self._jobs)
+            os.close(self._acks)
+            return
+        os.set_blocking(self._acks, False)
+
+    def table(self, name: str, header, columns, output_format: str) -> str:
+        """Write table ``name`` (see _write_table); returns its file name."""
+        filename = f"{name}.{output_format}"  # csv or json
+        self._write((self.outdir / filename, header, list(columns), output_format))
+        return filename
+
+    def json(self, name: str, obj) -> str:
+        """Write the JSON text of ``obj`` as file ``name``; returns ``name``."""
+        self._write((self.outdir / name, None, obj, "json"))
+        return name
+
+    def _write(self, job) -> None:
+        if self._pid is None:
+            _write_job(*job)
+            return
+        data = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
+        self._pending.append(job)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self._jobs, view):]
+        except BrokenPipeError:  # the child has exited
+            self.close()
+            return
+        self._confirmed()
+
+    def _confirmed(self) -> None:
+        """Drop each job the child has confirmed."""
+        with contextlib.suppress(BlockingIOError):
+            while acks := os.read(self._acks, 1 << 16):
+                for _ in acks:
+                    self._pending.popleft()
+
+    def close(self) -> None:
+        """End the job pipe, wait for the child to write what it was sent
+        and exit, and write here, in order, each job it did not confirm;
+        the first of those that fails raises.  If the wait is cut short, the
+        child is killed and reaped."""
+        pid, self._pid = self._pid, None
+        if pid is None:
+            return
+        try:
+            os.close(self._jobs)
+            os.waitpid(pid, 0)
+            pid = None
+            os.set_blocking(self._acks, True)
+            self._confirmed()
+        finally:
+            os.close(self._acks)
+            if pid is not None:
+                _reap(pid)
+        while self._pending:
+            _write_job(*self._pending.popleft())
+
+
+def _serve(jobs: int, acks: int, parent_ends: tuple[int, int]) -> None:
+    """The writer child (see _Writer): write each job pickled into the pipe
+    ``jobs`` and confirm it with one byte into ``acks``, until the pipe
+    ends.  A job that fails ends the child unconfirmed.  ``parent_ends``,
+    the other ends of the pipes, are closed first, so that the job pipe
+    ends when the parent closes it."""
+    for fd in parent_ends:
+        os.close(fd)
+    with open(jobs, "rb") as pipe:
+        for job in _received(pipe):
+            _write_job(*job)
+            os.write(acks, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +420,28 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
 def _run_years(config: RunConfig, year_step, panel_step=None) -> int:
     """Run one analysis subcommand over the years ``config`` selects.
 
-    Loads the networks, makes the outdir, calls ``year_step(outdir, net,
-    config)`` on each network in year order and then ``panel_step(outdir,
-    config, nets, results, errors)``, where ``results`` holds each year
-    step's return value by year.  Reports each failed year on stderr;
-    returns 1 if some requested year failed, else 0.
+    Loads the networks, makes the outdir, calls ``year_step(out, net,
+    config)`` on each network in year order and then ``panel_step(out,
+    config, nets, results, errors)``, where ``out`` is the _Writer of the
+    outdir and ``results`` holds each year step's return value by year.
+    ``out`` is closed before the panel step, so that a file of the years
+    that cannot be written raises before the panel step runs, which then
+    writes its files here.  Reports each failed year on stderr; returns 1
+    if some requested year failed, else 0.
     """
-    nets, errors = _load_networks(config.input_path, _parse_years(config.years),
-                                  config.input_format, config.on_duplicate, config.missing)
-    outdir = _ensure_outdir(config.outdir)
-    results = {year: year_step(outdir, net, config) for year, net in nets.items()}
-    if panel_step is not None:
-        panel_step(outdir, config, nets, results, errors)
+    # Forked while this process is small, so that neither copies pages the
+    # other writes.
+    out = _Writer(Path(config.outdir), _usable_cpus())
+    try:
+        nets, errors = _load_networks(config.input_path, _parse_years(config.years),
+                                      config.input_format, config.on_duplicate, config.missing)
+        _ensure_outdir(config.outdir)
+        results = {year: year_step(out, net, config) for year, net in nets.items()}
+        out.close()
+        if panel_step is not None:
+            panel_step(out, config, nets, results, errors)
+    finally:
+        out.close()
     for year in sorted(errors):
         print(f"error: year {year}: {errors[year]}", file=sys.stderr)
     return 1 if errors else 0
@@ -341,18 +460,17 @@ _SUMMARY_HEADER = ["year", "N", "L", "rho", "W", "mean_w", "w_max", "w_max_over_
 _RICHCLUB_SERIES_HEADER = ["year", "S_RC", "club_size", "N"]
 
 
-def _summary_year(outdir: Path, net, config: RunConfig):
+def _summary_year(out: _Writer, net, config: RunConfig):
     """Write ``<year>_summary``; returns its file name and its row."""
     row = astuple(summarize(net))
-    return _emit_table(outdir, f"{net.year}_summary", _SUMMARY_HEADER, zip(row),
-                       config.output_format), row
+    return out.table(f"{net.year}_summary", _SUMMARY_HEADER, zip(row), config.output_format), row
 
 
-def _metrics_year(outdir: Path, net, config: RunConfig) -> str:
+def _metrics_year(out: _Writer, net, config: RunConfig) -> str:
     """Write ``<year>_metrics``; returns its file name."""
     columns = [net.nodes, *node_metric_columns(net, config.flow).lists()]
-    return _emit_table(outdir, f"{net.year}_metrics", ["country", "k", "k_exp", "k_imp", "s", "Y"],
-                       columns, config.output_format)
+    return out.table(f"{net.year}_metrics", ["country", "k", "k_exp", "k_imp", "s", "Y"],
+                     columns, config.output_format)
 
 
 def _fit_entry(fit, *args, table: str | None = None):
@@ -366,25 +484,25 @@ def _fit_entry(fit, *args, table: str | None = None):
     return result, {name: value for name, value in vars(result).items() if name != table}
 
 
-def _disparity(outdir: Path, config: RunConfig, nets, name: str):
+def _disparity(out: _Writer, config: RunConfig, nets, name: str):
     """Write the disparity curve pooled over ``nets`` as table ``name``;
     returns its _fit_entry and the file name, None if the curve failed."""
     binning = LogBinSpec(config.disparity_bins_per_decade, config.disparity_min_count)
     curve, entry = _fit_entry(disparity_curve, nets, config.flow, binning, table="points")
     if curve is None:
         return entry, None
-    return entry, _emit_table(outdir, name, ["k_center", "mean_kY", "count"],
-                              zip(*curve.points), config.output_format)
+    return entry, out.table(name, ["k_center", "mean_kY", "count"],
+                            zip(*curve.points), config.output_format)
 
 
-def _metrics_disparity(outdir: Path, config: RunConfig, nets, results, errors) -> None:
+def _metrics_disparity(out: _Writer, config: RunConfig, nets, results, errors) -> None:
     if not nets:
         return
-    entry, name = _disparity(outdir, config, list(nets.values()), "disparity_curve")
+    entry, name = _disparity(out, config, list(nets.values()), "disparity_curve")
     if name is None:
         print(f"warning: disparity curve skipped: {entry['error']}", file=sys.stderr)
         return
-    _write_json(outdir, "disparity_fit.json", {
+    out.json("disparity_fit.json", {
         **entry, "bins_per_decade": config.disparity_bins_per_decade,
         "min_count": config.disparity_min_count})
 
@@ -400,18 +518,18 @@ def _weight_fits(weights, config: RunConfig):
     return hist, {"power_law": power_law, "lognormal": lognormal}, collapse
 
 
-def _fit_files(outdir: Path, prefix: str, fitted, config: RunConfig) -> None:
+def _fit_files(out: _Writer, prefix: str, fitted, config: RunConfig) -> None:
     """Write a _weight_fits result: the histogram, the collapse and the fits."""
     hist, fits, collapse = fitted
-    _emit_table(outdir, f"{prefix}_weight_hist", ["bin_lo", "bin_hi", "count", "density"],
-                [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities],
-                config.output_format)
-    _emit_table(outdir, f"{prefix}_collapse", ["x", "y"], zip(*collapse), config.output_format)
-    _write_json(outdir, f"{prefix}_fits.json", fits)
+    out.table(f"{prefix}_weight_hist", ["bin_lo", "bin_hi", "count", "density"],
+              [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.densities],
+              config.output_format)
+    out.table(f"{prefix}_collapse", ["x", "y"], zip(*collapse), config.output_format)
+    out.json(f"{prefix}_fits.json", fits)
 
 
-def _fit_year(outdir: Path, net, config: RunConfig) -> None:
-    _fit_files(outdir, str(net.year), _weight_fits(net.w, config), config)
+def _fit_year(out: _Writer, net, config: RunConfig) -> None:
+    _fit_files(out, str(net.year), _weight_fits(net.w, config), config)
 
 
 def _read_weight_list(path: str) -> list[float]:
@@ -427,7 +545,7 @@ def _read_weight_list(path: str) -> list[float]:
     return weights
 
 
-def _percolation_year(outdir: Path, net, config: RunConfig, orders):
+def _percolation_year(out: _Writer, net, config: RunConfig, orders):
     """Write every ``emit_every``-th point of each order's curve, and the
     last, as ``<year>_percolation``; returns its file name and the curves by
     order."""
@@ -443,8 +561,8 @@ def _percolation_year(outdir: Path, net, config: RunConfig, orders):
     columns = [_Coded(list(orders), np.repeat(np.arange(len(orders)), len(rows))),
                _Coded(curves[orders[0]].f[emit], np.tile(rows, len(orders))),
                _Coded(giant, size), _Coded(1.0 - giant, size)]
-    return _emit_table(outdir, f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],
-                       columns, config.output_format), curves
+    return out.table(f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],
+                     columns, config.output_format), curves
 
 
 def _percolation_fits(curves, fit_range) -> dict:
@@ -452,20 +570,20 @@ def _percolation_fits(curves, fit_range) -> dict:
             for order, curve in curves.items()}
 
 
-def _richclub_year(outdir: Path, net, config: RunConfig):
+def _richclub_year(out: _Writer, net, config: RunConfig):
     """Write ``<year>_richclub``; returns its file name and the year's row
     of the rich-club series."""
     curve = rich_club_curve(net)
-    name = _emit_table(outdir, f"{net.year}_richclub", ["s_over_smax", "f_w", "club_size"],
-                       list(zip(*curve.points)), config.output_format)
+    name = out.table(f"{net.year}_richclub", ["s_over_smax", "f_w", "club_size"],
+                     list(zip(*curve.points)), config.output_format)
     club_size, s_rc = rich_club_size(curve, net, config.threshold)
     return name, [net.year, s_rc, club_size, net.n_nodes]
 
 
-def _richclub_series(outdir: Path, config: RunConfig, nets, results, errors) -> None:
+def _richclub_series(out: _Writer, config: RunConfig, nets, results, errors) -> None:
     if results:
-        _emit_table(outdir, "richclub_series", _RICHCLUB_SERIES_HEADER,
-                    zip(*(row for _, row in results.values())), config.output_format)
+        out.table("richclub_series", _RICHCLUB_SERIES_HEADER,
+                  zip(*(row for _, row in results.values())), config.output_format)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +602,17 @@ def _cmd_fit(args) -> int:
     config = _config_from_args(args)
     # Fitted before the outdir is made: a list log_histogram rejects leaves none.
     fitted = _weight_fits(_read_weight_list(args.weights), config)
-    _fit_files(_ensure_outdir(config.outdir), "weights", fitted, config)
+    _fit_files(_Writer(_ensure_outdir(config.outdir), []), "weights", fitted, config)
     return 0
 
 
 def _cmd_percolate(args) -> int:
     orders = {"desc": ("descending",), "asc": ("ascending",), "both": ORDERS}[args.order]
 
-    def year_step(outdir, net, config):
-        _, curves = _percolation_year(outdir, net, config, orders)
+    def year_step(out, net, config):
+        _, curves = _percolation_year(out, net, config, orders)
         if args.fit is not None:
-            _write_json(outdir, f"{net.year}_percolation_fit.json",
-                        _percolation_fits(curves, args.fit))
+            out.json(f"{net.year}_percolation_fit.json", _percolation_fits(curves, args.fit))
 
     return _run_years(_config_from_args(args), year_step)
 
@@ -590,22 +707,21 @@ def run_analyze(config: RunConfig) -> int:
     return _run_years(config, _panel_year, _panel_files)
 
 
-def _panel_year(outdir: Path, net, config: RunConfig):
+def _panel_year(out: _Writer, net, config: RunConfig):
     """Every per-year analysis; returns the sorted file names, the summary
     row and the rich-club series row."""
-    summary_file, summary_row = _summary_year(outdir, net, config)
-    files = [summary_file, _metrics_year(outdir, net, config)]
+    summary_file, summary_row = _summary_year(out, net, config)
+    files = [summary_file, _metrics_year(out, net, config)]
     _, fits, collapse = _weight_fits(net.w, config)
-    files.append(_emit_table(outdir, f"{net.year}_collapse", ["x", "y"], zip(*collapse),
-                             config.output_format))
-    percolation_file, curves = _percolation_year(outdir, net, config, ORDERS)
+    files.append(out.table(f"{net.year}_collapse", ["x", "y"], zip(*collapse), config.output_format))
+    percolation_file, curves = _percolation_year(out, net, config, ORDERS)
     fits["percolation"] = _percolation_fits(curves, config.exp_fit_range)
-    files += [percolation_file, _write_json(outdir, f"{net.year}_fits.json", fits)]
-    richclub_file, richclub_row = _richclub_year(outdir, net, config)
+    files += [percolation_file, out.json(f"{net.year}_fits.json", fits)]
+    richclub_file, richclub_row = _richclub_year(out, net, config)
     return sorted(files + [richclub_file]), summary_row, richclub_row
 
 
-def _panel_files(outdir: Path, config: RunConfig, nets, results, errors) -> None:
+def _panel_files(out: _Writer, config: RunConfig, nets, results, errors) -> None:
     """Write the cross-year tables and fits when two years or more were
     analysed, and the manifest."""
     warnings: list[str] = []
@@ -613,21 +729,20 @@ def _panel_files(outdir: Path, config: RunConfig, nets, results, errors) -> None
     if len(results) >= 2:
         _, summary_rows, richclub_rows = zip(*results.values())
         panel_files = [
-            _emit_table(outdir, "panel_summary", _SUMMARY_HEADER, zip(*summary_rows),
-                        config.output_format),
-            _emit_table(outdir, "panel_richclub", _RICHCLUB_SERIES_HEADER, zip(*richclub_rows),
-                        config.output_format),
-            *_panel_fits(outdir, config, list(nets.values()), warnings)]
+            out.table("panel_summary", _SUMMARY_HEADER, zip(*summary_rows), config.output_format),
+            out.table("panel_richclub", _RICHCLUB_SERIES_HEADER, zip(*richclub_rows),
+                      config.output_format),
+            *_panel_fits(out, config, list(nets.values()), warnings)]
     years = {str(year): {"error": message} for year, message in errors.items()}
     years.update((str(year), {"files": result[0]}) for year, result in results.items())
-    _write_json(outdir, "manifest.json", {
+    out.json("manifest.json", {
         "tool": "tradenet", "version": __version__, "input": config.input_path,
         # two runs into different directories must match
         "config": {k: v for k, v in asdict(config).items() if k != "outdir"},
         "years": years, "panel_files": panel_files, "warnings": warnings})
 
 
-def _panel_fits(outdir: Path, config: RunConfig, nets, warnings: list[str]) -> list[str]:
+def _panel_fits(out: _Writer, config: RunConfig, nets, warnings: list[str]) -> list[str]:
     """Write the panel's disparity curve, degree survival and fits; a fit
     that fails is left out with a warning."""
     entries = {}  # _fit_entry entries by their panel_fits.json key and warning label
@@ -637,18 +752,18 @@ def _panel_fits(outdir: Path, config: RunConfig, nets, warnings: list[str]) -> l
                                ("max_degree_vs_n", "max-degree scaling fit", 2)):
         entries[key, label] = _fit_entry(scaling_regression, [(p[0], p[column]) for p in points],
                                          table="points")[1]
-    entries["disparity", "disparity curve"], name = _disparity(outdir, config, nets,
+    entries["disparity", "disparity curve"], name = _disparity(out, config, nets,
                                                                "panel_disparity_curve")
     files = [name] if name else []
     dd, entries["degree", "degree survival fit"] = _fit_entry(
         degree_distribution, nets, config.degree_fit_range, table="survival")
     if dd is not None:
-        files.append(_emit_table(outdir, "panel_degree_survival", ["k", "P_ge_k"],
-                                 zip(*dd.survival), config.output_format))
+        files.append(out.table("panel_degree_survival", ["k", "P_ge_k"],
+                               zip(*dd.survival), config.output_format))
     warnings.extend(f"{label} skipped: {entry['error']}"
                     for (_, label), entry in entries.items() if "error" in entry)
     panel_fits = {key: entry for (key, _), entry in entries.items() if "error" not in entry}
-    return files + [_write_json(outdir, "panel_fits.json", panel_fits)]
+    return files + [out.json("panel_fits.json", panel_fits)]
 
 
 # ---------------------------------------------------------------------------

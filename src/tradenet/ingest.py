@@ -779,13 +779,12 @@ def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
         bounds = _range_bounds(fd, info.st_size, n_ranges)
         if len(bounds) < 3:
             return None
-        parts = []
         with _forked(functools.partial(_read_range, fd, delimiter),
                      [[span] for span in zip(bounds, bounds[1:])], cpus) as results:
-            for part in results:
-                if part is None:
-                    return None  # the serial reader gives the columns or the error
-                parts.append(part)
+            # No name here holds a part, so that _merged can free each one.
+            parts = list(itertools.takewhile(lambda part: part is not None, results))
+    if len(parts) < len(bounds) - 1:
+        return None  # a range gave up; the serial reader gives the columns or the error
     return _merged(parts)
 
 
@@ -818,19 +817,19 @@ def _forked(work, shares: list[list], cpus: list[int]):
     ``shares``, in order.
 
     This process computes share 0, as the iterator reaches it.  Share k
-    runs in a child forked onto cpus[k], which computes its whole share,
-    then pickles each result through a pipe and leaves through os._exit
-    only.  Once its children are forked, this process moves onto cpus[0].
-    A result that does not arrive whole is computed here: that of a share
-    left without a CPU or a child (a refused fork forks no further share),
-    or one that its child did not send.  When the block ends, every child
-    is killed, unless it has exited, and reaped.
+    runs in a child forked onto cpus[k] (see _fork), which computes its
+    whole share, then pickles each result through a pipe.  Once its
+    children are forked, this process moves onto cpus[0].  A result that
+    does not arrive whole is computed here: that of a share left without a
+    CPU or a child (a refused fork forks no further share), or one that its
+    child did not send.  When the block ends, every child is killed, unless
+    it has exited, and reaped.
     """
     children = []  # (pid, read end of its pipe) of shares 1, 2, ...
     try:
         for cpu, share in zip(cpus[1:], shares[1:]):
             try:
-                children.append(_fork(work, share, cpu, cpus))
+                children.append(_fork_share(work, share, cpu, cpus))
             except OSError:
                 break
         if children:
@@ -839,39 +838,58 @@ def _forked(work, shares: list[list], cpus: list[int]):
     finally:
         for pid, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid)
 
 
-def _fork(work, share: list, cpu: int, cpus: list[int]):
-    """Fork a child that runs ``work`` on each item of ``share`` on ``cpu``
-    (see _forked).  Returns (pid, the read end of its pipe as a file)."""
+def _fork_share(work, share: list, cpu: int, cpus: list[int]):
+    """Fork a child that runs ``work`` on each item of ``share`` and pickles
+    the results into a pipe (see _forked).  Returns (pid, the read end of
+    its pipe as a file)."""
     r, w = os.pipe()
+
+    def run():
+        os.close(r)
+        results = [work(item) for item in share]
+        with open(w, "wb") as pipe:
+            for result in results:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+
     try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a process with threads (numpy's
-            # BLAS threads) may deadlock the child.  The child calls no BLAS
-            # and leaves through os._exit, running no exit handler.
-            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
-            pid = os.fork()
+        pid = _fork(run, cpu, cpus)
     except BaseException:
         os.close(r)
         os.close(w)
         raise
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _fork(run, cpu: int, cpus: list[int]) -> int:
+    """Fork a child that moves onto ``cpu`` (see _place), calls ``run()``
+    and leaves through os._exit only, with status 0 once ``run`` returns
+    and 1 if it raises.  Returns the child's pid; raises OSError where the
+    fork is refused."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a process with threads (numpy's
+        # BLAS threads) may deadlock the child.  The child calls no BLAS
+        # and leaves through os._exit, running no exit handler.
+        warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(r)
             _place(cpu, cpus)
-            results = [work(item) for item in share]
-            with open(w, "wb") as pipe:
-                for result in results:
-                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            run()
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+    return pid
+
+
+def _reap(pid: int) -> None:
+    """Kill the child ``pid``, unless it has exited, and reap it."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 _MISSING = object()  # a result that did not arrive
@@ -940,23 +958,33 @@ def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
     """The columns of consecutive parts of one text, in order, with the year
     and code indices of each mapped onto the sorted union of their tables.
     A part is a _ColumnBuilder.finish result, so its tables may repeat.
-    ``parts`` is emptied as they are remapped, so that each part's own index
-    columns are freed before the next part's are mapped."""
+
+    Each column is written into one array of the total row count, but the
+    flows of a single part, which are kept as they are.  ``parts`` is
+    emptied, and each part's column is freed once it is written, so the
+    merge holds no more than the parts and one joined column at a time.
+    """
     years = sorted(set().union(*(part.years for part in parts)))
     codes = sorted(set().union(*(part.codes for part in parts)))
     year_rank = {y: i for i, y in enumerate(years)}
     code_rank = {c: i for i, c in enumerate(codes)}
-    columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
-    while parts:
-        part = parts.pop(0)
-        year_map = np.array([year_rank[y] for y in part.years], dtype=np.int32)
-        code_map = np.array([code_rank[c] for c in part.codes], dtype=np.int32)
-        for pieces, values in zip(columns, (year_map[part.year], code_map[part.reporter],
-                                            code_map[part.partner], part.exports,
-                                            part.imports)):
-            pieces.append(values)
-        del part
-    return DyadicColumns(tuple(years), tuple(codes), *map(_drain, columns))
+    maps = [(np.array([year_rank[y] for y in part.years], dtype=np.int32),
+             np.array([code_rank[c] for c in part.codes], dtype=np.int32)) for part in parts]
+    pieces = [[part.year, part.reporter, part.partner, part.exports, part.imports]
+              for part in parts]
+    parts.clear()
+    bounds = np.cumsum([0] + [len(piece[0]) for piece in pieces]).tolist()
+    joined = []
+    for k, dtype in enumerate((np.int32, np.int32, np.int32, np.float64, np.float64)):
+        if k >= 3 and len(pieces) == 1:
+            joined.append(pieces[0][k])
+            continue
+        out = np.empty(bounds[-1], dtype)
+        for (year_map, code_map), piece, lo, hi in zip(maps, pieces, bounds, bounds[1:]):
+            out[lo:hi] = piece[k] if k >= 3 else (year_map if k == 0 else code_map)[piece[k]]
+            piece[k] = None
+        joined.append(out)
+    return DyadicColumns(tuple(years), tuple(codes), *joined)
 
 
 def _as_readable(source):
