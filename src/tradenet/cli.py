@@ -27,7 +27,6 @@ import math
 import os
 import pickle
 import re
-import socket
 import stat
 import sys
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
@@ -108,13 +107,13 @@ class _Writer:
     in a child forked onto cpus[1] while this process runs on cpus[0].
 
     Each file goes to the child as a job, the _write_job arguments, through
-    one socket pair, and the child confirms each file it has written
-    through the same pair.  The child calls private functions only, so
-    every public call stays in this process.  A job the child has not
-    confirmed is kept until close, which writes it here once the child is
-    gone: the job the child failed, so that its error is raised here as on
-    one CPU and no later job is written, or each job of a child that died.
-    Once closed, a writer writes every file here.
+    one pipe, and the child confirms each file it has written through
+    another.  The child calls private functions only, so every public call
+    stays in this process.  A job the child has not confirmed is kept until
+    close, which writes it here once the child is gone: the job the child
+    failed, so that its error is raised here as on one CPU and no later job
+    is written, or each job of a child that died.  Once closed, a writer
+    writes every file here.
     """
 
     def __init__(self, outdir: Path, cpus: list[int]):
@@ -123,14 +122,22 @@ class _Writer:
         self._pending = collections.deque()  # jobs sent and not yet confirmed
         if len(cpus) < 2:
             return
-        self._socket, child = socket.socketpair()
+        jobs, self._jobs = os.pipe()
+        self._acks, acks = os.pipe()
         try:
             _place(cpus[0], cpus)  # the child starts here, then moves onto cpus[1]
-            self._pid = _fork(functools.partial(_serve, child), cpus[1], cpus)
+            self._pid = _fork(functools.partial(_serve, jobs, acks, (self._jobs, self._acks)),
+                              cpus[1], cpus)
         except OSError:
-            self._socket.close()  # a refused fork: every job is written here
+            pass  # a refused fork: every job is written here
         finally:
-            child.close()
+            os.close(jobs)
+            os.close(acks)
+        if self._pid is None:
+            os.close(self._jobs)
+            os.close(self._acks)
+            return
+        os.set_blocking(self._acks, False)
 
     def table(self, name: str, header, columns, output_format: str) -> str:
         """Write table ``name`` (see _write_table); returns its file name."""
@@ -147,61 +154,58 @@ class _Writer:
         if self._pid is None:
             _write_job(*job)
             return
+        data = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
         self._pending.append(job)
         try:
-            self._socket.sendall(pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
-        except ConnectionError:  # the child has exited
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self._jobs, view):]
+        except BrokenPipeError:  # the child has exited
             self.close()
             return
-        self._confirmed(socket.MSG_DONTWAIT)
+        self._confirmed()
 
-    def _confirmed(self, flags: int) -> None:
-        """Drop each job the child has confirmed, until none is waiting
-        (MSG_DONTWAIT) or, without it, until the child has exited.  A child
-        that exits with jobs unread resets the pair."""
-        with contextlib.suppress(BlockingIOError, ConnectionResetError):
-            while acks := self._socket.recv(1 << 16, flags):
+    def _confirmed(self) -> None:
+        """Drop each job the child has confirmed."""
+        with contextlib.suppress(BlockingIOError):
+            while acks := os.read(self._acks, 1 << 16):
                 for _ in acks:
                     self._pending.popleft()
 
     def close(self) -> None:
-        """End the jobs, wait for the child to write what it was sent and
-        exit, and write here, in order, each job it did not confirm; the
-        first of those that fails raises.  If the wait is cut short, the
+        """End the job pipe, wait for the child to write what it was sent
+        and exit, and write here, in order, each job it did not confirm;
+        the first of those that fails raises.  If the wait is cut short, the
         child is killed and reaped."""
         pid, self._pid = self._pid, None
         if pid is None:
             return
         try:
-            # Ends the jobs however many forked processes hold the descriptor.
-            self._socket.shutdown(socket.SHUT_WR)
-            self._confirmed(0)
+            os.close(self._jobs)
             os.waitpid(pid, 0)
             pid = None
+            os.set_blocking(self._acks, True)
+            self._confirmed()
         finally:
-            self._socket.close()
+            os.close(self._acks)
             if pid is not None:
                 _reap(pid)
         while self._pending:
             _write_job(*self._pending.popleft())
 
 
-def _serve(pair: socket.socket) -> None:
-    """The writer child (see _Writer): write each job pickled into ``pair``
-    until the jobs end, and confirm each with one byte.  A confirmation is
-    sent without waiting and, where the command is not reading (it waits to
-    send a job), held and sent with the next, so that neither process waits
-    for the other.  A job that fails ends the child; the jobs it wrote but
-    had not confirmed are written again by the command, with the same
-    bytes."""
-    held = 0
-    with pair.makefile("rb") as jobs:
-        for job in _received(jobs):
+def _serve(jobs: int, acks: int, parent_ends: tuple[int, int]) -> None:
+    """The writer child (see _Writer): write each job pickled into the pipe
+    ``jobs`` and confirm it with one byte into ``acks``, until the pipe
+    ends.  A job that fails ends the child unconfirmed.  ``parent_ends``,
+    the other ends of the pipes, are closed first, so that the job pipe
+    ends when the parent closes it."""
+    for fd in parent_ends:
+        os.close(fd)
+    with open(jobs, "rb") as pipe:
+        for job in _received(pipe):
             _write_job(*job)
-            held += 1
-            with contextlib.suppress(BlockingIOError):
-                held -= pair.send(bytes(held), socket.MSG_DONTWAIT)
-    pair.sendall(bytes(held))
+            os.write(acks, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -548,15 +552,13 @@ def _percolation_year(out: _Writer, net, config: RunConfig, orders):
     curves = {order: percolate(net, order) for order in orders}
     emit = np.arange(1, net.n_links + 1) % config.emit_every == 0
     emit[-1] = True
-    rows = np.arange(np.count_nonzero(emit), dtype=np.int32)
+    rows = np.arange(np.count_nonzero(emit))
     # Every order emits the same f = m/L, and a giant fraction is s/N for a
-    # component size s, so each column is written from its distinct values,
-    # indexed in int32 to halve the job sent to the writer.
+    # component size s, so each column is written from its distinct values.
     giant = np.arange(net.n_nodes + 1) / net.n_nodes
     size = np.concatenate([np.searchsorted(giant, curve.giant[emit])
-                           for curve in curves.values()], dtype=np.int32)
-    columns = [_Coded(list(orders), np.repeat(np.arange(len(orders), dtype=np.int32),
-                                              len(rows))),
+                           for curve in curves.values()])
+    columns = [_Coded(list(orders), np.repeat(np.arange(len(orders)), len(rows))),
                _Coded(curves[orders[0]].f[emit], np.tile(rows, len(orders))),
                _Coded(giant, size), _Coded(1.0 - giant, size)]
     return out.table(f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],

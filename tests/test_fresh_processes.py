@@ -7,19 +7,23 @@ No thread count is pinned, and ``PYTHONWARNINGS`` shows every
 DeprecationWarning, wherever it is raised, so Python 3.12+'s warning about
 forking a process with threads would reach stderr.  Each command runs on
 two CPUs, where it forks, and on one, where nothing forks: the outdirs must
-match and stderr stay empty.
+match and stderr stay empty.  One command dies before it closes its
+forked writer, which must then write what it was sent and exit.
 
-The last test runs the console script installed beside this interpreter,
-which imports the installed package.  CI runs this module from the
-environment it installs the package into; where no script is installed,
-that test skips.
+Each fresh process imports the package this module imported: the
+checkout's, or, where pytest's ``pythonpath`` is emptied as CI does in the
+environment it installs the package into, the installed one.  The last
+test runs the console script installed beside this interpreter; where no
+script is installed, it skips.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import select
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +35,7 @@ from tradenet import ingest
 
 SRC = str(Path(tradenet.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MODULE = (sys.executable, "-m", "tradenet.cli")  # the package of this checkout
+MODULE = (sys.executable, "-m", "tradenet.cli")  # the package imported here
 SCRIPT = Path(sys.executable).with_name("tradenet")
 THREAD_PINS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -41,16 +45,24 @@ SYNTH = ["synth", "--countries", "200", "--years", "2000:2009", "--seed", "5"]
 def tradenet_on(cpus: list[int] | None, *args, command=MODULE,
                 cwd: Path | None = None) -> subprocess.CompletedProcess:
     """``tradenet args`` run in a fresh process on ``cpus`` only (where
-    None, on this process's CPUs): ``command``, the module of this checkout
-    or the installed console script, which imports the installed package."""
+    None, on this process's CPUs): ``command``, the package imported here
+    run as a module, or the installed console script."""
+    mask = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
+    return subprocess.run([*map(str, command), *map(str, args)],
+                          env=fresh_env(package=command == MODULE), cwd=cwd,
+                          capture_output=True, text=True, timeout=600, preexec_fn=mask)
+
+
+def fresh_env(package: bool = True) -> dict[str, str]:
+    """This process's environment without thread pins, showing every
+    DeprecationWarning, and where ``package``, importing the package
+    imported here."""
     env = {name: value for name, value in os.environ.items()
            if name not in THREAD_PINS and name != "PYTHONPATH"}
-    if command == MODULE:
+    if package:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "default::DeprecationWarning"
-    mask = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
-    return subprocess.run([*map(str, command), *map(str, args)], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=600, preexec_fn=mask)
+    return env
 
 
 def tree(root: Path) -> dict[str, bytes | None]:
@@ -133,6 +145,42 @@ def test_summary_of_shuffled_rows_on_two_cpus_gives_the_one_cpu_files(tmp_path, 
             trees.append(tree(out))
     assert len(trees[0]) == 10
     assert trees[1:] == trees[:1] * 3
+
+
+UNCLOSED = """\
+import os, sys
+from pathlib import Path
+from tradenet import cli
+out = cli._Writer(Path(sys.argv[1]), [int(cpu) for cpu in sys.argv[2:]])
+out.json("a.json", 1)
+print(out._pid, flush=True)
+os._exit(0)
+"""
+
+
+def test_a_command_that_dies_unclosed_leaves_no_writer(tmp_path, cpus):
+    """A command that dies without closing its writer, as one killed by a
+    signal does: the forked writer must still see its jobs end, write the
+    one it was sent and exit.  It holds every descriptor of the command, so
+    the write end of a pipe passed to the command ends once both are gone;
+    the command's output goes to files, not pipes, for the same reason."""
+    (tmp_path / "out").mkdir()
+    argv = [sys.executable, "-c", UNCLOSED, tmp_path / "out", *map(str, cpus)]
+    read_end, write_end = os.pipe()
+    with open(tmp_path / "stdout", "w+") as stdout, open(tmp_path / "stderr", "w+") as stderr:
+        try:
+            command = subprocess.run(argv, env=fresh_env(), stdout=stdout, stderr=stderr,
+                                     pass_fds=[write_end], timeout=60)
+        finally:
+            os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        ended = select.select([pipe], [], [], 30)[0]
+        if not ended:
+            os.kill(int((tmp_path / "stdout").read_text()), signal.SIGKILL)
+        assert ended, "the writer outlived its command"
+        assert pipe.read() == b""
+    assert (command.returncode, (tmp_path / "stderr").read_text()) == (0, "")
+    assert tree(tmp_path / "out") == {"a.json": b"1\n"}
 
 
 def test_the_installed_console_script_runs(tmp_path):

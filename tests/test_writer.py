@@ -12,15 +12,12 @@ child may be left behind.
 from __future__ import annotations
 
 import os
-import signal
-import time
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
-from conftest import make_network, usable_cpus
+from conftest import usable_cpus
 from tradenet import cli
 
 pytestmark = pytest.mark.skipif(
@@ -155,50 +152,3 @@ def test_an_interrupted_command_leaves_no_child(tmp_path):
         os.waitpid(-1, os.WNOHANG)
     assert len(list(out.iterdir())) == 5  # 2001's files but the rich club
     assert not list(out.rglob("*.tmp"))
-
-
-def test_a_writer_far_behind_takes_a_large_job(tmp_path):
-    """600 small jobs queued behind a writer that is busy, then one large
-    job, which the command waits to send: the writer's confirmations must
-    not fill the socket pair meanwhile, or each process would wait for the
-    other.  At its default buffer size, a Linux socket pair holds 278 small
-    messages."""
-    parent, write_job = os.getpid(), cli._write_job
-
-    def busy(*job):
-        if os.getpid() != parent and job[0].name == "0.json":
-            time.sleep(0.2)
-        write_job(*job)
-
-    def stuck(*args):
-        raise TimeoutError("the command and the writer wait for each other")
-
-    previous = signal.signal(signal.SIGALRM, stuck)
-    signal.alarm(30)
-    try:
-        with mock.patch.object(cli, "_write_job", busy):
-            out = cli._Writer(tmp_path, usable_cpus(2))
-            try:
-                for k in range(600):
-                    out.json(f"{k}.json", k)
-                out.table("large", ["x"], [np.arange(200_000.0)], "csv")
-            finally:
-                out.close()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(list(tmp_path.iterdir())) == 601
-    assert (tmp_path / "599.json").read_text() == "599\n"
-
-
-def test_a_percolation_job_indexes_its_columns_in_int32(tmp_path):
-    """The index columns of the percolation table that goes to the writer
-    are int32, half the bytes of numpy's default int64."""
-    net = make_network(2001, [("A", "B", 1.0, 2.0), ("B", "C", 3.0, 4.0), ("A", "C", 5.0, 6.0)])
-    config = cli.RunConfig(input_path="", outdir=str(tmp_path))
-    out = cli._Writer(tmp_path, [])
-    with mock.patch.object(out, "_write") as write:
-        cli._percolation_year(out, net, config, cli.ORDERS)
-    (_, header, columns, _), = write.call_args.args
-    assert header == ["order", "f", "giant_fraction", "gap"]
-    assert [column.index.dtype for column in columns] == [np.int32] * 4
