@@ -45,7 +45,7 @@ from .ingest import (_DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text
                      _forked, _place, _read_utf8, _reap, _received, _Rows, _usable_cpus,
                      _write_network_rows, _write_table, pair_columns, read_columns)
 from .metrics import FLOWS, LogBinSpec, disparity_curve, node_metric_columns
-from .percolation import ORDERS, fit_exponential_approach, percolate
+from .percolation import ORDERS, _link_fractions, fit_exponential_approach, percolate
 from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
 from .synth import GravityParams, GrowthSchedule, generate_panel, multiplier_for
 
@@ -92,13 +92,13 @@ def _atomic_file(path: Path):
 
 def _write_job(path: Path, header, body, output_format: str) -> None:
     """Write one file atomically: the table of ``header`` and the columns
-    ``body`` in ``output_format``, or the JSON text of ``body`` where
-    ``header`` is None."""
+    ``body``, or those a callable ``body`` returns, in ``output_format``, or
+    the JSON text of ``body`` where ``header`` is None."""
     with _atomic_file(path) as fh:
         if header is None:
             fh.write(_json_text(body))
         else:
-            _write_table(fh, header, body, output_format)
+            _write_table(fh, header, body() if callable(body) else body, output_format)
 
 
 class _Writer:
@@ -140,9 +140,12 @@ class _Writer:
         os.set_blocking(self._acks, False)
 
     def table(self, name: str, header, columns, output_format: str) -> str:
-        """Write table ``name`` (see _write_table); returns its file name."""
+        """Write table ``name`` of ``columns``, or of the columns that a
+        callable ``columns`` returns where the file is written (see
+        _write_table); returns its file name."""
         filename = f"{name}.{output_format}"  # csv or json
-        self._write((self.outdir / filename, header, list(columns), output_format))
+        self._write((self.outdir / filename, header,
+                     columns if callable(columns) else list(columns), output_format))
         return filename
 
     def json(self, name: str, obj) -> str:
@@ -370,29 +373,28 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
     Returns (networks by year, per-year error messages), both keyed only by
     requested years, in year order.  A selection that requests no year is an
     EmptyInputError.  In a directory, a snapshot named ``<year>_network.json``
-    is read only when its year is selected, and must hold that year.
+    is selected by its name and not read here: its path stands for its
+    network, which _named_snapshot loads.
     """
     path = Path(input_path)
     if not path.exists():
         raise EmptyInputError(f"input path {input_path!r} does not exist")
     available: dict[int, object] = {}
+    builder = None
     if path.is_dir():
+        unnamed = []
         for snap in sorted(path.glob("*_network.json")):
             prefix = snap.name[:-len("_network.json")]
-            named = int(prefix) if re.fullmatch(r"-?[0-9]+", prefix) else None
-            if named is not None and not _selects(years, named):
-                continue
+            if not re.fullmatch(r"-?[0-9]+", prefix):
+                unnamed.append(snap)
+            elif _selects(years, int(prefix)):
+                _add_snapshot(available, int(prefix), snap)
+        for snap in unnamed:
             net = load_snapshot(snap)
-            if named is not None and net.year != named:
-                raise ValidationError(f"snapshot {snap.name} holds year {net.year}")
-            if net.year in available:
-                raise ValidationError(f"duplicate snapshot for year {net.year}")
-            available[net.year] = net
-        builder = None
+            _add_snapshot(available, net.year, net)
     elif path.suffix == ".json":
         net = load_snapshot(path)
         available[net.year] = net
-        builder = None
     else:
         cols = read_columns(path, input_format)
         paired = pair_columns(cols, on_duplicate)
@@ -417,17 +419,36 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
     return nets, errors
 
 
+def _add_snapshot(available: dict, year: int, snapshot) -> None:
+    """Add a network, or the path of a snapshot named for it, as ``year``'s,
+    unless the directory has given that year already."""
+    if year in available:
+        raise ValidationError(f"duplicate snapshot for year {year}")
+    available[year] = snapshot
+
+
+def _named_snapshot(snap: Path, year: int):
+    """The network of the snapshot ``snap``, named for ``year``, which its
+    document must hold."""
+    net = load_snapshot(snap)
+    if net.year != year:
+        raise ValidationError(f"snapshot {snap.name} holds year {net.year}")
+    return net
+
+
 def _run_years(config: RunConfig, year_step, panel_step=None) -> int:
     """Run one analysis subcommand over the years ``config`` selects.
 
-    Loads the networks, makes the outdir, calls ``year_step(out, net,
-    config)`` on each network in year order and then ``panel_step(out,
-    config, nets, results, errors)``, where ``out`` is the _Writer of the
-    outdir and ``results`` holds each year step's return value by year.
-    ``out`` is closed before the panel step, so that a file of the years
-    that cannot be written raises before the panel step runs, which then
-    writes its files here.  Reports each failed year on stderr; returns 1
-    if some requested year failed, else 0.
+    Loads the networks, calls ``year_step(out, net, config)`` on each
+    network in year order and then ``panel_step(out, config, nets, results,
+    errors)``, where ``out`` is the _Writer of the outdir and ``results``
+    holds each year step's return value by year.  A snapshot named for its
+    year is loaded just before that year's step, so the writer writes one
+    year's files while the next loads; the outdir is made once the first
+    network has loaded.  ``out`` is closed before the panel step, so that a
+    file of the years that cannot be written raises before the panel step
+    runs, which then writes its files here.  Reports each failed year on
+    stderr; returns 1 if some requested year failed, else 0.
     """
     # Forked while this process is small, so that neither copies pages the
     # other writes.
@@ -435,8 +456,13 @@ def _run_years(config: RunConfig, year_step, panel_step=None) -> int:
     try:
         nets, errors = _load_networks(config.input_path, _parse_years(config.years),
                                       config.input_format, config.on_duplicate, config.missing)
-        _ensure_outdir(config.outdir)
-        results = {year: year_step(out, net, config) for year, net in nets.items()}
+        results = {}
+        for year, net in nets.items():
+            if isinstance(net, Path):
+                nets[year] = net = _named_snapshot(net, year)
+            _ensure_outdir(config.outdir)
+            results[year] = year_step(out, net, config)
+        _ensure_outdir(config.outdir)  # also where every requested year failed
         out.close()
         if panel_step is not None:
             panel_step(out, config, nets, results, errors)
@@ -550,19 +576,38 @@ def _percolation_year(out: _Writer, net, config: RunConfig, orders):
     last, as ``<year>_percolation``; returns its file name and the curves by
     order."""
     curves = {order: percolate(net, order) for order in orders}
-    emit = np.arange(1, net.n_links + 1) % config.emit_every == 0
-    emit[-1] = True
-    rows = np.arange(np.count_nonzero(emit))
-    # Every order emits the same f = m/L, and a giant fraction is s/N for a
-    # component size s, so each column is written from its distinct values.
+    emit = _emitted(net.n_links, config.emit_every)
+    # A giant fraction is s/N for a component size s.  The table is built
+    # where it is written, from each point's s in the least type that holds
+    # N: the command keeps a job until the writer has written it, which for
+    # this one is while the next snapshot loads.
     giant = np.arange(net.n_nodes + 1) / net.n_nodes
-    size = np.concatenate([np.searchsorted(giant, curve.giant[emit])
-                           for curve in curves.values()])
-    columns = [_Coded(list(orders), np.repeat(np.arange(len(orders)), len(rows))),
-               _Coded(curves[orders[0]].f[emit], np.tile(rows, len(orders))),
-               _Coded(giant, size), _Coded(1.0 - giant, size)]
+    size = np.concatenate([np.searchsorted(giant, curve.giant[emit]) for curve in curves.values()])
+    columns = functools.partial(_percolation_columns, orders, net.n_links, config.emit_every,
+                                net.n_nodes, size.astype(np.min_scalar_type(net.n_nodes)))
     return out.table(f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],
                      columns, config.output_format), curves
+
+
+def _emitted(n_links: int, emit_every: int) -> np.ndarray:
+    """Whether each of a curve's ``n_links`` points is written: every
+    ``emit_every``-th and the last."""
+    emit = np.arange(1, n_links + 1) % emit_every == 0
+    emit[-1] = True
+    return emit
+
+
+def _percolation_columns(orders, n_links: int, emit_every: int, n_nodes: int, size) -> list:
+    """The columns of a percolation table: the written points of each order
+    in turn, where the giant component holds ``size`` of the ``n_nodes``
+    nodes.  Every order has the same link fractions f = m/L, and a giant
+    fraction is one of N + 1 values, so each column is written from its
+    distinct values."""
+    f = _link_fractions(n_links)[_emitted(n_links, emit_every)]
+    giant = np.arange(n_nodes + 1) / n_nodes
+    rows = np.arange(len(f))
+    return [_Coded(list(orders), np.repeat(np.arange(len(orders)), len(rows))),
+            _Coded(f, np.tile(rows, len(orders))), _Coded(giant, size), _Coded(1.0 - giant, size)]
 
 
 def _percolation_fits(curves, fit_range) -> dict:
@@ -710,13 +755,16 @@ def run_analyze(config: RunConfig) -> int:
 def _panel_year(out: _Writer, net, config: RunConfig):
     """Every per-year analysis; returns the sorted file names, the summary
     row and the rich-club series row."""
+    # The percolation table, the year's largest file by far, goes to the
+    # writer first, so that it is written while the other analyses run.
+    percolation_file, curves = _percolation_year(out, net, config, ORDERS)
+    percolation_fits = _percolation_fits(curves, config.exp_fit_range)
     summary_file, summary_row = _summary_year(out, net, config)
-    files = [summary_file, _metrics_year(out, net, config)]
+    files = [percolation_file, summary_file, _metrics_year(out, net, config)]
     _, fits, collapse = _weight_fits(net.w, config)
     files.append(out.table(f"{net.year}_collapse", ["x", "y"], zip(*collapse), config.output_format))
-    percolation_file, curves = _percolation_year(out, net, config, ORDERS)
-    fits["percolation"] = _percolation_fits(curves, config.exp_fit_range)
-    files += [percolation_file, out.json(f"{net.year}_fits.json", fits)]
+    fits["percolation"] = percolation_fits
+    files.append(out.json(f"{net.year}_fits.json", fits))
     richclub_file, richclub_row = _richclub_year(out, net, config)
     return sorted(files + [richclub_file]), summary_row, richclub_row
 

@@ -94,31 +94,36 @@ def _check_flow(flow: str) -> None:
 
 
 def _columns(net: AnnualTradeNetwork, flow: str) -> NodeMetricColumns:
-    """Metrics of every node from its half-edges, sorted by (node, partner).
+    """Metrics of every node from its half-edges.
 
     Per node, the strength and the sum of squared shares add the partners'
     weights in partner order, as a loop over the sorted partners does; the
-    square is libm pow, as Python's ``** 2`` computes it.
+    square is libm pow, as Python's ``** 2`` computes it.  The partner
+    counts do not depend on the order, so only the selected flow's
+    half-edges are sorted.
     """
-    node = np.concatenate([net.a, net.b])  # half-edge e + n_links is edge e seen from b
-    order = np.lexsort((np.concatenate([net.b, net.a]), node))
-    node, edge = node[order], order % net.n_links
-    forward = order < net.n_links  # the node is the edge's smaller code
-    out = np.where(forward, net.w_exp[edge], net.w_imp[edge])
-    inc = np.where(forward, net.w_imp[edge], net.w_exp[edge])
     n = net.n_nodes
-    chosen = {"total": net.w[edge], "export": out, "import": inc}[flow]
-    selected = chosen > 0.0
-    owner = node[selected]
-    weights = chosen[selected]
+    # Edge e exports w_exp and imports w_imp seen from a, and the other way
+    # round seen from b.
+    k_exp = (np.bincount(net.a[net.w_exp > 0.0], minlength=n)
+             + np.bincount(net.b[net.w_imp > 0.0], minlength=n))
+    k_imp = (np.bincount(net.a[net.w_imp > 0.0], minlength=n)
+             + np.bincount(net.b[net.w_exp > 0.0], minlength=n))
+    from_a, from_b = {"total": (net.w, net.w), "export": (net.w_exp, net.w_imp),
+                      "import": (net.w_imp, net.w_exp)}[flow]
+    weights = np.concatenate([from_a, from_b])  # half-edge e + n_links is edge e seen from b
+    selected = weights > 0.0
+    owner = np.concatenate([net.a, net.b])[selected]
+    # Each (node, partner) pair is one half-edge, so any sort of this unique
+    # key gives the (node, partner) order.
+    order = np.argsort(owner.astype(np.int64) * n + np.concatenate([net.b, net.a])[selected])
+    owner = owner[order]
+    weights = weights[selected][order]
     # bincount returns ints when nothing is selected
     s = np.bincount(owner, weights=weights, minlength=n).astype(np.float64, copy=False)
     y = np.bincount(owner, weights=np.float_power(weights / s[owner], 2.0), minlength=n)
     y = np.where(s > 0.0, y, np.nan)
-    return NodeMetricColumns(k=np.bincount(node, minlength=n),
-                             k_exp=np.bincount(node[out > 0.0], minlength=n),
-                             k_imp=np.bincount(node[inc > 0.0], minlength=n),
-                             s=s, Y=y)
+    return NodeMetricColumns(k=net.degrees, k_exp=k_exp, k_imp=k_imp, s=s, Y=y)
 
 
 def _disparity(cols: NodeMetricColumns, flow: str) -> tuple[np.ndarray, np.ndarray]:

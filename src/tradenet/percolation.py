@@ -20,35 +20,68 @@ from .distributions import linear_fit
 ORDERS = ("descending", "ascending")
 
 
-def _largest_after_unions(n: int, a: list[int], b: list[int]) -> list[int]:
+# The ranked edges are walked in blocks of _FIRST_BLOCK edges, doubling up to
+# _LAST_BLOCK: the first edges nearly all join two sets, so the labels of a
+# long block would soon be stale, and once a giant set has formed nearly none
+# do, so a long block filters many edges per labelling.
+_FIRST_BLOCK = 32
+_LAST_BLOCK = 4096
+
+
+def _largest_after_unions(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Union a[m] with b[m] for m = 0, 1, ... in disjoint sets over range(n)
     (union by size, path halving) and return the largest set size after
     each union.
 
     Stops once one set holds every element, so the result is shorter than
     ``a`` when later unions cannot change it.
+
+    The edges go in blocks.  Each element is labelled with its set's root
+    when a block starts, by full path compression in numpy, and only the
+    block's edges whose ends had different labels then go through the
+    union loop: an edge inside one set cannot change a set's size.  A label
+    is an ancestor of its element for the whole block, so a find starts
+    there.
     """
     parent = list(range(n))
     size = [1] * n
     largest = 1
-    out = []
-    for x, y in zip(a, b):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            if size[x] < size[y]:
-                x, y = y, x
-            parent[y] = x
-            size[x] += size[y]
-            if size[x] > largest:
-                largest = size[x]
-        out.append(largest)
+    out = np.empty(len(a), dtype=np.intp)
+    start, block = 0, _FIRST_BLOCK
+    while start < len(a):
+        stop = min(start + block, len(a))
+        root = np.array(parent)
+        while not np.array_equal(up := root[root], root):
+            root = up
+        xs, ys = root[a[start:stop]], root[b[start:stop]]
+        joining = np.flatnonzero(xs != ys)
+        grown = []  # the largest set size after each joining edge
+        for x, y in zip(xs[joining].tolist(), ys[joining].tolist()):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x != y:
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                if size[x] > largest:
+                    largest = size[x]
+            grown.append(largest)
+            if largest == n:
+                stop = start + int(joining[len(grown) - 1]) + 1
+                break
+        sizes = out[start:stop]
+        sizes[0] = out[start - 1] if start else 1
+        sizes[1:] = 0
+        sizes[joining[:len(grown)]] = grown
+        np.maximum.accumulate(sizes, out=sizes)
         if largest == n:
-            break
+            return out[:stop]
+        start, block = stop, min(2 * block, _LAST_BLOCK)
     return out
 
 
@@ -94,11 +127,15 @@ def percolate(net: AnnualTradeNetwork, order: str = "descending") -> Percolation
         ranked = np.argsort(key, kind="stable")
     n = net.n_nodes
     n_links = net.n_links
-    sizes = _largest_after_unions(n, net.a[ranked].tolist(), net.b[ranked].tolist())
+    sizes = _largest_after_unions(n, net.a[ranked], net.b[ranked])
     giant = np.full(n_links, n)
     giant[:len(sizes)] = sizes
-    return PercolationCurve(order=order, f=np.arange(1, n_links + 1) / n_links,
-                            giant=giant / n)
+    return PercolationCurve(order=order, f=_link_fractions(n_links), giant=giant / n)
+
+
+def _link_fractions(n_links: int) -> np.ndarray:
+    """The fraction m/L of the links inserted after each insertion m."""
+    return np.arange(1, n_links + 1) / n_links
 
 
 def fit_exponential_approach(curve: PercolationCurve,

@@ -48,10 +48,11 @@ def rich_club_curve(net: AnnualTradeNetwork) -> RichClubCurve:
     # Walking from the strongest node down, an edge joins the club together
     # with its weaker endpoint, and the edges one node brings in come in
     # partner-code order.  One running sum in that walk order gives every
-    # club's internal trade.
+    # club's internal trade.  No two edges share a (joins, partner) pair, so
+    # any sort of the unique key below gives that order.
     joins = np.minimum(rank[net.a], rank[net.b])
     partner = np.where(rank[net.a] > rank[net.b], net.a, net.b)
-    walk = np.lexsort((partner, -joins))
+    walk = np.argsort((n - 1 - joins) * n + partner)
     internal = np.concatenate(([0.0], np.cumsum(net.w[walk])))
     added = np.cumsum(np.bincount(joins, minlength=n)[::-1])[::-1]  # edges in suffix i
     suffix_internal = internal[added]

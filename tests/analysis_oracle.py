@@ -4,7 +4,8 @@ This is how the library computed the summary, per-node metrics,
 percolation curves and rich-club curves before the array-backed network:
 one Python loop over a dict of edges or over each node's sorted partners,
 with the built-in ``sum`` and ``+=``.  A network is given as
-``{(a, b): (w_exp, w_imp, w)}`` with ``a < b``.
+``{(a, b): (w_exp, w_imp, w)}`` with ``a < b``.  ``largest_after_unions``,
+on node indices, is the one-edge-at-a-time union loop of percolation.
 """
 
 from __future__ import annotations
@@ -96,6 +97,36 @@ def percolate(edges, order="descending"):
             giant = max(giant, size[ra])
         points.append((m / n_links, giant / n))
     return points
+
+
+def largest_after_unions(n, a, b):
+    """The largest set size after each union of a[m] with b[m] in disjoint
+    sets over range(n), one edge at a time (union by size, path halving),
+    stopping once one set holds every element: the loop
+    ``percolation._largest_after_unions`` ran before it filtered its edges
+    in blocks."""
+    parent = list(range(n))
+    size = [1] * n
+    largest = 1
+    out = []
+    for x, y in zip(a, b):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            if size[x] < size[y]:
+                x, y = y, x
+            parent[y] = x
+            size[x] += size[y]
+            if size[x] > largest:
+                largest = size[x]
+        out.append(largest)
+        if largest == n:
+            break
+    return out
 
 
 def rich_club_curve(edges):

@@ -126,6 +126,21 @@ def test_panel_on_two_cpus_gives_the_one_cpu_files(tmp_path, cpus, large_csv):
     assert ranges == serial
 
 
+def test_panel_on_snapshots_on_two_cpus_gives_the_one_cpu_files(tmp_path, cpus, synth_runs):
+    """The panel's snapshot directory through ``panel`` on two CPUs, where
+    each snapshot is loaded while the forked writer writes the year before,
+    and on one."""
+    synth_out, run = synth_runs["forked"]
+    assert (run.returncode, run.stderr) == (0, "")
+    for name, mask in (("panel-forked", cpus), ("panel-serial", cpus[:1])):
+        run = tradenet_on(mask, "panel", "--input", synth_out / "snapshots",
+                          "--outdir", tmp_path / name)
+        assert (run.returncode, run.stderr) == (0, "")
+    forked, serial = tree(tmp_path / "panel-forked"), tree(tmp_path / "panel-serial")
+    assert len(forked) == 10 * 6 + 6
+    assert forked == serial
+
+
 def test_summary_of_shuffled_rows_on_two_cpus_gives_the_one_cpu_files(tmp_path, cpus,
                                                                         large_csv):
     """The CSV and a copy with its data rows shuffled, each through

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import analysis_oracle as oracle
 from analysis_oracle import edge_dict
 from conftest import make_network, random_network
 from tradenet.distributions import linear_fit
 from tradenet.errors import DomainError, InsufficientDataError
-from tradenet.percolation import (ORDERS, PercolationCurve, fit_exponential_approach,
-                                  percolate)
+from tradenet.percolation import (ORDERS, PercolationCurve, _largest_after_unions,
+                                  fit_exponential_approach, percolate)
 
 
 def bfs_largest_component(nodes, edges):
@@ -141,6 +143,64 @@ class TestPercolate:
             assert curve.f.tobytes() == f.tobytes()
             assert curve.giant.tobytes() == giant.tobytes()
         assert unstable
+
+
+# Edge counts about each block size of the union walk (32, 64, 128) and
+# each block's end (32, 96, 224).
+BLOCK_EDGES = [1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 223, 224, 225]
+
+
+@st.composite
+def edge_sequences(draw):
+    """(n, a, b): ``len(a)`` edges over ``n`` nodes that fall into a few
+    groups, each edge inside one group but for a share that join two, so
+    that several components grow side by side and may join before the last
+    edge or never."""
+    n = draw(st.integers(2, 60))
+    length = draw(st.sampled_from(BLOCK_EDGES))
+    joining = draw(st.sampled_from([0.0, 0.02, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    group = rng.integers(0, draw(st.integers(1, 4)), n)
+    x = rng.integers(0, n, length)
+    y = rng.integers(0, n, length)
+    # An edge that does not join groups takes the first node of x's group
+    # at or after y, wrapping round.
+    for k in np.flatnonzero(rng.random(length) >= joining):
+        mates = np.flatnonzero(group == group[x[k]])
+        y[k] = mates[np.searchsorted(mates, y[k]) % len(mates)]
+    y = np.where(x == y, (x + 1) % n, y)
+    return n, np.minimum(x, y).astype(np.int32), np.maximum(x, y).astype(np.int32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sequences())
+@example((3, np.array([0, 0, 1], dtype=np.int32), np.array([1, 2, 2], dtype=np.int32)))
+def test_block_filtered_unions_equal_the_per_edge_loop(edges):
+    """The union walk that skips the edges inside one set at a block's
+    start gives the per-edge loop's sizes, and stops where it does, with the
+    edges in the given order and reversed."""
+    n, a, b = edges
+    for a, b in ((a, b), (a[::-1], b[::-1])):
+        assert _largest_after_unions(n, a, b).tolist() == oracle.largest_after_unions(
+            n, a.tolist(), b.tolist())
+
+
+def test_700_nodes_match_bfs_oracle(rng):
+    """A sparse 700-node network, in which components join across many
+    blocks of the union walk: the giant fraction at each block's end, on
+    either side of it and at every 25th insertion is the BFS one."""
+    net = random_network(rng, 700, edge_prob=0.003)
+    ends = np.cumsum([32 * 2 ** k for k in range(8)])
+    checked = sorted({m for end in ends for m in (end - 1, end, end + 1)
+                      if 1 <= m <= net.n_links}
+                     | set(range(25, net.n_links + 1, 25)) | {net.n_links})
+    for order in ORDERS:
+        curve = percolate(net, order)
+        inserted = ordered_edges(net, order)
+        assert 0.5 < curve.giant[-1] < 1.0  # several components to the end
+        for m in checked:
+            assert curve.giant[m - 1] == bfs_largest_component(net.nodes,
+                                                               inserted[:m]) / net.n_nodes
 
 
 def reference_fit(curve, fit_range):

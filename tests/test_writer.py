@@ -12,6 +12,7 @@ child may be left behind.
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ pytestmark = pytest.mark.skipif(
     reason="the writer is forked only where a process can fork")
 
 GOLDEN_PANEL = Path(__file__).parent / "golden" / "synth" / "out" / "panel.csv"
+GOLDEN_SNAPSHOTS = Path(__file__).parent / "golden" / "synth_snapshots" / "out"
 COMMANDS = {
     "fit": ["fit"],
     "metrics": ["metrics"],
@@ -36,13 +38,13 @@ COMMANDS = {
 PANEL_FILES = 3 * 6 + 6  # six per year of the golden panel, then the panel step's
 
 
-def run(out: Path, argv: list[str], capsys, n_cpus: int):
-    """Exit code, stderr and every file under ``out`` of a run on the golden
-    panel on ``n_cpus`` usable CPUs, and how many times it forked;
-    afterwards no child of this process may be left."""
+def run(out: Path, argv: list[str], capsys, n_cpus: int, data: Path = GOLDEN_PANEL):
+    """Exit code, stderr and every file under ``out`` of a run on ``data``,
+    the golden panel unless given, on ``n_cpus`` usable CPUs, and how many
+    times it forked; afterwards no child of this process may be left."""
     with mock.patch.object(cli, "_usable_cpus", lambda: usable_cpus(n_cpus)), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        rc = cli.main(argv + ["--input", str(GOLDEN_PANEL), "--outdir", str(out)])
+        rc = cli.main(argv + ["--input", str(data), "--outdir", str(out)])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not list(out.rglob("*.tmp"))
@@ -134,6 +136,31 @@ def test_a_year_step_that_raises_gives_the_one_cpu_error(tmp_path, capsys):
     assert one[:2] == (2, "error: out of memory\n")
     assert len(one[2]) == 11
     assert forks == 1
+    assert two == one
+
+
+@pytest.mark.parametrize("year", [2001, 2002])
+def test_a_malformed_snapshot_stops_the_run_where_it_is_loaded(tmp_path, capsys, year):
+    """A snapshot named for its year is loaded just before that year's step.
+    A malformed one exits 2 with one error line: the first year's leaves no
+    outdir, since the outdir is made once a network has loaded, and the
+    second's leaves the first year's files and no manifest.  One CPU and
+    two give the same."""
+    snaps = tmp_path / "snaps"
+    shutil.copytree(GOLDEN_SNAPSHOTS, snaps)
+    (snaps / f"{year}_network.json").write_text('{"format": "trade-network-snapshot",\n')
+    results = []
+    for n_cpus in (1, 2):
+        out = tmp_path / f"cpus{n_cpus}"
+        results.append(run(out, COMMANDS["panel"], capsys, n_cpus, snaps)[0])
+        assert out.exists() == (year == 2002)
+    one, two = results
+    assert one[0] == 2
+    assert one[1].startswith("error: ") and one[1].count("\n") == 1, one[1]
+    assert "invalid snapshot JSON" in one[1]
+    assert sorted(one[2]) == ([] if year == 2001 else [
+        f"2001_{name}" for name in ("collapse.csv", "fits.json", "metrics.csv",
+                                    "percolation.csv", "richclub.csv", "summary.csv")])
     assert two == one
 
 
