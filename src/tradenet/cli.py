@@ -18,16 +18,12 @@ Exit codes: 0 success, 1 partial failure (some requested years failed),
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
 import io
-import json
 import math
 import os
-import pickle
 import re
-import stat
 import sys
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -35,180 +31,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._procs import _forked, _shares, _usable_cpus, _Writer
+from ._text import (_DELIMITERS, _atomic_file, _Coded, _read_utf8, _synth_texts,
+                    _write_table)
 from .distributions import (BINS_PER_DECADE, COLLAPSE_BINS_PER_DECADE, COLLAPSE_WINDOW,
                             FIT_DECADES, degree_distribution, fit_lognormal, fit_power_law,
                             intermediate_range, log_histogram, scaling_regression)
 from .errors import DomainError, EmptyInputError, ParseError, TradeNetError, ValidationError
-from .graph import (MISSING_FLOW_POLICIES, _write_snapshot, build_network, load_snapshot,
-                    summarize)
-from .ingest import (_DELIMITERS, DUPLICATE_POLICIES, HEADER, _Coded, _edge_text, _fork,
-                     _forked, _place, _read_utf8, _reap, _received, _Rows, _usable_cpus,
-                     _write_network_rows, _write_table, pair_columns, read_columns)
+from .graph import MISSING_FLOW_POLICIES, build_network, load_snapshot, summarize
+from .ingest import DUPLICATE_POLICIES, HEADER, pair_columns, read_columns
 from .metrics import FLOWS, LogBinSpec, disparity_curve, node_metric_columns
-from .percolation import ORDERS, _link_fractions, fit_exponential_approach, percolate
+from .percolation import ORDERS, fit_exponential_approach, percolate
 from .richclub import CLUB_THRESHOLD, rich_club_curve, rich_club_size
 from .synth import GravityParams, GrowthSchedule, generate_panel, multiplier_for
 
 OUTDIR_ENV = "TRADENET_OUTDIR"
-
-
-# ---------------------------------------------------------------------------
-# Output helpers
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-@contextlib.contextmanager
-def _atomic_file(path: Path):
-    """A text file written under a temporary name, moved to ``path`` when its
-    ``with`` block ends without an error and removed on an error.  An error
-    that names the removed temporary file is raised naming ``path``.  A
-    ``path`` that exists and is not a regular file (a FIFO or a device, say,
-    or a link to one) is written in place, so that it is not replaced.  A
-    link to a regular file stays a link, and its target is replaced."""
-    try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:
-        in_place = False  # nothing there yet
-    if in_place:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    real = os.path.realpath(path)
-    tmp = real + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, real)
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == str(tmp):
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        raise
-
-
-def _write_job(path: Path, header, body, output_format: str) -> None:
-    """Write one file atomically: the table of ``header`` and the columns
-    ``body``, or those a callable ``body`` returns, in ``output_format``, or
-    the JSON text of ``body`` where ``header`` is None."""
-    with _atomic_file(path) as fh:
-        if header is None:
-            fh.write(_json_text(body))
-        else:
-            _write_table(fh, header, body() if callable(body) else body, output_format)
-
-
-class _Writer:
-    """Writes the files of a run into ``outdir``, in the order they come:
-    here, or, when ``cpus`` holds more than one CPU and the fork succeeds,
-    in a child forked onto cpus[1] while this process runs on cpus[0].
-
-    Each file goes to the child as a job, the _write_job arguments, through
-    one pipe, and the child confirms each file it has written through
-    another.  The child calls private functions only, so every public call
-    stays in this process.  A job the child has not confirmed is kept until
-    close, which writes it here once the child is gone: the job the child
-    failed, so that its error is raised here as on one CPU and no later job
-    is written, or each job of a child that died.  Once closed, a writer
-    writes every file here.
-    """
-
-    def __init__(self, outdir: Path, cpus: list[int]):
-        self.outdir = outdir
-        self._pid = None
-        self._pending = collections.deque()  # jobs sent and not yet confirmed
-        if len(cpus) < 2:
-            return
-        jobs, self._jobs = os.pipe()
-        self._acks, acks = os.pipe()
-        try:
-            _place(cpus[0], cpus)  # the child starts here, then moves onto cpus[1]
-            self._pid = _fork(functools.partial(_serve, jobs, acks, (self._jobs, self._acks)),
-                              cpus[1], cpus)
-        except OSError:
-            pass  # a refused fork: every job is written here
-        finally:
-            os.close(jobs)
-            os.close(acks)
-        if self._pid is None:
-            os.close(self._jobs)
-            os.close(self._acks)
-            return
-        os.set_blocking(self._acks, False)
-
-    def table(self, name: str, header, columns, output_format: str) -> str:
-        """Write table ``name`` of ``columns``, or of the columns that a
-        callable ``columns`` returns where the file is written (see
-        _write_table); returns its file name."""
-        filename = f"{name}.{output_format}"  # csv or json
-        self._write((self.outdir / filename, header,
-                     columns if callable(columns) else list(columns), output_format))
-        return filename
-
-    def json(self, name: str, obj) -> str:
-        """Write the JSON text of ``obj`` as file ``name``; returns ``name``."""
-        self._write((self.outdir / name, None, obj, "json"))
-        return name
-
-    def _write(self, job) -> None:
-        if self._pid is None:
-            _write_job(*job)
-            return
-        data = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
-        self._pending.append(job)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(self._jobs, view):]
-        except BrokenPipeError:  # the child has exited
-            self.close()
-            return
-        self._confirmed()
-
-    def _confirmed(self) -> None:
-        """Drop each job the child has confirmed."""
-        with contextlib.suppress(BlockingIOError):
-            while acks := os.read(self._acks, 1 << 16):
-                for _ in acks:
-                    self._pending.popleft()
-
-    def close(self) -> None:
-        """End the job pipe, wait for the child to write what it was sent
-        and exit, and write here, in order, each job it did not confirm;
-        the first of those that fails raises.  If the wait is cut short, the
-        child is killed and reaped."""
-        pid, self._pid = self._pid, None
-        if pid is None:
-            return
-        try:
-            os.close(self._jobs)
-            os.waitpid(pid, 0)
-            pid = None
-            os.set_blocking(self._acks, True)
-            self._confirmed()
-        finally:
-            os.close(self._acks)
-            if pid is not None:
-                _reap(pid)
-        while self._pending:
-            _write_job(*self._pending.popleft())
-
-
-def _serve(jobs: int, acks: int, parent_ends: tuple[int, int]) -> None:
-    """The writer child (see _Writer): write each job pickled into the pipe
-    ``jobs`` and confirm it with one byte into ``acks``, until the pipe
-    ends.  A job that fails ends the child unconfirmed.  ``parent_ends``,
-    the other ends of the pipes, are closed first, so that the job pipe
-    ends when the parent closes it."""
-    for fd in parent_ends:
-        os.close(fd)
-    with open(jobs, "rb") as pipe:
-        for job in _received(pipe):
-            _write_job(*job)
-            os.write(acks, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -576,35 +413,26 @@ def _percolation_year(out: _Writer, net, config: RunConfig, orders):
     last, as ``<year>_percolation``; returns its file name and the curves by
     order."""
     curves = {order: percolate(net, order) for order in orders}
-    emit = _emitted(net.n_links, config.emit_every)
+    emit = np.arange(1, net.n_links + 1) % config.emit_every == 0
+    emit[-1] = True
     # A giant fraction is s/N for a component size s.  The table is built
     # where it is written, from each point's s in the least type that holds
     # N: the command keeps a job until the writer has written it, which for
     # this one is while the next snapshot loads.
     giant = np.arange(net.n_nodes + 1) / net.n_nodes
     size = np.concatenate([np.searchsorted(giant, curve.giant[emit]) for curve in curves.values()])
-    columns = functools.partial(_percolation_columns, orders, net.n_links, config.emit_every,
-                                net.n_nodes, size.astype(np.min_scalar_type(net.n_nodes)))
+    columns = functools.partial(_percolation_columns, orders, curves[orders[0]].f[emit], giant,
+                                size.astype(np.min_scalar_type(net.n_nodes)))
     return out.table(f"{net.year}_percolation", ["order", "f", "giant_fraction", "gap"],
                      columns, config.output_format), curves
 
 
-def _emitted(n_links: int, emit_every: int) -> np.ndarray:
-    """Whether each of a curve's ``n_links`` points is written: every
-    ``emit_every``-th and the last."""
-    emit = np.arange(1, n_links + 1) % emit_every == 0
-    emit[-1] = True
-    return emit
-
-
-def _percolation_columns(orders, n_links: int, emit_every: int, n_nodes: int, size) -> list:
+def _percolation_columns(orders, f, giant, size) -> list:
     """The columns of a percolation table: the written points of each order
-    in turn, where the giant component holds ``size`` of the ``n_nodes``
-    nodes.  Every order has the same link fractions f = m/L, and a giant
+    in turn, at the link fractions ``f``, where the giant fraction is
+    ``giant[size]``.  Every order has the same link fractions, and a giant
     fraction is one of N + 1 values, so each column is written from its
     distinct values."""
-    f = _link_fractions(n_links)[_emitted(n_links, emit_every)]
-    giant = np.arange(n_nodes + 1) / n_nodes
     rows = np.arange(len(f))
     return [_Coded(list(orders), np.repeat(np.arange(len(orders)), len(rows))),
             _Coded(f, np.tile(rows, len(orders))), _Coded(giant, size), _Coded(1.0 - giant, size)]
@@ -703,42 +531,6 @@ def _cmd_synth(args) -> int:
                 with _atomic_file(snap_dir / f"{net.year}_network.json") as fh:
                     fh.writelines(snapshot_text)
     return 0
-
-
-# Panels with fewer links than this are formatted by one process.  On a
-# 2-CPU host, formatting four years in two processes lost at 3,000 links,
-# broke even at about 6,000 and won most runs from 9,000.
-_SPLIT_MIN_LINKS = 10_000
-
-
-def _shares(nets: list, n_cpus: int) -> list[list]:
-    """``nets`` cut into at most ``n_cpus`` contiguous shares of about equal
-    link counts, each network in the share where the middle of its links
-    falls; one share for one CPU, one network or a panel of fewer than
-    _SPLIT_MIN_LINKS links."""
-    links = np.array([net.n_links for net in nets])
-    total = int(links.sum())
-    if n_cpus < 2 or len(nets) < 2 or total < _SPLIT_MIN_LINKS:
-        return [nets]
-    middle = np.cumsum(links) - links / 2
-    bounds = np.searchsorted(middle, np.arange(n_cpus + 1) * total / n_cpus).tolist()
-    return [nets[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _synth_texts(rows: bool, snapshot: bool, net) -> tuple[list | None, list | None]:
-    """The dyadic-row text and the snapshot text of ``net``, each as the list
-    of strings it is written in, or None unless asked for.  Both take their
-    weight cells from one _edge_text call, and only private functions run,
-    so a forked child calls no public one."""
-    weights = _edge_text(net)
-
-    def text(write) -> list[str]:
-        pieces = _Rows()
-        write(pieces, net, weights)
-        return pieces
-
-    return (text(_write_network_rows) if rows else None,
-            text(_write_snapshot) if snapshot else None)
 
 
 def run_analyze(config: RunConfig) -> int:

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import (SNAPSHOT_FORMAT, SNAPSHOT_VERSION, _atomic_file, _edge_text, _read_utf8,
+                    _write_snapshot)
 from .errors import DomainError, EmptyNetworkError, ParseError, ValidationError
-from .ingest import PairedColumns, _edge_text, _read_utf8, _write_rows
+from .ingest import PairedColumns
 
 MISSING_FLOW_POLICIES = ("zero", "copy")
-
-SNAPSHOT_FORMAT = "trade-network-snapshot"
-SNAPSHOT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -246,21 +245,6 @@ def snapshot_dumps(net: AnnualTradeNetwork) -> str:
     return buf.getvalue()
 
 
-def _write_snapshot(fh, net: AnnualTradeNetwork, weights: list[str]) -> None:
-    """Write the snapshot document of ``net`` to ``fh``, with its
-    ``_edge_text`` as ``weights``."""
-    head = json.dumps({"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
-                       "year": net.year}, separators=(",", ":"))
-    # The rest of json.dumps(doc, separators=(",", ":")) for the "nodes" and
-    # "edges" members, joined from each code's JSON text and each weight's
-    # repr (json.dumps writes a finite float as its repr).
-    node = np.array([json.dumps(code) for code in net.nodes], dtype=object)
-    head = f'{head[:-1]},"nodes":[{",".join(node.tolist())}],"edges":'
-    n = net.n_links
-    _write_rows(fh, [node[net.a].tolist(), node[net.b].tolist(), weights[:n], weights[n:]],
-                ",".join, "],[", (head + "[[", "]]}\n"), head + "[]}\n")
-
-
 # The JSON types of a snapshot's edge endpoints and weights, and the problem
 # a value of another type is reported as.
 _CODE = ({str}, "country code {!r} is not a JSON string")
@@ -345,7 +329,8 @@ def _snapshot_network(text: str) -> AnnualTradeNetwork:
 
 
 def save_snapshot(net: AnnualTradeNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write the snapshot document of ``net`` to ``path``, atomically."""
+    with _atomic_file(path) as fh:
         _write_snapshot(fh, net, _edge_text(net))
 
 

@@ -10,11 +10,7 @@ convention is ours, not the data source's.
 The work is done on columns: ``read_columns`` streams a file into
 ``DyadicColumns`` and ``pair_columns`` resolves every year's duplicate
 reports at once into ``PairedColumns``; graph.build_network turns one
-year of that into a network.  ``write_network_records`` writes networks
-back as dyadic rows, from the weight text (``_edge_text``) that a
-network's snapshot is joined from too.  Every text file, a CSV, TSV or
-JSON table (``_write_table``), dyadic rows or a snapshot's edge list, is
-written by one block loop (``_write_rows``).
+year of that into a network.
 """
 
 from __future__ import annotations
@@ -25,18 +21,17 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import os
-import pickle
-import signal
 import stat
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
+from ._procs import _forked, _usable_cpus
+from ._text import (_atomic_file, _delimiter, _edge_text, _not_utf8, _write_network_rows,
+                    _write_table)
 from .errors import DomainError, ParseError, ValidationError
 
 HEADER = ("year", "reporter", "partner", "export", "import")
@@ -46,14 +41,11 @@ DUPLICATE_POLICIES = ("mean", "first", "max")
 # Flow slots of a canonical pair (a, b), a < b, as columns of PairedColumns.flows.
 FLOW_SLOTS = ("exp_ab", "imp_ab", "exp_ba", "imp_ba")
 
-_DELIMITERS = {"csv": ",", "tsv": "\t"}
-
 # Characters (or bytes) read from the input at a time.  Every cell of a
 # block becomes a Python str, so a larger block raises peak memory.
 _READ_BLOCK = 1 << 16
 
-# Rows per write of the column-join writer, and per chunk that csv.reader
-# hands to the column builder.
+# Rows per chunk that csv.reader hands to the column builder.
 _BLOCK_ROWS = 4096
 
 # Files smaller than this are read by one process.  On a 2-CPU host, reading
@@ -122,8 +114,7 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
         cols = _read_ranges(source, delimiter)
         if cols is not None:
             return cols
-    fh, owned = _as_readable(source)
-    try:
+    with contextlib.nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
         blocks = _text_blocks(fh)
         first = next(blocks, None)
         if first is None:
@@ -135,9 +126,6 @@ def read_columns(source, fmt: str = "csv") -> DyadicColumns:
             block, lineno = rest
             _read_csv(builder, _csv_lines(block, blocks), delimiter, lineno)
         return _merged([builder.finish()])
-    finally:
-        if owned:
-            fh.close()
 
 
 def pair_columns(cols: DyadicColumns, on_duplicate: str = "mean") -> PairedColumns:
@@ -253,172 +241,18 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_network_records(nets: Iterable, dest, fmt: str = "csv") -> None:
-    """Write networks as consistent double-reported dyadic rows.
+    """Write networks as consistent double-reported dyadic rows to ``dest``,
+    an open file, or a path, which is written atomically.
 
     Each edge (a, b) becomes a's report and b's mirror report of the same
     two flows, so reading the file back and symmetrizing rebuilds every
     network bit for bit.  A zero flow weight is written as an empty cell.
     """
     delimiter = _delimiter(fmt)
-    fh, owned = _as_writable(dest)
-    try:
+    with contextlib.nullcontext(dest) if hasattr(dest, "write") else _atomic_file(dest) as fh:
         _write_table(fh, HEADER, [], fmt)
         for net in nets:
             _write_network_rows(fh, net, _edge_text(net), delimiter)
-    finally:
-        if owned:
-            fh.close()
-
-
-def _edge_text(net) -> list[str]:
-    """The repr of each edge weight of ``net``: every ``w_exp``, then every
-    ``w_imp``, in edge order.
-
-    The dyadic rows and the snapshot of a network both take their weight
-    cells from this list, so writing both formats formats each weight once.
-    """
-    return _float_cells(np.concatenate([net.w_exp, net.w_imp]))
-
-
-def _write_network_rows(fh, net, weights: list[str], delimiter: str = ",") -> None:
-    """Write the dyadic rows of ``net`` to ``fh``, with its ``_edge_text``
-    as ``weights``; a zero flow is an empty cell."""
-    fields = _csv_fields(net.nodes, delimiter)
-    node = np.array([fields[code] for code in net.nodes], dtype=object)
-    a, b = node[net.a].tolist(), node[net.b].tolist()
-    exp, imp = weights[:len(a)], weights[len(a):]
-    for cells, w in ((exp, net.w_exp), (imp, net.w_imp)):
-        for i in np.flatnonzero(w == 0.0).tolist():
-            cells[i] = ""
-    year = [str(net.year)] * (2 * len(a))
-    _write_rows(fh, [year, _interleave(a, b), _interleave(b, a),
-                     _interleave(exp, imp), _interleave(imp, exp)], delimiter.join)
-
-
-# ---------------------------------------------------------------------------
-# Column-join text writer: each column is formatted once into cell strings,
-# then rows are joined from them and written in blocks of _BLOCK_ROWS.
-
-
-class _Coded(NamedTuple):
-    """A table column whose row ``i`` holds ``values[index[i]]``, so that each
-    of ``values`` is formatted once however many rows repeat it.  ``values``
-    is a column as _write_table takes it."""
-
-    values: object
-    index: np.ndarray
-
-
-def _write_table(fh, header, columns, fmt: str = "csv") -> None:
-    r"""Write a table given as columns to ``fh`` as "csv", "tsv" or "json",
-    byte for byte as csv.writer (``lineterminator="\r\n"``) writes the
-    header and the rows, each line end then cut to "\n", or as
-    ``json.dumps([dict(zip(header, row)) for row in rows], indent=2,
-    sort_keys=True) + "\n"`` for distinct ``header`` names.
-
-    A column is a numpy array, a _Coded column or a sequence of cells: None,
-    numbers and strs; rows stop at the shortest column.  In CSV a float array
-    cell is the repr of its value, an int array cell its str, None empty and
-    anything else its str(), of which only a str's is ever quoted.  A JSON
-    cell is json.dumps of its value, filled into one row template.
-    """
-    if fmt == "json":
-        keyed = sorted(zip(header, columns), key=lambda item: item[0])
-        template = "  {" + ",".join(f"\n    {json.dumps(key).replace('%', '%%')}: %s"
-                                    for key, _ in keyed) + "\n  }"
-        _write_rows(fh, [_cells(column, fmt, len(keyed)) for _, column in keyed],
-                    template.__mod__, ",\n", ("[\n", "\n]\n"), "[]\n")
-        return
-    delimiter = _delimiter(fmt)
-    columns = list(columns)
-    fh.write(delimiter.join(_cells(header, fmt, len(header))) + "\n")
-    _write_rows(fh, [_cells(column, fmt, len(columns)) for column in columns], delimiter.join)
-
-
-def _write_rows(fh, cells: list[list[str]], row, sep: str = "\n",
-                ends: tuple[str, str] = ("", "\n"), empty: str = "") -> None:
-    """Write the rows of ``cells``, columns of cell strings that stop at the
-    shortest, _BLOCK_ROWS rows per write: ``row`` of each row's cells, joined
-    by ``sep`` between the two ``ends``, or ``empty`` for no row."""
-    n_rows = min(map(len, cells), default=0)
-    if not n_rows:
-        fh.write(empty)
-        return
-    lead = ends[0]
-    for lo in range(0, n_rows, _BLOCK_ROWS):
-        rows = zip(*(column[lo:lo + _BLOCK_ROWS] for column in cells))
-        fh.write(lead + sep.join(map(row, rows)))
-        lead = sep
-    fh.write(ends[1])
-
-
-def _cells(column, fmt: str, width: int) -> list[str]:
-    """One column of a ``width``-column table of format ``fmt`` as its cell
-    texts (see _write_table)."""
-    if isinstance(column, _Coded):
-        cells = np.array(_cells(column.values, fmt, width), dtype=object)
-        return cells[column.index].tolist()
-    if fmt == "json":
-        return list(map(json.dumps, column.tolist() if isinstance(column, np.ndarray) else column))
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return _float_cells(column)
-        # The str of an int, like the repr of a float, holds no delimiter,
-        # quote or line break, so it needs no quoting.
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-        column = column.tolist()
-    text = ["" if value is None else str(value) for value in column]
-    if width > 1 and not any(isinstance(value, str) for value in column):
-        return text  # only a str can need quoting
-    fields = _csv_fields(text, _delimiter(fmt), width)
-    return list(map(fields.__getitem__, text))
-
-
-def _float_cells(values: np.ndarray) -> list[str]:
-    """The repr of each float of an array.  A column that repeats values
-    is a _Coded column, which formats each of its values once."""
-    return list(map(repr, values.tolist()))
-
-
-class _Rows(list):
-    """A list that text is written to, one entry per write: _write_rows
-    writes one per block."""
-
-    write = list.append
-
-
-def _csv_fields(strings, delimiter: str, width: int = 2) -> dict[str, str]:
-    r"""Each distinct string as one CSV field of a row of ``width`` fields.
-
-    A field is quoted when it holds the delimiter, a quote, "\r" or "\n",
-    or when it is empty and the only field of its row; a quote in it is
-    doubled.  This is how csv.writer writes a field on every Python version
-    when its line end holds "\r" and "\n".  With ``lineterminator="\n"``,
-    Python 3.10-3.12 would leave a lone "\r" unquoted, and csv.reader would
-    read that row back as two.
-    """
-    special = {delimiter, '"', "\r", "\n"}
-    fields = {}
-    for s in dict.fromkeys(strings):
-        quoted = not special.isdisjoint(s) or (not s and width == 1)
-        fields[s] = '"' + s.replace('"', '""') + '"' if quoted else s
-    return fields
-
-
-def _interleave(first: list, second: list) -> list:
-    """first[0], second[0], first[1], second[1], ..."""
-    out = first + second
-    out[::2] = first
-    out[1::2] = second
-    return out
-
-
-def _delimiter(fmt: str) -> str:
-    delimiter = _DELIMITERS.get(fmt)
-    if delimiter is None:
-        raise DomainError(f"unknown input format {fmt!r}; expected one of {sorted(_DELIMITERS)}")
-    return delimiter
 
 
 def _check_duplicate_policy(on_duplicate: str) -> None:
@@ -474,23 +308,6 @@ def _decoded(block, line: int):
                 yield block[:good].decode("utf-8")
             raise _not_utf8(exc, line) from None
     yield block
-
-
-def _read_utf8(path) -> str:
-    """The text of the file at ``path``, which must be UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc) from None
-
-
-def _not_utf8(exc: UnicodeDecodeError, line: int = 1) -> ParseError:
-    r"""The error for input that is not UTF-8: the line of the first bad byte,
-    counted by "\n" from ``line`` at the start of what was decoded."""
-    return ParseError(f"input is not UTF-8 text ({exc.reason})",
-                      line=line + exc.object.count(b"\n", 0, exc.start))
 
 
 def _plain_lines(block: str, delimiter: str, limit: int) -> list[str] | None:
@@ -751,9 +568,7 @@ def _parse_flow(cell: str, name: str, lineno: int) -> str:
 # other one, all by the plain-block loop above; the parts are merged in file
 # order.  A range that is not plain throughout, or holds a bad row, gives up,
 # and the whole file is read again serially, so the csv.reader fallback and
-# every error and line number stay the serial reader's.  The children are
-# forked by _forked, which cli's synth uses too; this process reads the range
-# of a child that fails.
+# every error and line number stay the serial reader's.
 
 
 def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
@@ -788,13 +603,6 @@ def _read_ranges(path, delimiter: str) -> DyadicColumns | None:
     return _merged(parts)
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on, or none where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
 def _range_bounds(fd: int, size: int, n_ranges: int) -> list[int]:
     """0, a line start near each k * size / n_ranges for k = 1 .. n_ranges - 1,
     and ``size``, increasing, so a long line can leave fewer ranges."""
@@ -809,117 +617,6 @@ def _range_bounds(fd: int, size: int, n_ranges: int) -> list[int]:
                 break
             pos += len(chunk)
     return bounds + [size]
-
-
-@contextlib.contextmanager
-def _forked(work, shares: list[list], cpus: list[int]):
-    """Yield one iterator over work(item) for every item of every share of
-    ``shares``, in order.
-
-    This process computes share 0, as the iterator reaches it.  Share k
-    runs in a child forked onto cpus[k] (see _fork), which computes its
-    whole share, then pickles each result through a pipe.  Once its
-    children are forked, this process moves onto cpus[0].  A result that
-    does not arrive whole is computed here: that of a share left without a
-    CPU or a child (a refused fork forks no further share), or one that its
-    child did not send.  When the block ends, every child is killed, unless
-    it has exited, and reaped.
-    """
-    children = []  # (pid, read end of its pipe) of shares 1, 2, ...
-    try:
-        for cpu, share in zip(cpus[1:], shares[1:]):
-            try:
-                children.append(_fork_share(work, share, cpu, cpus))
-            except OSError:
-                break
-        if children:
-            _place(cpus[0], cpus)
-        yield _results(work, shares, [None] + [pipe for _, pipe in children])
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            _reap(pid)
-
-
-def _fork_share(work, share: list, cpu: int, cpus: list[int]):
-    """Fork a child that runs ``work`` on each item of ``share`` and pickles
-    the results into a pipe (see _forked).  Returns (pid, the read end of
-    its pipe as a file)."""
-    r, w = os.pipe()
-
-    def run():
-        os.close(r)
-        results = [work(item) for item in share]
-        with open(w, "wb") as pipe:
-            for result in results:
-                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-
-    try:
-        pid = _fork(run, cpu, cpus)
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _fork(run, cpu: int, cpus: list[int]) -> int:
-    """Fork a child that moves onto ``cpu`` (see _place), calls ``run()``
-    and leaves through os._exit only, with status 0 once ``run`` returns
-    and 1 if it raises.  Returns the child's pid; raises OSError where the
-    fork is refused."""
-    with warnings.catch_warnings():
-        # Python 3.12+ warns that forking a process with threads (numpy's
-        # BLAS threads) may deadlock the child.  The child calls no BLAS
-        # and leaves through os._exit, running no exit handler.
-        warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            _place(cpu, cpus)
-            run()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
-
-
-def _reap(pid: int) -> None:
-    """Kill the child ``pid``, unless it has exited, and reap it."""
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-
-
-_MISSING = object()  # a result that did not arrive
-
-
-def _results(work, shares: list[list], pipes: list):
-    """work(item) for every item of every share, in order: the results of
-    share k loaded from pipes[k] as far as they arrive whole, and the rest,
-    or all where pipes[k] is None or missing, computed here."""
-    for share, pipe in itertools.zip_longest(shares, pipes):
-        received = _received(pipe) if pipe else iter(())
-        for item in share:
-            result = next(received, _MISSING)
-            yield work(item) if result is _MISSING else result
-
-
-def _received(pipe):
-    """The objects pickled into ``pipe``, up to its end or the first that
-    is cut short."""
-    with contextlib.suppress(EOFError, pickle.UnpicklingError):
-        while True:
-            yield pickle.load(pipe)
-
-
-def _place(cpu: int, cpus: list[int]) -> None:
-    """Move this process onto ``cpu``, then let it run on all of ``cpus``
-    again.  The kernel starts a forked child on its parent's CPU and may
-    leave it there, so the two would take turns on one CPU."""
-    os.sched_setaffinity(0, {cpu})
-    os.sched_setaffinity(0, cpus)
 
 
 def _read_range(fd: int, delimiter: str, span: tuple[int, int]) -> DyadicColumns | None:
@@ -985,17 +682,3 @@ def _merged(parts: list[DyadicColumns]) -> DyadicColumns:
             piece[k] = None
         joined.append(out)
     return DyadicColumns(tuple(years), tuple(codes), *joined)
-
-
-def _as_readable(source):
-    """Return (file object, whether we own closing it); a path is opened
-    for reading bytes."""
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "rb"), True
-
-
-def _as_writable(dest):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", encoding="utf-8", newline=""), True

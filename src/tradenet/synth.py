@@ -138,6 +138,8 @@ def multiplier_for(initial: float, final: float, steps: int) -> float:
 def _validate(params: GravityParams) -> None:
     if params.n_countries < 2:
         raise DomainError("need at least 2 countries")
+    if not 0 <= params.seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {params.seed}")
     if params.n_countries * (params.n_countries - 1) // 2 > np.iinfo(np.intp).max:
         raise DomainError(f"{params.n_countries:.3g} countries have too many pairs to index")
     if params.link_density_target == 0:

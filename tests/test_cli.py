@@ -274,6 +274,17 @@ class TestArgumentErrors:
             assert err.startswith(f"error: {argv[1]} "), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_synth_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        """A seed is not reduced mod 2**64: one outside [0, 2**64) is an
+        error, not another seed's panel."""
+        out = tmp_path / "out"
+        rc = main(["synth", "--countries", "4", "--seed", seed, "--dyadic", str(out / "d.csv"),
+                   "--snapshot-dir", str(out / "snaps")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
 
 GOLDEN_PANEL = Path(__file__).parent / "golden" / "synth" / "out" / "panel.csv"
 GOLDEN_SNAPSHOTS = Path(__file__).parent / "golden" / "synth_snapshots" / "out"

@@ -1,4 +1,4 @@
-"""The fork helper's contract: ``ingest._forked(work, shares, cpus)`` gives
+"""The fork helper's contract: ``_procs._forked(work, shares, cpus)`` gives
 work(item) for every item of every share, in order, whether its children
 send their results, fail part way or are never forked; this process
 computes whatever a child did not send, and no child is left behind.
@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 
 from conftest import usable_cpus
-from tradenet import ingest
+from tradenet import _procs
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -62,7 +62,7 @@ def test_every_result_arrives_in_order(n_cpus, failure):
     with mock.patch.object(os, "fork", side_effect=failing_fork if failure.startswith("os.fork")
                            else fork) as forks, \
             mock.patch("pickle.dump", failing_dump if failure.startswith("pickle") else dump):
-        with ingest._forked(counted, SHARES, usable_cpus(n_cpus)) as results:
+        with _procs._forked(counted, SHARES, usable_cpus(n_cpus)) as results:
             assert here == []  # share 0 is computed as the iterator reaches it
             got = list(results)
     assert got == want

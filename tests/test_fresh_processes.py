@@ -165,8 +165,8 @@ def test_summary_of_shuffled_rows_on_two_cpus_gives_the_one_cpu_files(tmp_path, 
 UNCLOSED = """\
 import os, sys
 from pathlib import Path
-from tradenet import cli
-out = cli._Writer(Path(sys.argv[1]), [int(cpu) for cpu in sys.argv[2:]])
+from tradenet import _procs
+out = _procs._Writer(Path(sys.argv[1]), [int(cpu) for cpu in sys.argv[2:]])
 out.json("a.json", 1)
 print(out._pid, flush=True)
 os._exit(0)

@@ -37,7 +37,7 @@ from unittest import mock
 
 import pytest
 
-from tradenet import ingest
+from tradenet import _text
 from tradenet.cli import main
 from tradenet.graph import load_snapshot
 
@@ -171,7 +171,7 @@ def test_synth_both_outputs_match_the_single_output_goldens(tmp_path):
 def test_synth_formats_each_network_once(tmp_path):
     """With both outputs, every network's weights go through one
     _float_cells call: its w_exp and its w_imp, each value once."""
-    with mock.patch.object(ingest, "_float_cells", wraps=ingest._float_cells) as spy:
+    with mock.patch.object(_text, "_float_cells", wraps=_text._float_cells) as spy:
         rc = main(SYNTH_ARGS + ["--dyadic", str(tmp_path / "panel.csv"),
                                 "--snapshot-dir", str(tmp_path / "snaps")])
     assert rc == 0

@@ -1,7 +1,11 @@
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,32 @@ class TestSnapshot:
         save_snapshot(net, path)
         assert path.read_bytes() == snapshot_dumps(net).encode("utf-8")
         assert load_snapshot(path) == net
+
+    @pytest.mark.parametrize("call", ["save_snapshot(net, path)",
+                                      "write_network_records([net], path)"])
+    def test_a_write_past_the_file_size_limit_leaves_no_file(self, tmp_path, call):
+        """A library writer given a path writes it atomically: a 200-country
+        network's file outgrows a 100,000-byte RLIMIT_FSIZE, the write
+        raises EFBIG, and neither the file nor a temporary one is left.  The
+        child ignores SIGXFSZ, so the write fails instead of killing it, and
+        sets the limit after its imports."""
+        script = ("import errno, resource, signal, sys\n"
+                  "from tradenet import (GravityParams, generate_network, save_snapshot,\n"
+                  "                      write_network_records)\n"
+                  "net = generate_network(GravityParams(n_countries=200, seed=1), 2000)\n"
+                  "path = sys.argv[1]\n"
+                  "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))\n"
+                  "try:\n"
+                  f"    {call}\n"
+                  "except OSError as exc:\n"
+                  "    sys.exit(0 if exc.errno == errno.EFBIG else 3)\n"
+                  "sys.exit(4)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        child = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.txt")],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_round_trip_bit_exact(self, rng):
         for _ in range(20):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from conftest import one_cpu_mask, usable_cpus
 from reader_oracle import oracle_read_columns
-from tradenet import ingest
+from tradenet import _procs, ingest
 from tradenet.errors import ParseError, ValidationError
 from tradenet.ingest import HEADER, read_columns
 
@@ -355,7 +355,7 @@ def test_a_failed_fork_or_child_leaves_its_range_to_the_reader(failing):
 def test_children_are_killed_and_reaped_when_the_reader_stops(tmp_path):
     path = tmp_path / "trade.csv"
     path.write_bytes(SPLIT_CASES["plain"])
-    parent, place = os.getpid(), ingest._place
+    parent, place = os.getpid(), _procs._place
 
     def interrupted(cpu, cpus):
         if os.getpid() == parent:  # the reader, after forking its children
@@ -364,7 +364,7 @@ def test_children_are_killed_and_reaped_when_the_reader_stops(tmp_path):
 
     with mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 1), \
             mock.patch.object(ingest, "_usable_cpus", lambda: usable_cpus(3)), \
-            mock.patch.object(ingest, "_place", interrupted), \
+            mock.patch.object(_procs, "_place", interrupted), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork, \
             pytest.raises(KeyboardInterrupt):
         read_columns(path)

@@ -69,6 +69,15 @@ class TestGenerateNetwork:
         with pytest.raises(DomainError):
             generate_network(GravityParams(n_countries=5, gdp_logsd=-1.0), 2000)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        params = GravityParams(n_countries=5, seed=seed)
+        with pytest.raises(DomainError, match="seed must lie in"):
+            generate_network(params, 2000)
+        with pytest.raises(DomainError, match="seed must lie in"):
+            generate_panel(params, [2000, 2001])
+        assert generate_network(GravityParams(n_countries=5, seed=2**64 - 1), 2000).n_links
+
     def test_link_count_matches_density_target(self):
         for n, density in ((20, 0.3), (40, 0.7), (15, 1.0)):
             net = generate_network(GravityParams(n_countries=n,

@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 
 from conftest import one_cpu_mask, usable_cpus
-from tradenet import cli, ingest
+from tradenet import _procs, cli
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -36,7 +36,7 @@ def run(out: Path, outputs: str, capsys, n_cpus: int | None, min_links: int = 1)
     no child of this process may be left."""
     argv = SYNTH + [arg.format(out=out) for arg in OUTPUTS[outputs]]
     with mock.patch.object(cli, "_usable_cpus", lambda: usable_cpus(n_cpus)) if n_cpus \
-            else contextlib.nullcontext(), mock.patch.object(cli, "_SPLIT_MIN_LINKS", min_links):
+            else contextlib.nullcontext(), mock.patch.object(_procs, "_SPLIT_MIN_LINKS", min_links):
         rc = cli.main(argv)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -62,13 +62,13 @@ def test_shares_are_contiguous_and_balanced_by_links():
             self.n_links = n_links
 
     nets = [Net(n) for n in (1, 1, 1, 1, 4, 8)]
-    with mock.patch.object(cli, "_SPLIT_MIN_LINKS", 1):
-        assert cli._shares(nets, 2) == [nets[:5], nets[5:]]
-        assert cli._shares(nets, 3) == [nets[:4], nets[4:5], nets[5:]]
-        assert cli._shares(nets, 1) == [nets]
-        assert cli._shares(nets[:1], 3) == [nets[:1]]
-    with mock.patch.object(cli, "_SPLIT_MIN_LINKS", 17):
-        assert cli._shares(nets, 2) == [nets]
+    with mock.patch.object(_procs, "_SPLIT_MIN_LINKS", 1):
+        assert _procs._shares(nets, 2) == [nets[:5], nets[5:]]
+        assert _procs._shares(nets, 3) == [nets[:4], nets[4:5], nets[5:]]
+        assert _procs._shares(nets, 1) == [nets]
+        assert _procs._shares(nets[:1], 3) == [nets[:1]]
+    with mock.patch.object(_procs, "_SPLIT_MIN_LINKS", 17):
+        assert _procs._shares(nets, 2) == [nets]
 
 
 @pytest.mark.parametrize("mask, min_links", [("one CPU", 1), ("all CPUs", 1 << 40)])
@@ -103,7 +103,7 @@ def test_a_failed_child_leaves_its_years_to_the_parent(tmp_path, capsys, fails_a
 
 @pytest.mark.parametrize("where", ["after forking", "while writing"])
 def test_children_are_killed_and_reaped_when_the_command_stops(tmp_path, where):
-    parent, place, texts = os.getpid(), ingest._place, cli._synth_texts
+    parent, place, texts = os.getpid(), _procs._place, cli._synth_texts
 
     def interrupted(function):
         def call(*args):
@@ -112,11 +112,11 @@ def test_children_are_killed_and_reaped_when_the_command_stops(tmp_path, where):
             return function(*args)
         return call
 
-    target = (ingest, "_place", interrupted(place)) if where == "after forking" else (
+    target = (_procs, "_place", interrupted(place)) if where == "after forking" else (
         cli, "_synth_texts", interrupted(texts))
     argv = SYNTH + [arg.format(out=tmp_path) for arg in OUTPUTS["both"]]
     with mock.patch.object(cli, "_usable_cpus", lambda: usable_cpus(3)), \
-            mock.patch.object(cli, "_SPLIT_MIN_LINKS", 1), \
+            mock.patch.object(_procs, "_SPLIT_MIN_LINKS", 1), \
             mock.patch.object(*target), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork, \
             pytest.raises(KeyboardInterrupt):

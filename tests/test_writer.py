@@ -11,6 +11,7 @@ child may be left behind.
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 from pathlib import Path
@@ -19,7 +20,7 @@ from unittest import mock
 import pytest
 
 from conftest import usable_cpus
-from tradenet import cli
+from tradenet import _procs, cli
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -90,7 +91,7 @@ def test_a_writer_that_dies_leaves_its_jobs_to_the_command(tmp_path, capsys, job
     """A writer that leaves through os._exit after writing ``jobs`` files
     leaves every later file to the command, which writes them in order."""
     want, _ = run(tmp_path / "one", COMMANDS["panel"], capsys, 1)
-    parent, write_job, here, done = os.getpid(), cli._write_job, [], []
+    parent, write_job, here, done = os.getpid(), _procs._write_job, [], []
 
     def dying(*job):
         if os.getpid() == parent:
@@ -100,7 +101,7 @@ def test_a_writer_that_dies_leaves_its_jobs_to_the_command(tmp_path, capsys, job
         write_job(*job)
         done.append(job[0].name)
 
-    with mock.patch.object(cli, "_write_job", dying):
+    with mock.patch.object(_procs, "_write_job", dying):
         got, forks = run(tmp_path / "two", COMMANDS["panel"], capsys, 2)
     assert forks == 1
     assert got == want
@@ -110,11 +111,22 @@ def test_a_writer_that_dies_leaves_its_jobs_to_the_command(tmp_path, capsys, job
 
 def test_a_refused_fork_writes_every_file_here(tmp_path, capsys):
     want, _ = run(tmp_path / "one", COMMANDS["panel"], capsys, 1)
-    with mock.patch.object(cli, "_write_job", wraps=cli._write_job) as write_job, \
+    with mock.patch.object(_procs, "_write_job", wraps=_procs._write_job) as write_job, \
             mock.patch.object(os, "fork", side_effect=OSError("no room")):
         got, _ = run(tmp_path / "two", COMMANDS["panel"], capsys, 2)
     assert got == want
     assert write_job.call_count == PANEL_FILES
+
+
+def test_a_command_that_cannot_be_placed_writes_every_file_here(tmp_path, capsys):
+    """Where sched_setaffinity fails in the command, the writer is not
+    forked and every file is written here, with no error."""
+    want, _ = run(tmp_path / "one", COMMANDS["panel"], capsys, 1)
+    with mock.patch.object(os, "sched_setaffinity",
+                           side_effect=OSError(errno.EINVAL, "Invalid argument")):
+        got, forks = run(tmp_path / "two", COMMANDS["panel"], capsys, 2)
+    assert forks == 0
+    assert got == want
 
 
 def test_a_year_step_that_raises_gives_the_one_cpu_error(tmp_path, capsys):

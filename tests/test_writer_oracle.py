@@ -21,9 +21,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tradenet import graph, ingest
+from tradenet import _text, ingest
 from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
-from tradenet.ingest import _Coded, write_network_records
+from tradenet._text import _Coded
+from tradenet.ingest import write_network_records
 from writer_oracle import (json_table_text, network_records_text, network_rows, read_back,
                            snapshot_text, table_rows, table_text)
 
@@ -84,9 +85,9 @@ def tables(draw):
 def test_tables_match_csv_writer(table, fmt, block):
     header, cols = table
     want = table_text(header, cols, FORMATS[fmt])
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+    with mock.patch.object(_text, "_BLOCK_ROWS", block):
         got = io.StringIO()
-        ingest._write_table(got, header, iter(cols), fmt)
+        _text._write_table(got, header, iter(cols), fmt)
     assert got.getvalue() == want
     assert read_back(got.getvalue(), FORMATS[fmt]) == table_rows(header, cols)
 
@@ -122,16 +123,16 @@ def test_tables_match_json_dumps(data, block):
     n_rows = data.draw(st.integers(0, 8))
     header = data.draw(st.lists(json_keys, max_size=4, unique=True))
     columns = [data.draw(json_columns(n_rows)) for _ in header]
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+    with mock.patch.object(_text, "_BLOCK_ROWS", block):
         got = io.StringIO()
-        ingest._write_table(got, header, (column for column, _ in columns), "json")
+        _text._write_table(got, header, (column for column, _ in columns), "json")
     assert got.getvalue() == json_table_text(header, zip(*(cells for _, cells in columns)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(networks(), max_size=3), st.sampled_from(sorted(FORMATS)), block_rows)
 def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
+    with mock.patch.object(_text, "_BLOCK_ROWS", block):
         direct = io.StringIO()
         write_network_records(iter(nets), direct, fmt)
         snapshots = list(map(snapshot_dumps, nets))
@@ -145,13 +146,13 @@ def test_network_writers_match_csv_writer_and_json(nets, fmt, block):
 def test_shared_edge_text_matches_both_oracles(net, fmt, block):
     """One _edge_text list gives a network's dyadic rows (a zero flow is an
     empty cell) and then its snapshot (a zero flow is its repr)."""
-    weights = ingest._edge_text(net)
+    weights = _text._edge_text(net)
     rows = io.StringIO(FORMATS[fmt].join(ingest.HEADER) + "\n")
     rows.seek(0, io.SEEK_END)
     snapshot = io.StringIO()
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block):
-        ingest._write_network_rows(rows, net, weights, FORMATS[fmt])
-        graph._write_snapshot(snapshot, net, weights)
+    with mock.patch.object(_text, "_BLOCK_ROWS", block):
+        _text._write_network_rows(rows, net, weights, FORMATS[fmt])
+        _text._write_snapshot(snapshot, net, weights)
     assert rows.getvalue() == network_records_text([net], FORMATS[fmt])
     assert snapshot.getvalue() == snapshot_text(net)
 
@@ -170,17 +171,17 @@ def test_explicit_cases():
     assert snapshot_dumps(one) == snapshot_text(one)
     table = (["only"], [[None, "", np.float64(0.1), np.int64(3), -0.0, 1e22]])
     got = io.StringIO()
-    ingest._write_table(got, *table, "csv")
+    _text._write_table(got, *table, "csv")
     assert got.getvalue() == table_text(*table) == 'only\n""\n""\n0.1\n3\n-0.0\n1e+22\n'
     for fmt, delimiter in FORMATS.items():  # a lone "\r" is quoted on every Python version
         got = io.StringIO()
-        ingest._write_table(got, ["code", "k"], [["A\rB", "C"], [1, 2]], fmt)
+        _text._write_table(got, ["code", "k"], [["A\rB", "C"], [1, 2]], fmt)
         assert got.getvalue() == f'code{delimiter}k\n"A\rB"{delimiter}1\nC{delimiter}2\n'
     got = io.StringIO()
-    ingest._write_table(got, ["s", "Y"], [[0, 2.5], [None, -0.0]], "json")
+    _text._write_table(got, ["s", "Y"], [[0, 2.5], [None, -0.0]], "json")
     assert got.getvalue() == json_table_text(["s", "Y"], [[0, None], [2.5, -0.0]]) == (
         '[\n  {\n    "Y": null,\n    "s": 0\n  },\n  {\n    "Y": -0.0,\n    "s": 2.5\n  }\n]\n')
     for columns in ([], [[]], [np.empty(0), [1.0]]):
         got = io.StringIO()
-        ingest._write_table(got, ["a", "b"], columns, "json")
+        _text._write_table(got, ["a", "b"], columns, "json")
         assert got.getvalue() == "[]\n"
