@@ -42,12 +42,15 @@ def _place(cpu: int, cpus: list[int]) -> None:
 
 
 def _fork(run, cpu: int, cpus: list[int], child_ends=(), parent_ends=()) -> int:
-    """Fork a child that moves onto ``cpu`` (see _place), calls ``run()``
-    and leaves through os._exit only, with status 0 once ``run`` returns
-    and 1 if it raises.  The descriptors ``child_ends`` are closed here and
-    ``parent_ends`` in the child; both are closed where the fork is refused,
-    which raises OSError.  Returns the child's pid."""
+    """Fork a child that calls ``run()`` and leaves through os._exit only,
+    with status 0 once ``run`` returns and 1 if it raises.  This process
+    first moves onto cpus[0], where the child starts, and the child then
+    onto ``cpu`` (see _place).  The descriptors ``child_ends`` are closed
+    here and ``parent_ends`` in the child.  Where this process cannot be
+    placed or the fork is refused, both are closed and OSError is raised,
+    and the caller does the work here.  Returns the child's pid."""
     try:
+        _place(cpus[0], cpus)
         with warnings.catch_warnings():
             # Python 3.12+ warns that forking a process with threads (numpy's
             # BLAS threads) may deadlock the child.  The child calls no BLAS
@@ -94,8 +97,7 @@ def _forked(work, shares: list[list], cpus: list[int]):
 
     This process computes share 0, as the iterator reaches it.  Share k
     runs in a child forked onto cpus[k] (see _fork), which computes its
-    whole share, then pickles each result through a pipe.  Once its
-    children are forked, this process moves onto cpus[0].  A result that
+    whole share, then pickles each result through a pipe.  A result that
     does not arrive whole is computed here: that of a share left without a
     CPU or a child (a refused fork forks no further share), or one that its
     child did not send.  When the block ends, every child is killed, unless
@@ -108,8 +110,6 @@ def _forked(work, shares: list[list], cpus: list[int]):
                 children.append(_fork_share(work, share, cpu, cpus))
             except OSError:
                 break
-        if children:
-            _place(cpus[0], cpus)
         yield _results(work, shares, [None] + [pipe for _, pipe in children])
     finally:
         for pid, pipe in children:
@@ -162,8 +162,8 @@ def _shares(nets: list, n_cpus: int) -> list[list]:
 
 class _Writer:
     """Writes the files of a run into ``outdir``, in the order they come:
-    here, or, where ``cpus`` holds more than one CPU and this process can
-    be placed and forked, in a child on cpus[1] while it runs on cpus[0].
+    here, or, where ``cpus`` holds more than one CPU and the fork succeeds
+    (see _fork), in a child on cpus[1].
 
     Each file goes to the child as a job, the _write_job arguments, through
     one pipe, and the child confirms each file it has written through
@@ -180,10 +180,6 @@ class _Writer:
         self._pending = collections.deque()  # jobs sent and not yet confirmed
         if len(cpus) < 2:
             return
-        try:
-            _place(cpus[0], cpus)  # the child starts here, then moves onto cpus[1]
-        except OSError:
-            return  # every job is written here
         jobs, self._jobs = os.pipe()
         self._acks, acks = os.pipe()
         try:

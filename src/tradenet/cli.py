@@ -397,7 +397,8 @@ def _fit_year(out: _Writer, net, config: RunConfig) -> None:
 
 def _read_weight_list(path: str) -> list[float]:
     weights = []
-    for lineno, line in enumerate(io.StringIO(_read_utf8(path), newline=None), start=1):
+    text = _read_utf8(path).removeprefix("\ufeff")  # one byte-order mark, as in a dyadic file
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line:
             continue

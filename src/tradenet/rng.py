@@ -14,8 +14,8 @@ takes numpy's ``log``, ``cos`` and ``sin``, and numpy 2.4.6 computes these
 where the CPU has them; those differ from libm in the last bit on some
 inputs.  So the same seed gives different draws, and different synth
 files, on CPUs with and without AVX-512.  Routing these calls through
-libm (``math``) is the ROADMAP.md open item "Make the transcendentals
-CPU-independent".
+libm (``math``) is an open item of ROADMAP.md, the one on CPU-independent
+transcendentals.
 """
 
 from __future__ import annotations

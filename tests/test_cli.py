@@ -570,11 +570,17 @@ class TestAnalysisCommands:
         assert (out / "1990_collapse.csv").exists()
 
     def test_fit_weight_list(self, tmp_path):
-        wfile = tmp_path / "w.txt"
-        wfile.write_text("".join(f"{1.5 ** i}\n" for i in range(40)))
-        out = tmp_path / "out"
-        assert main(["fit", "--weights", str(wfile), "--outdir", str(out)]) == 0
-        assert (out / "weights_fits.json").exists()
+        """A list led by one UTF-8 byte-order mark, as the dyadic reader
+        accepts, gives the files of the same list without it."""
+        text = "".join(f"{1.5 ** i}\n" for i in range(40))
+        files = []
+        for name, data in [("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())]:
+            wfile, out = tmp_path / f"{name}.txt", tmp_path / name
+            wfile.write_bytes(data)
+            assert main(["fit", "--weights", str(wfile), "--outdir", str(out)]) == 0
+            assert (out / "weights_fits.json").exists()
+            files.append({p.name: p.read_bytes() for p in sorted(out.glob("weights_*"))})
+        assert files[0] and files[1] == files[0]
 
     def test_fit_requires_some_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

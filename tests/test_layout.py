@@ -6,7 +6,8 @@ the only modules whose private names other modules import.  ``_text``
 depends on nothing of the package but its errors, and ``_procs`` on
 nothing but ``_text``.  Neither defines a public function or class: the
 benchmark's tracer (perfbench/tracing.py) wraps every public function of
-the package, and a forked child must call none.  And no module imports a
+the package, and a forked child must call none.  Every process is forked,
+and placed on its CPU, by ``_procs._fork`` alone.  And no module imports a
 name it does not use, as a move between modules easily leaves behind.
 """
 
@@ -46,6 +47,30 @@ def package_imports(tree: ast.Module):
             for alias in node.names:
                 if alias.name.startswith("tradenet."):
                     yield alias.name.split(".")[1], None
+
+
+def uses(node: ast.AST, names: set[str], scope: str = ""):
+    """(scope, name) for each use of one of ``names`` under ``node``, as a
+    name or an attribute; the scope is the dotted path of the classes and
+    functions that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from uses(child, names, f"{scope}.{child.name}".lstrip("."))
+            continue
+        name = getattr(child, "attr", None) or getattr(child, "id", None)
+        if name in names:
+            yield scope, name
+        yield from uses(child, names, scope)
+
+
+def test_only_fork_starts_and_places_a_process():
+    """os.fork and os.sched_setaffinity are called in _procs only, by _fork
+    and _place, and _place only by _fork: one start path, on which a
+    process that cannot be placed counts as a refused fork."""
+    found = {(module, scope, name) for module, tree in MODULES.items()
+             for scope, name in uses(tree, {"fork", "sched_setaffinity", "_place"})}
+    assert found == {("_procs", "_fork", "_place"), ("_procs", "_fork", "fork"),
+                     ("_procs", "_place", "sched_setaffinity")}
 
 
 def test_the_modules_are_found():

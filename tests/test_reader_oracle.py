@@ -355,16 +355,10 @@ def test_a_failed_fork_or_child_leaves_its_range_to_the_reader(failing):
 def test_children_are_killed_and_reaped_when_the_reader_stops(tmp_path):
     path = tmp_path / "trade.csv"
     path.write_bytes(SPLIT_CASES["plain"])
-    parent, place = os.getpid(), _procs._place
-
-    def interrupted(cpu, cpus):
-        if os.getpid() == parent:  # the reader, after forking its children
-            raise KeyboardInterrupt
-        place(cpu, cpus)
-
+    # _results is called by the reader once its children are forked.
     with mock.patch.object(ingest, "_SPLIT_MIN_BYTES", 1), \
             mock.patch.object(ingest, "_usable_cpus", lambda: usable_cpus(3)), \
-            mock.patch.object(_procs, "_place", interrupted), \
+            mock.patch.object(_procs, "_results", side_effect=KeyboardInterrupt), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork, \
             pytest.raises(KeyboardInterrupt):
         read_columns(path)

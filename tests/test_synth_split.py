@@ -103,7 +103,7 @@ def test_a_failed_child_leaves_its_years_to_the_parent(tmp_path, capsys, fails_a
 
 @pytest.mark.parametrize("where", ["after forking", "while writing"])
 def test_children_are_killed_and_reaped_when_the_command_stops(tmp_path, where):
-    parent, place, texts = os.getpid(), _procs._place, cli._synth_texts
+    parent, results, texts = os.getpid(), _procs._results, cli._synth_texts
 
     def interrupted(function):
         def call(*args):
@@ -112,7 +112,8 @@ def test_children_are_killed_and_reaped_when_the_command_stops(tmp_path, where):
             return function(*args)
         return call
 
-    target = (_procs, "_place", interrupted(place)) if where == "after forking" else (
+    # _results is called once the children are forked.
+    target = (_procs, "_results", interrupted(results)) if where == "after forking" else (
         cli, "_synth_texts", interrupted(texts))
     argv = SYNTH + [arg.format(out=tmp_path) for arg in OUTPUTS["both"]]
     with mock.patch.object(cli, "_usable_cpus", lambda: usable_cpus(3)), \

@@ -6,11 +6,13 @@ command writes what the child did not confirm, and the panel step's files,
 itself.  With the usable CPUs patched, the files, exit code and stderr must
 be those of the one-CPU run on every path: a file that cannot be written, a
 writer that dies part way, a refused fork, a year step that raises.  No
-child may be left behind.
+child may be left behind.  A command that cannot be placed on a CPU forks
+nothing: neither the writer, nor the byte-range reader, nor synth's shares.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import shutil
@@ -20,7 +22,7 @@ from unittest import mock
 import pytest
 
 from conftest import usable_cpus
-from tradenet import _procs, cli
+from tradenet import _procs, cli, ingest
 
 pytestmark = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
@@ -39,13 +41,15 @@ COMMANDS = {
 PANEL_FILES = 3 * 6 + 6  # six per year of the golden panel, then the panel step's
 
 
-def run(out: Path, argv: list[str], capsys, n_cpus: int, data: Path = GOLDEN_PANEL):
+def run(out: Path, argv: list[str], capsys, n_cpus: int, data: Path | None = GOLDEN_PANEL):
     """Exit code, stderr and every file under ``out`` of a run on ``data``,
     the golden panel unless given, on ``n_cpus`` usable CPUs, and how many
-    times it forked; afterwards no child of this process may be left."""
+    times it forked; afterwards no child of this process may be left.  For
+    ``data`` None, ``argv`` names its input and, by "{out}", its outputs."""
+    paths = ["--input", str(data), "--outdir", str(out)] if data else []
     with mock.patch.object(cli, "_usable_cpus", lambda: usable_cpus(n_cpus)), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        rc = cli.main(argv + ["--input", str(data), "--outdir", str(out)])
+        rc = cli.main([arg.format(out=out) for arg in argv] + paths)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not list(out.rglob("*.tmp"))
@@ -118,15 +122,38 @@ def test_a_refused_fork_writes_every_file_here(tmp_path, capsys):
     assert write_job.call_count == PANEL_FILES
 
 
-def test_a_command_that_cannot_be_placed_writes_every_file_here(tmp_path, capsys):
-    """Where sched_setaffinity fails in the command, the writer is not
-    forked and every file is written here, with no error."""
-    want, _ = run(tmp_path / "one", COMMANDS["panel"], capsys, 1)
-    with mock.patch.object(os, "sched_setaffinity",
-                           side_effect=OSError(errno.EINVAL, "Invalid argument")):
-        got, forks = run(tmp_path / "two", COMMANDS["panel"], capsys, 2)
-    assert forks == 0
+# Each command that forks on two CPUs: its argv, its input (None where argv
+# names it), the patches that make it fork there and how many times it then
+# forks.  The golden panel is read in byte ranges, and synth's years
+# formatted in shares, only with the size thresholds lowered.
+FORKING = {
+    "panel": (COMMANDS["panel"], GOLDEN_PANEL, [], 1),  # the writer
+    "summary": (COMMANDS["summary"], GOLDEN_PANEL,  # the writer, then a reader child
+                [(ingest, "_SPLIT_MIN_BYTES", 1), (ingest, "_usable_cpus", lambda: usable_cpus(2))],
+                2),
+    "synth": (["synth", "--countries", "8", "--years", "2000:2005", "--seed", "4",
+               "--dyadic", "{out}/d.csv", "--snapshot-dir", "{out}/snaps"], None,
+              [(_procs, "_SPLIT_MIN_LINKS", 1)], 1),  # a child formatting a share
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORKING))
+def test_a_command_that_cannot_be_placed_writes_every_file_here(tmp_path, capsys, command):
+    """Where sched_setaffinity fails in the command, nothing is forked and
+    the command does every share of its work itself, with the one-CPU
+    run's exit code, stderr and files."""
+    argv, data, patches, n_forks = FORKING[command]
+    want, forks = run(tmp_path / "one", argv, capsys, 1, data)
+    assert want[0] == 0 and want[2] and forks == 0
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(mock.patch.object(*patch))
+        assert run(tmp_path / "placed", argv, capsys, 2, data)[1] == n_forks
+        with mock.patch.object(os, "sched_setaffinity",
+                               side_effect=OSError(errno.EINVAL, "Invalid argument")):
+            got, forks = run(tmp_path / "two", argv, capsys, 2, data)
     assert got == want
+    assert forks == 0
 
 
 def test_a_year_step_that_raises_gives_the_one_cpu_error(tmp_path, capsys):
