@@ -22,6 +22,7 @@ SNAPSHOT_FORMAT = "trade-network-snapshot"
 SNAPSHOT_VERSION = 1
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr -> json.dumps
 
 # Rows per write of the column-join writer.
 _BLOCK_ROWS = 4096
@@ -97,11 +98,15 @@ def _cells(column, fmt: str, width: int) -> list[str]:
     if isinstance(column, _Coded):
         cells = np.array(_cells(column.values, fmt, width), dtype=object)
         return cells[column.index].tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        cells = _float_cells(column)
+        if fmt == "json":  # json.dumps writes a finite float as its repr
+            for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                cells[i] = _JSON_NONFINITE[cells[i]]
+        return cells
     if fmt == "json":
         return list(map(json.dumps, column.tolist() if isinstance(column, np.ndarray) else column))
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return _float_cells(column)
         # The str of an int, like the repr of a float, holds no delimiter,
         # quote or line break, so it needs no quoting.
         if column.dtype.kind in "iu":
@@ -116,8 +121,158 @@ def _cells(column, fmt: str, width: int) -> list[str]:
 
 def _float_cells(values: np.ndarray) -> list[str]:
     """The repr of each float of an array.  A column that repeats values
-    is a _Coded column, which formats each of its values once."""
-    return list(map(repr, values.tolist()))
+    is a _Coded column, which formats each of its values once.  A float64
+    array of _FLOAT_CUTOFF values or more goes through the kernel below."""
+    if len(values) < _FLOAT_CUTOFF or values.dtype != np.float64:
+        return list(map(repr, values.tolist()))
+    cells = []
+    for lo in range(0, len(values), _FLOAT_BLOCK):
+        cells += _float_block(values[lo:lo + _FLOAT_BLOCK])
+    return cells
+
+
+# ---------------------------------------------------------------------------
+# Float text: repr's shortest round-trip digits, found with exact integer
+# arithmetic in numpy.  A value x with 1e-6 <= |x| < 1e16 that is not a power
+# of two is scaled to P = |x| * 10**k in [1e16, 1e17) exactly, as an int64
+# and a binary fraction; the decimals that read back as x are those within
+# half a gap of x, a half-gap that scaled is exact and below 12.  repr writes
+# the one with fewest digits, the nearest if several.  Every other value, and
+# a value with two nearest candidates, is formatted by repr itself.
+
+_FLOAT_CUTOFF = 384  # below this many values, repr alone is faster
+_FLOAT_BLOCK = 1 << 13  # values per pass: its temporaries stay below 2 MiB
+
+
+def _halves(a):
+    """Veltkamp's split: a == high + low, each with at most 26 significant
+    bits, so a product of two halves is exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+_POW2 = np.array([float(1 << k) for k in range(64)])
+_POW5 = 5 ** np.arange(23, dtype=np.int64)
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+# The 4 digit characters of 0..9999, in uint16: an int64 temporary would be
+# large enough for glibc to raise its mmap threshold and keep 1 MiB resident.
+_DIGITS4 = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+_DIGITS4 = (_DIGITS4 % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
+
+
+def _float_template(exp10: int, nd: int, negative: int) -> str:
+    """The 32-byte row of a value whose shortest digits d are ``nd`` long,
+    d[0] the digit of 10**exp10, laid out as repr lays it out.  Digit i
+    sits at byte 7 + i; a "D" takes it there, an "L" one byte later (after
+    the decimal point), and the row's other bytes are as given."""
+    head, tail = "", ""
+    if exp10 < -4 or exp10 >= 16:
+        body, tail = "D" + ("." + "L" * (nd - 1) if nd > 1 else ""), f"e{exp10:+03d}"
+    elif exp10 < 0:
+        head, body = "0." + "0" * (-exp10 - 1), "D" * nd
+    else:
+        body = "D" * (exp10 + 1) + "." + "L" * (max(nd, exp10 + 2) - exp10 - 1)
+    return (("-" * negative + head).rjust(7) + body + tail).ljust(32)
+
+
+def _float_layouts():
+    """Three (key, 4) '<u8' tables of the rows of _float_template, keyed by
+    ((exp10 + 6) * 18 + nd) * 2 + negative: the bytes taken by "D", those
+    taken by "L", and the rest of the row.  The last key is a "?" that
+    marks a value repr formats."""
+    rows = [_float_template(e, nd, neg) for e in range(-6, 17) for nd in range(18)
+            for neg in (0, 1)] + ["?".rjust(8).ljust(32)]
+    text = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(len(rows), 32)
+    same, later = text == ord("D"), text == ord("L")
+    return [t.view("<u8") for t in (same * np.uint8(255), later * np.uint8(255),
+                                     np.where(same | later, 0, text).astype(np.uint8))]
+
+
+_SAME, _LATER, _FILL = _float_layouts()
+_FALLBACK = len(_FILL) - 1
+
+
+def _float_scaled(a, k):
+    """For 1e-6 <= a < 1e16 and 1 <= k <= 22: a * 10**k == n + frac / 2**s
+    exactly, with 0 <= frac < 2**s, and half a gap of a times 10**k is
+    half / 2**s."""
+    high = a * _POW10[k]
+    ah, al = _halves(a)
+    ph, pl = _POW10_HIGH[k], _POW10_LOW[k]
+    low = ((ah * ph - high) + ah * pl + al * ph) + al * pl  # Dekker: a * 10**k - high
+    # The half-gap is 2**(e - 54) * 10**k = 5**k * 2**t for a = m * 2**e, 0.5 <= m < 1:
+    # 0.55 < half-gap < 12, so s <= 51, and every quantity below fits an int64.
+    t = np.frexp(a)[1] + k - 54
+    s = np.maximum(-t, 0)
+    units = (low * _POW2[s]).astype(np.int64)  # low is a multiple of 2**-s, below 8
+    n = high.astype(np.int64) + (units >> s)
+    return n, units & ((1 << s) - 1), s, _POW5[k] << np.maximum(t, 0)
+
+
+def _float_block(x: np.ndarray) -> list[str]:
+    """The repr of each value of the float64 array ``x``."""
+    bits = x.view(np.int64)
+    a = np.abs(x)
+    fast = (a >= 1e-6) & (a < 1e16) & (bits & 0xFFFFFFFFFFFFF != 0)
+    a[~fast] = 1.5  # any value in range: repr formats these
+    # log10 only guesses k; n must have 17 digits, and k is corrected once.
+    k = np.minimum(np.maximum(16 - np.floor(np.log10(a)).astype(np.intp), 1), 22)
+    n, frac, s, half = _float_scaled(a, k)
+    off = (n < 10**16).astype(np.intp) - (n >= 10**17)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        k[redo] = np.minimum(np.maximum(k[redo] + off[redo], 1), 22)
+        n[redo], frac[redo], s[redo], half[redo] = _float_scaled(a[redo], k[redo])
+        fast &= (n >= 10**16) & (n < 10**17)
+    # A decimal reads back as x within the half-gap, its ends included only
+    # for an even mantissa (round half to even): of the scaled integers, those
+    # from top - width to top.  Fewest digits: the largest j for which one of
+    # them is a multiple of 10**j; as the half-gap exceeds 0.5, j = 0 (17
+    # digits) always fits.
+    half -= bits & 1
+    top = n + ((frac + half) >> s)
+    width = top - n + ((half - frac) >> s)
+    j = np.zeros(len(x), np.intp)
+    todo = np.arange(len(x))
+    for e in range(1, 18):
+        q = _POW10_INT[e]
+        fits = top - top // q * q <= width
+        todo, top, width = todo[fits], top[fits], width[fits]
+        if not todo.size:
+            break
+        j[todo] = e
+    # The multiple of 10**j nearest P, comparing distances in units of 2**-s;
+    # a distance clipped to 32 is too far either way.
+    q = _POW10_INT[j]
+    r = n - n // q * q
+    one = 1 << s
+    down = np.minimum(r, 32) * one + frac
+    up = np.minimum(q - r, 32) * one - frac
+    c = n - r + q * (up < down)
+    fast &= up != down
+    carry = c == 10**17
+    c[carry] = 10**16
+    groups = np.zeros((len(x), 8), "<u4")  # digit i of c at byte 7 + i
+    for col in (5, 4, 3, 2, 1):
+        q = c // 10000  # by a constant: much faster than % or divmod
+        groups[:, col] = _DIGITS4[c - q * 10000]
+        c = q
+    digits = groups.view("<u8")
+    later = digits << 8  # every digit one byte on, for those after the point
+    later[:, 1:] |= digits[:, :-1] >> 56
+    # The layout: decimal exponent, digit count (1 for 10**17) and sign.
+    key = ((16 - k + carry + 6) * 18 + np.maximum(17 - j, 1)) * 2 + (x < 0)
+    key = np.where(fast, key, _FALLBACK)
+    rows = digits & _SAME.take(key, axis=0)  # take: rows far faster than [key]
+    rows |= later & _LATER.take(key, axis=0)
+    rows |= _FILL.take(key, axis=0)
+    cells = rows.tobytes().decode("ascii").split()
+    for i in np.flatnonzero(~fast).tolist():
+        cells[i] = repr(float(x[i]))
+    return cells
 
 
 class _Rows(list):

@@ -79,17 +79,18 @@ def generate_network(params: GravityParams, year: int) -> AnnualTradeNetwork:
         log_gdp = params.gdp_logmean + params.gdp_logsd * rng.normal(n)
         log_mass = params.coupling_exponent * (log_gdp[ii] + log_gdp[jj])
         propensity = log_mass + params.noise_logsd * rng.normal(n_pairs)
-        weights = np.exp(log_mass + params.noise_logsd * rng.normal(n_pairs))
+        log_weights = log_mass + params.noise_logsd * rng.normal(n_pairs)
 
     n_links = int(round(params.link_density_target * n_pairs))
     n_links = max(1, min(n_pairs, n_links))
     # Highest propensity first; ties (possible only through float
-    # collisions) break on the canonical pair order.
-    order = np.lexsort((jj, ii, -propensity))
+    # collisions) break on the canonical pair order, which a stable sort of
+    # the pairs, already in that order, keeps.
+    order = np.argsort(-propensity, kind="stable")
     chosen = np.sort(order[:n_links])
 
-    w = weights[chosen]
-    with np.errstate(invalid="ignore"):  # inf - inf, rejected with the weights
+    with np.errstate(over="ignore", invalid="ignore"):  # as above, and inf - inf
+        w = np.exp(log_weights[chosen])
         w_exp = rng.uniform(n_links) * w
         w_imp = w - w_exp
     return AnnualTradeNetwork._from_indices(year, tuple(country_codes(n)), ii[chosen], jj[chosen],

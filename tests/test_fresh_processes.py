@@ -1,5 +1,6 @@
 """Checks that need a fresh interpreter: the command as a user runs it,
-under a real CPU mask, with numpy's BLAS threads alive when it forks.
+under a real CPU mask, with numpy's BLAS threads alive when it forks, and
+the float text oracle with numpy's AVX-512 kernels switched off.
 
 Each run is ``python -m tradenet.cli`` in a new process, its CPU mask set
 by ``os.sched_setaffinity`` before it starts, as ``taskset -c`` sets it.
@@ -160,6 +161,23 @@ def test_summary_of_shuffled_rows_on_two_cpus_gives_the_one_cpu_files(tmp_path, 
             trees.append(tree(out))
     assert len(trees[0]) == 10
     assert trees[1:] == trees[:1] * 3
+
+
+ORACLE = Path(__file__).resolve().parent / "float_text_oracle.py"
+AVX512_KERNELS = "X86_V4 AVX512_ICL AVX512_SPR"  # as numpy 2.4 names them
+
+
+def test_float_text_is_repr_without_the_avx512_kernels():
+    """The float text kernel against repr on about 200,000 values, in a
+    process where numpy may not use its AVX-512 kernels: which kernel
+    computes np.log10 must not change a digit, as log10 only guesses the
+    decimal exponent.  On a CPU without AVX-512, or under a numpy that
+    names its kernels otherwise, numpy runs the kernels it always runs, and
+    this checks nothing new."""
+    env = {**fresh_env(), "NPY_DISABLE_CPU_FEATURES": AVX512_KERNELS}
+    run = subprocess.run([sys.executable, ORACLE, "--values", "200000"], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert (run.returncode, run.stderr) == (0, ""), run.stdout
 
 
 UNCLOSED = """\

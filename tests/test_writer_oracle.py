@@ -10,6 +10,11 @@ hold zeros, -0.0, 5e-324, 1e16 and 1e22; list cells hold None and numpy
 scalars, and JSON cells also nan, ±inf and an int 0 among floats.  Rows,
 snapshot edges included, are written in blocks, so the block size is drawn
 small as well.
+
+Float arrays of at least _FLOAT_CUTOFF values go through the numpy kernel
+in _float_cells, which must give each value's repr: random bit patterns,
+any float, short and long decimals of every layout, and the edges of
+float_text_oracle; and in JSON, a long column that holds NaN and ±inf.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from tradenet import _text, ingest
 from tradenet.graph import AnnualTradeNetwork, snapshot_dumps
 from tradenet._text import _Coded
 from tradenet.ingest import write_network_records
+from float_text_oracle import edge_values
 from writer_oracle import (json_table_text, network_records_text, network_rows, read_back,
                            snapshot_text, table_rows, table_text)
 
@@ -185,3 +191,41 @@ def test_explicit_cases():
         got = io.StringIO()
         _text._write_table(got, ["a", "b"], columns, "json")
         assert got.getvalue() == "[]\n"
+
+
+# Float cells through the kernel: each drawn list is repeated to an array
+# longer than the cutoff.  Decimals have 1-17 significant digits and a
+# leading digit of 10**-8 to 10**18, so every layout repr uses occurs.
+bit_floats = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@st.composite
+def decimals(draw):
+    digits = draw(st.integers(1, 17))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    value = float(f"{mantissa}e{draw(st.integers(-8, 18)) - digits + 1}")
+    return -value if draw(st.booleans()) else value
+
+
+def long_column(values) -> np.ndarray:
+    return np.resize(np.array(values, dtype=np.float64), _text._FLOAT_CUTOFF + len(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(bit_floats, st.floats(), decimals()), min_size=1, max_size=40))
+def test_long_float_columns_are_written_as_repr(values):
+    column = long_column(values)
+    assert _text._float_cells(column) == list(map(repr, column.tolist()))
+
+
+def test_float_edges_are_written_as_repr():
+    column = edge_values()
+    assert len(column) >= _text._FLOAT_CUTOFF
+    assert _text._float_cells(column) == list(map(repr, column.tolist()))
+
+
+def test_a_long_json_float_column_spells_nan_and_infinity():
+    column = long_column([0.1, float("nan"), float("inf"), -float("inf"), -2.5e-7, 1e22])
+    got = io.StringIO()
+    _text._write_table(got, ["x"], [column], "json")
+    assert got.getvalue() == json_table_text(["x"], [[v] for v in column.tolist()])
