@@ -9,6 +9,7 @@ private: the benchmark's tracer wraps every public one.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import stat
@@ -157,10 +158,6 @@ _POW10_HIGH, _POW10_LOW = _halves(_POW10)
 _POW2 = np.array([float(1 << k) for k in range(64)])
 _POW5 = 5 ** np.arange(23, dtype=np.int64)
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
-# The 4 digit characters of 0..9999, in uint16: an int64 temporary would be
-# large enough for glibc to raise its mmap threshold and keep 1 MiB resident.
-_DIGITS4 = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-_DIGITS4 = (_DIGITS4 % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
 
 
 def _float_template(exp10: int, nd: int, negative: int) -> str:
@@ -178,21 +175,24 @@ def _float_template(exp10: int, nd: int, negative: int) -> str:
     return (("-" * negative + head).rjust(7) + body + tail).ljust(32)
 
 
-def _float_layouts():
-    """Three (key, 4) '<u8' tables of the rows of _float_template, keyed by
-    ((exp10 + 6) * 18 + nd) * 2 + negative: the bytes taken by "D", those
-    taken by "L", and the rest of the row.  The last key is a "?" that
-    marks a value repr formats."""
+@functools.cache
+def _float_tables():
+    """The kernel's tables, built at its first call, so that a command that
+    writes no long float column neither builds nor holds them.  First the 4
+    digit characters of 0..9999 as '<u4' (built in uint16: an int64
+    temporary would be large enough for glibc to raise its mmap threshold
+    and keep 1 MiB resident).  Then three (key, 4) '<u8' tables of the rows
+    of _float_template, keyed by ((exp10 + 6) * 18 + nd) * 2 + negative:
+    the bytes taken by "D", those taken by "L", and the rest of the row.
+    Their last key is a "?" that marks a value repr formats."""
+    digits4 = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    digits4 = (digits4 % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
     rows = [_float_template(e, nd, neg) for e in range(-6, 17) for nd in range(18)
             for neg in (0, 1)] + ["?".rjust(8).ljust(32)]
     text = np.frombuffer("".join(rows).encode("ascii"), np.uint8).reshape(len(rows), 32)
     same, later = text == ord("D"), text == ord("L")
-    return [t.view("<u8") for t in (same * np.uint8(255), later * np.uint8(255),
-                                     np.where(same | later, 0, text).astype(np.uint8))]
-
-
-_SAME, _LATER, _FILL = _float_layouts()
-_FALLBACK = len(_FILL) - 1
+    return digits4, *(t.view("<u8") for t in (same * np.uint8(255), later * np.uint8(255),
+                                              np.where(same | later, 0, text).astype(np.uint8)))
 
 
 def _float_scaled(a, k):
@@ -214,6 +214,7 @@ def _float_scaled(a, k):
 
 def _float_block(x: np.ndarray) -> list[str]:
     """The repr of each value of the float64 array ``x``."""
+    digits4, take_same, take_later, fill = _float_tables()
     bits = x.view(np.int64)
     a = np.abs(x)
     fast = (a >= 1e-6) & (a < 1e16) & (bits & 0xFFFFFFFFFFFFF != 0)
@@ -258,17 +259,17 @@ def _float_block(x: np.ndarray) -> list[str]:
     groups = np.zeros((len(x), 8), "<u4")  # digit i of c at byte 7 + i
     for col in (5, 4, 3, 2, 1):
         q = c // 10000  # by a constant: much faster than % or divmod
-        groups[:, col] = _DIGITS4[c - q * 10000]
+        groups[:, col] = digits4[c - q * 10000]
         c = q
     digits = groups.view("<u8")
     later = digits << 8  # every digit one byte on, for those after the point
     later[:, 1:] |= digits[:, :-1] >> 56
     # The layout: decimal exponent, digit count (1 for 10**17) and sign.
     key = ((16 - k + carry + 6) * 18 + np.maximum(17 - j, 1)) * 2 + (x < 0)
-    key = np.where(fast, key, _FALLBACK)
-    rows = digits & _SAME.take(key, axis=0)  # take: rows far faster than [key]
-    rows |= later & _LATER.take(key, axis=0)
-    rows |= _FILL.take(key, axis=0)
+    key = np.where(fast, key, len(fill) - 1)
+    rows = digits & take_same.take(key, axis=0)  # take: rows far faster than [key]
+    rows |= later & take_later.take(key, axis=0)
+    rows |= fill.take(key, axis=0)
     cells = rows.tobytes().decode("ascii").split()
     for i in np.flatnonzero(~fast).tolist():
         cells[i] = repr(float(x[i]))
