@@ -201,30 +201,32 @@ class RunConfig:
 # Input loading and the year driver
 
 
-def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
-                   missing: str):
-    """Load the annual networks that ``years``, a _parse_years selection,
-    requests from a snapshot, a directory of snapshots, or a dyadic record
-    file.
+def _networks(config: RunConfig, errors: dict[int, str]):
+    """Yield (year, network) for each year ``config`` selects from a
+    snapshot, a directory of snapshots or a dyadic record file, in year
+    order, making each network just before it is yielded.
 
-    Returns (networks by year, per-year error messages), both keyed only by
-    requested years, in year order.  A selection that requests no year is an
-    EmptyInputError.  In a directory, a snapshot named ``<year>_network.json``
-    is selected by its name and not read here: its path stands for its
-    network, which _named_snapshot loads.
+    A requested year with no network, or whose network a dyadic file cannot
+    build, gets its message in ``errors`` instead.  A selection that
+    requests no year is an EmptyInputError.  Before the first network is
+    made, a dyadic file is read and paired, and in a directory every
+    snapshot is selected by its name and the ones whose name holds no year
+    are parsed; a snapshot named ``<year>_network.json`` is parsed when its
+    year comes, and must hold that year.
     """
-    path = Path(input_path)
+    path = Path(config.input_path)
     if not path.exists():
-        raise EmptyInputError(f"input path {input_path!r} does not exist")
-    available: dict[int, object] = {}
-    builder = None
+        raise EmptyInputError(f"input path {config.input_path!r} does not exist")
+    selection = _parse_years(config.years)
+    available: dict[int, object] = {}  # a network, or the path of one named for its year
+    paired = None
     if path.is_dir():
         unnamed = []
         for snap in sorted(path.glob("*_network.json")):
             prefix = snap.name[:-len("_network.json")]
             if not re.fullmatch(r"-?[0-9]+", prefix):
                 unnamed.append(snap)
-            elif _selects(years, int(prefix)):
+            elif _selects(selection, int(prefix)):
                 _add_snapshot(available, int(prefix), snap)
         for snap in unnamed:
             net = load_snapshot(snap)
@@ -233,27 +235,27 @@ def _load_networks(input_path: str, years, input_format: str, on_duplicate: str,
         net = load_snapshot(path)
         available[net.year] = net
     else:
-        cols = read_columns(path, input_format)
-        paired = pair_columns(cols, on_duplicate)
-        available = dict.fromkeys(cols.years)
-
-        def builder(year):
-            return build_network(paired, year, missing)
-
-    requested = _selected_years(years, available)
+        paired = pair_columns(read_columns(path, config.input_format), config.on_duplicate)
+        available = dict.fromkeys(paired.years)
+    requested = _selected_years(selection, available)
     if not requested:
-        raise EmptyInputError(f"no usable years in {input_path!r}")
-    nets: dict[int, object] = {}
-    errors: dict[int, str] = {}
+        raise EmptyInputError(f"no usable years in {config.input_path!r}")
     for year in requested:
         if year not in available:
             errors[year] = f"no records for year {year}"
             continue
-        try:
-            nets[year] = available[year] if builder is None else builder(year)
-        except TradeNetError as exc:
-            errors[year] = str(exc)
-    return nets, errors
+        net = available[year]
+        if paired is not None:
+            try:
+                net = build_network(paired, year, config.missing)
+            except TradeNetError as exc:
+                errors[year] = str(exc)
+                continue
+        elif isinstance(net, Path):
+            snap, net = net, load_snapshot(net)
+            if net.year != year:
+                raise ValidationError(f"snapshot {snap.name} holds year {net.year}")
+        yield year, net
 
 
 def _add_snapshot(available: dict, year: int, snapshot) -> None:
@@ -264,40 +266,27 @@ def _add_snapshot(available: dict, year: int, snapshot) -> None:
     available[year] = snapshot
 
 
-def _named_snapshot(snap: Path, year: int):
-    """The network of the snapshot ``snap``, named for ``year``, which its
-    document must hold."""
-    net = load_snapshot(snap)
-    if net.year != year:
-        raise ValidationError(f"snapshot {snap.name} holds year {net.year}")
-    return net
-
-
 def _run_years(config: RunConfig, year_step, panel_step=None) -> int:
     """Run one analysis subcommand over the years ``config`` selects.
 
-    Loads the networks, calls ``year_step(out, net, config)`` on each
-    network in year order and then ``panel_step(out, config, nets, results,
-    errors)``, where ``out`` is the _Writer of the outdir and ``results``
-    holds each year step's return value by year.  A snapshot named for its
-    year is loaded just before that year's step, so the writer writes one
-    year's files while the next loads; the outdir is made once the first
-    network has loaded.  ``out`` is closed before the panel step, so that a
-    file of the years that cannot be written raises before the panel step
-    runs, which then writes its files here.  Reports each failed year on
-    stderr; returns 1 if some requested year failed, else 0.
+    Calls ``year_step(out, net, config)`` on each network of _networks, which
+    makes it just before its step, and then ``panel_step(out, config, nets,
+    results, errors)``, where ``out`` is the _Writer of the outdir and
+    ``results`` holds each year step's return value by year.  So the writer
+    writes one year's files while the next network is made; the outdir is
+    made with the first network.  ``out`` is closed before the panel step,
+    so that a file of the years that cannot be written raises before the
+    panel step runs, which then writes its files here.  Reports each failed
+    year on stderr; returns 1 if some requested year failed, else 0.
     """
     # Forked while this process is small, so that neither copies pages the
     # other writes.
     out = _Writer(Path(config.outdir), _usable_cpus())
+    nets, results, errors = {}, {}, {}
     try:
-        nets, errors = _load_networks(config.input_path, _parse_years(config.years),
-                                      config.input_format, config.on_duplicate, config.missing)
-        results = {}
-        for year, net in nets.items():
-            if isinstance(net, Path):
-                nets[year] = net = _named_snapshot(net, year)
+        for year, net in _networks(config, errors):
             _ensure_outdir(config.outdir)
+            nets[year] = net
             results[year] = year_step(out, net, config)
         _ensure_outdir(config.outdir)  # also where every requested year failed
         out.close()
@@ -419,7 +408,7 @@ def _percolation_year(out: _Writer, net, config: RunConfig, orders):
     # A giant fraction is s/N for a component size s.  The table is built
     # where it is written, from each point's s in the least type that holds
     # N: the command keeps a job until the writer has written it, which for
-    # this one is while the next snapshot loads.
+    # this one is while the next network is made.
     giant = np.arange(net.n_nodes + 1) / net.n_nodes
     size = np.concatenate([np.searchsorted(giant, curve.giant[emit]) for curve in curves.values()])
     columns = functools.partial(_percolation_columns, orders, curves[orders[0]].f[emit], giant,

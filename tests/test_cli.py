@@ -246,6 +246,7 @@ class TestArgumentErrors:
         (["summary", "--years", "abc"], "year"),
         (["summary", "--years", "1990,"], "year"),
         (["summary", "--years", "1990:1989"], "year"),
+        (["summary", "--years", "1990,2002:2001"], "empty year range"),
         (["percolate", "--fit", "0.1"], "range"),
         (["percolate", "--emit-every", "0"], "emit-every"),
         (["percolate", "--emit-every", "-3"], "emit-every"),
@@ -508,6 +509,20 @@ class TestSnapshotDirectorySelection:
         assert rc == 2 and parsed == ["2005_network.json"]
         assert err == "error: snapshot 2005_network.json holds year 2001\n"
 
+    @pytest.mark.parametrize("name, year, want_parsed", [
+        ("02001_network.json", 2001, []),
+        ("latest_network.json", 2002, ["latest_network.json"]),
+    ], ids=["two-names", "unnamed-holds-named-year"])
+    def test_duplicate_year_exits_2_before_a_named_snapshot_is_parsed(self, tmp_path, name,
+                                                                     year, want_parsed):
+        snaps = tmp_path / "snaps"
+        shutil.copytree(GOLDEN_SNAPSHOTS, snaps)
+        shutil.copyfile(snaps / f"{year}_network.json", snaps / name)
+        rc, parsed, err = self.summary(snaps, tmp_path, "all")
+        assert rc == 2 and parsed == want_parsed
+        assert err == f"error: duplicate snapshot for year {year}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_name_without_a_year_is_parsed(self, tmp_path):
         snaps = tmp_path / "snaps"
         snaps.mkdir()
@@ -516,6 +531,41 @@ class TestSnapshotDirectorySelection:
         rc, parsed, _ = self.summary(snaps, tmp_path, "2002")
         assert rc == 0 and parsed == ["latest_network.json"]
         assert (tmp_path / "out" / "2002_summary.csv").exists()
+
+
+class TestDyadicYears:
+    """A dyadic file is read and paired once; each year's network is built
+    just before that year's step, and a year that cannot be built is that
+    year's error."""
+
+    def test_each_year_is_built_just_before_its_step(self, tmp_path):
+        data = synth_csv(tmp_path)
+        build_network, summary_year = cli.build_network, cli._summary_year
+        calls = []
+
+        def build(paired, year, missing):
+            calls.append(("build", year))
+            return build_network(paired, year, missing)
+
+        def step(out, net, config):
+            calls.append(("step", net.year))
+            return summary_year(out, net, config)
+
+        with mock.patch.object(cli, "build_network", build), \
+                mock.patch.object(cli, "_summary_year", step):
+            rc = main(["summary", "--input", str(data), "--outdir", str(tmp_path / "out")])
+        assert rc == 0
+        assert calls == [(kind, year) for year in (1990, 1991, 1992) for kind in ("build", "step")]
+
+    def test_a_year_with_no_positive_flow_is_a_year_error(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_bytes(CSV_HEADER + b"1990,AAA,BBB,1,2\n1991,AAA,BBB,0,0\n"
+                                      b"1992,AAA,CCC,3,0\n")
+        out = tmp_path / "out"
+        rc = main(["summary", "--input", str(data), "--outdir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: year 1991: no edges for year 1991\n"
+        assert sorted(p.name for p in out.iterdir()) == ["1990_summary.csv", "1992_summary.csv"]
 
 
 class TestAnalysisCommands:
@@ -687,13 +737,18 @@ class TestErrorPaths:
         (["summary", "--input"], "2000_network.json",
          b'{"format":"trade-network-snapshot",\n"nodes":["\xe9"]}', "line 2: input is not UTF-8"),
         (["fit", "--weights"], "weights.txt", b"1.5\n2\xe9\n", "line 2: input is not UTF-8"),
-    ], ids=["csv-not-utf8", "csv-long-field", "snapshot-not-utf8", "weights-not-utf8"])
+        (["summary", "--input"], "2000_network.json",
+         b'{"format":"trade-network-snapshot","version":2,"year":2000,"nodes":["A","B"],'
+         b'"edges":[["A","B",1.0,2.0]]}', "unsupported snapshot version 2"),
+    ], ids=["csv-not-utf8", "csv-long-field", "snapshot-not-utf8", "weights-not-utf8",
+            "snapshot-version-2"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, argv, name, data, word):
         path = tmp_path / name
         path.write_bytes(data)
         assert main(argv + [str(path), "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {word}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["synth", "panel"])
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys, command):

@@ -9,7 +9,7 @@ from analysis_oracle import edge_dict
 from conftest import make_network, random_network
 from ingest_oracle import oracle_networks, paired_rows, records_of
 from reader_oracle import columns_of
-from tradenet.cli import _load_networks
+from tradenet.cli import RunConfig, _networks
 from tradenet.errors import DomainError, ParseError, ValidationError
 from tradenet.graph import AnnualTradeNetwork
 from tradenet.ingest import DyadicColumns, pair_columns, read_columns, write_network_records
@@ -305,8 +305,11 @@ def test_columnar_core_matches_oracle(tmp_path_factory, reports, on_duplicate, m
     recs, years = reports
     path = tmp_path_factory.mktemp("oracle") / "reports.csv"
     path.write_text(records_text(recs))
-    selection = None if years is None else (set(years), [])
-    nets, errors = _load_networks(str(path), selection, "csv", on_duplicate, missing)
+    config = RunConfig(input_path=str(path), outdir="unused",
+                       years=None if years is None else ",".join(map(str, years)),
+                       on_duplicate=on_duplicate, missing=missing)
+    errors = {}
+    nets = dict(_networks(config, errors))
     want = oracle_networks(recs, years or sorted({r[0] for r in recs}), on_duplicate, missing)
     got = {year: str(message) for year, message in errors.items()}
     got.update((year, edge_dict(net)) for year, net in nets.items())
